@@ -12,10 +12,10 @@ On-disk format (UTF-8 text)::
     bf <m>
     <index> <re> <im>      # 2**m lines, index ascending from 0
 
-``#`` starts a comment line.  The writer emits 17 significant digits so
-round trips are lossless for doubles.  The same container also stores raw
-(unnormalized) vectors; only :func:`read_binary_function` enforces the
-empty-set constraint on load.
+``#`` starts a comment line, and every value must be finite.  The writer
+emits 17 significant digits so round trips are lossless for doubles.  The
+same container also stores raw (unnormalized) vectors; only
+:func:`read_binary_function` enforces the empty-set constraint on load.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
+
+# Entries per np.vdot call.  OpenBLAS splits a dot product over more than
+# 10000 entries across threads, and on a busy host the call then waits for
+# its second thread to be scheduled; chunks keep it on the calling thread.
+DOT_CHUNK = 8192
 
 
 def default_labels(m: int) -> tuple[str, ...]:
@@ -89,14 +94,15 @@ def make(m: int, values, labels: Sequence[str] | None = None,
     """Build a binary function, rejecting vectors whose empty-set entry is not 1.
 
     The entry is snapped to exactly 1 after the tolerance check so the
-    invariant holds bit-for-bit downstream.
+    invariant holds bit-for-bit downstream; a non-finite entry is rejected,
+    never snapped.
     """
     v = np.array(values, dtype=complex)
     if m < 0:
         raise WrongLength("dimension must be non-negative")
     if v.shape != (2**m,):
         raise WrongLength(f"need 2**{m} = {2**m} values, got {v.shape}")
-    if abs(v[0] - 1.0) > tol:
+    if not (np.isfinite(v[0]) and abs(v[0] - 1.0) <= tol):
         raise EmptySetNotOne(f"empty-set entry {v[0]} differs from 1 by more than {tol}")
     v[0] = 1.0
     lab = default_labels(m) if labels is None else tuple(labels)
@@ -137,6 +143,13 @@ def insert_bit(bits: Sequence[int], i: int, b: int) -> tuple[int, ...]:
     return g[:i] + (1 if b else 0,) + g[i:]
 
 
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot(a, b), summed over chunks of DOT_CHUNK entries when longer."""
+    if a.size <= DOT_CHUNK:
+        return np.vdot(a, b)
+    return sum(np.vdot(a[i:i + DOT_CHUNK], b[i:i + DOT_CHUNK]) for i in range(0, a.size, DOT_CHUNK))
+
+
 def proportionality_residual(a, b) -> float:
     """Relative sup-norm residual of the best least-squares fit a = c*b.
 
@@ -154,7 +167,7 @@ def proportionality_residual(a, b) -> float:
         return 0.0
     if na == 0.0 or nb == 0.0:
         return float("inf")
-    c = np.vdot(vb, va) / np.vdot(vb, vb)
+    c = _vdot(vb, va) / _vdot(vb, vb)
     if abs(c) == 0.0:
         return float("inf")
     return float(np.max(np.abs(va - c * vb)) / na)
@@ -272,6 +285,9 @@ def read_vector(path) -> RawVector:
         if idx != pos:
             raise FileFormatError(f"{path}: index {idx} out of order (expected {pos})")
         values[pos] = complex(re, im)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FileFormatError(f"{path}: non-finite value at index {bad[0]}")
     return RawVector(m, values)
 
 

@@ -13,6 +13,8 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import os
 import sys
 
@@ -28,14 +30,17 @@ from .verify import SUITE_NAMES, run_suites
 
 
 def parse_mu(token: str) -> complex:
-    """Parse `1`, `-1`, `w`, `w2`, or a RE(+|-)IMi decimal form."""
+    """Parse `1`, `-1`, `w`, `w2`, or a finite RE(+|-)IMi decimal form."""
     special = {"1": 1.0 + 0j, "-1": -1.0 + 0j, "w": OMEGA, "w2": OMEGA2}
     if token in special:
         return special[token]
     try:
-        return complex(token.replace("i", "j"))
+        mu = complex(token.replace("i", "j"))
     except ValueError:
         raise TrialabError(f"cannot parse mu value {token!r}") from None
+    if not cmath.isfinite(mu):
+        raise TrialabError(f"mu value {token!r} is not finite")
+    return mu
 
 
 def format_mu(mu: complex) -> str:
@@ -51,9 +56,12 @@ def tolerance() -> float:
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise TrialabError(f"bad TRIALAB_TOL value {raw!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise TrialabError(f"TRIALAB_TOL must be finite and positive, got {raw!r}")
+    return tol
 
 
 def _cmd_transform(args) -> int:

@@ -30,6 +30,11 @@ def test_make_ultraloop_image():
 def test_make_rejects_bad_empty_set_entry():
     with pytest.raises(EmptySetNotOne):
         binfun.make(1, [0.0, 1.0])
+    # Non-finite entries are rejected rather than snapped to 1, at any tolerance.
+    for bad in (np.nan, np.inf, complex(1.0, np.nan)):
+        for tol in (binfun.DEFAULT_TOL, np.inf):
+            with pytest.raises(EmptySetNotOne):
+                binfun.make(1, [bad, 2.0], tol=tol)
 
 
 def test_make_rejects_wrong_length():
@@ -96,6 +101,20 @@ def test_proportional_scaling():
 
 def test_proportional_rejects_non_multiples():
     assert not binfun.proportional([1.0, 0.0], [1.0, 1.0])
+
+
+def test_proportional_across_dot_chunks():
+    # 2**14 entries span two DOT_CHUNK slices; a change in the second alone
+    # must still break proportionality.
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal(2**14) + 1j * rng.standard_normal(2**14)
+    assert binfun.proportional((0.3 - 1.2j) * b, b)
+    a = 2.0 * b
+    a[-1] += 1.0
+    assert not binfun.proportional(a, b)
+    c = np.vdot(b, a) / np.vdot(b, b)
+    expect = np.max(np.abs(a - c * b)) / np.max(np.abs(a))
+    assert abs(binfun.proportionality_residual(a, b) - expect) <= 1e-12
 
 
 def test_proportional_zero_vectors():
@@ -218,3 +237,9 @@ def test_file_comments_and_errors(tmp_path):
     raw_file.write_text("bf 1\n0 2 0\n1 0.5 0\n")
     with pytest.raises(EmptySetNotOne):
         binfun.read_binary_function(raw_file)
+
+    for line in ("1 nan 0", "1 0.5 inf", "1 -inf 0"):
+        non_finite = tmp_path / "non_finite.bf"
+        non_finite.write_text(f"bf 1\n0 1 0\n{line}\n")
+        with pytest.raises(FileFormatError):
+            binfun.read_vector(non_finite)

@@ -25,6 +25,12 @@ def test_parse_mu_tokens():
         parse_mu("elephant")
 
 
+def test_parse_mu_rejects_non_finite():
+    for token in ("nan", "inf", "-inf", "1+nani", "0-infi"):
+        with pytest.raises(TrialabError):
+            parse_mu(token)
+
+
 def test_mu_parse_print_roundtrip():
     # Canonical tokens are fixed points of print(parse(.)).
     for token in ("1", "-1", "w", "w2", "2.5+0i", "-0.125-3i"):
@@ -103,6 +109,25 @@ def test_cli_minor_pole_is_a_usage_error(tmp_path):
     rc = main(["minor", str(src), "--mu", "5.828427124746190+0i",
                "--element", "0", "-o", str(out)])
     assert rc == 2
+
+
+def test_cli_rejects_non_finite_input_file(tmp_path):
+    src = tmp_path / "nan.bf"
+    src.write_text("bf 1\n0 1 0\n1 nan 0\n")
+    out = tmp_path / "out.bf"
+    assert main(["transform", str(src), "--mu", "w", "-o", str(out)]) == 2
+    assert main(["minor", str(src), "--mu", "1", "--element", "0", "-o", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_rejects_non_finite_mu(tmp_path):
+    src = _write_c1(tmp_path)
+    out = tmp_path / "out.bf"
+    for mu in ("nan", "inf+0i"):
+        assert main(["transform", str(src), "--mu", mu, "-o", str(out)]) == 2
+        assert main(["transform", str(src), "--mu", mu, "--normalize", "-o", str(out)]) == 2
+        assert main(["minor", str(src), "--mu", mu, "--element", "0", "-o", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_dimap_validate_reduce_trial(tmp_path, capsys):
@@ -193,3 +218,10 @@ def test_tolerance_env_bad_value(tmp_path, monkeypatch):
     monkeypatch.setenv("TRIALAB_TOL", "not-a-number")
     assert main(["minor", str(src), "--mu", "1", "--element", "0",
                  "-o", str(out)]) == 2
+    for value in ("nan", "inf", "-1", "0"):
+        monkeypatch.setenv("TRIALAB_TOL", value)
+        assert main(["minor", str(src), "--mu", "1", "--element", "0",
+                     "-o", str(out)]) == 2
+        assert main(["transform", str(src), "--mu", "w", "--normalize",
+                     "-o", str(out)]) == 2
+    assert not out.exists()

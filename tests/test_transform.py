@@ -57,9 +57,20 @@ def test_m_matrix_omega_eigenvalues():
 
 def test_transform_identity_is_exact():
     rng = np.random.default_rng(1)
-    f = random_bf(rng, 4)
-    out = transform(f, 1.0)
-    assert np.array_equal(out.values, f.values)
+    for m in (4, 5, 9, 13):
+        f = random_bf(rng, m)
+        out = transform(f, 1.0)
+        assert np.array_equal(out.values, f.values)
+
+
+def test_transform_leaves_input_unchanged():
+    rng = np.random.default_rng(7)
+    for m in (0, 3, 9):
+        v = rng.standard_normal(2**m) + 1j * rng.standard_normal(2**m)
+        before = v.copy()
+        out = transform(v, OMEGA)
+        assert np.array_equal(v, before)
+        assert v.flags.writeable and not np.shares_memory(out.values, v)
 
 
 def test_transform_dimension_zero():
@@ -74,14 +85,38 @@ def test_transform_fixes_ultraloop_image():
 
 
 def test_fast_matches_dense_kronecker():
+    # m = 0..9 covers one partial block, exact multiples of the block width
+    # (4, 8) and several blocks with a short one (5, 9).
     rng = np.random.default_rng(2)
-    for m in range(0, 7):
-        for _ in range(5):
+    for m in range(0, 10):
+        mus = [complex(*rng.standard_normal(2)) for _ in range(5)]
+        for mu in mus + [1.0, -1.0, OMEGA, OMEGA2]:
             f = random_bf(rng, m)
-            mu = complex(*rng.standard_normal(2))
             fast = transform(f, mu).values
             dense = dense_kronecker_power(m_matrix(mu).entries, m) @ f.values
             assert np.max(np.abs(fast - dense), initial=0.0) < 1e-10
+
+
+def dense_kronecker_row(matrix, m, y):
+    row = np.ones(1, dtype=complex)
+    for i in range(m):
+        row = np.kron(row, matrix[(y >> (m - 1 - i)) & 1])
+    return row
+
+
+def test_fast_matches_dense_rows_at_larger_m():
+    # From m = 12 the first block is split into column tiles. The dense
+    # power is too large there, so sampled rows of it are checked instead.
+    rng = np.random.default_rng(5)
+    for m in (12, 13, 14):
+        f = random_bf(rng, m)
+        for mu in (complex(*rng.standard_normal(2)), -1.0, OMEGA):
+            fast = transform(f, mu).values
+            e = m_matrix(mu).entries
+            for y in [0, 2**m - 1] + [int(y) for y in rng.integers(2**m, size=6)]:
+                row = dense_kronecker_row(e, m, y)
+                scale = np.sum(np.abs(row * f.values))
+                assert abs(fast[y] - row @ f.values) <= 1e-12 * scale
 
 
 def test_composition_multiplies_parameters():
@@ -121,6 +156,13 @@ def test_inverse_transform():
         assert np.max(np.abs(back.values - f.values)) < 1e-10
     assert np.max(np.abs(inverse_transform(f, OMEGA).values
                          - transform(f, OMEGA2).values)) < 1e-12
+
+
+def test_inverse_transform_round_trip_across_blocks():
+    rng = np.random.default_rng(8)
+    f = random_bf(rng, 9)
+    back = inverse_transform(transform(f, OMEGA), OMEGA)
+    assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
 def test_inverse_transform_singular_at_zero():
