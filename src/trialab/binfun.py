@@ -30,6 +30,7 @@ from .errors import (
     EmptySetNotOne,
     FileFormatError,
     IndexOutOfRange,
+    NonFiniteValue,
     NormalizationError,
     WrongLength,
 )
@@ -249,6 +250,9 @@ def write_vector(path, m: int, values) -> None:
     v = np.asarray(values, dtype=complex)
     if v.shape != (2**m,):
         raise WrongLength(f"need 2**{m} values, got {v.shape}")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise NonFiniteValue(f"{path}: refusing to write non-finite value at index {bad[0]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"bf {m}\n")
         for i, z in enumerate(v):

@@ -1,13 +1,15 @@
 """Exhaustive generation of alternating dimaps with k edges, up to
 orientation-preserving unlabeled isomorphism.
 
-The default generator fixes the dart pairing (edge i owns darts 2i, 2i+1)
-and enumerates every way to arrange all darts into alternating cyclic
-vertex sequences; each cycle starts at its smallest dart so rotations are
-produced once.  Disconnected maps fall out of the same dart partitioning.
-A second, structurally different generator fixes vertex degree shapes
-first and enumerates tail-to-head wirings; the two must agree and the
-k = 3 count is pinned as a regression constant in the tests.
+Every vertex rotation alternates out-darts and in-darts, so every map is
+isomorphic to one built from a rotation template for its partition of
+out-degrees plus a wiring that sends each out-slot to an in-slot.  The
+generator lays out one template per partition of k, tries every wiring
+(k! per partition) and keeps one representative per canonical form.
+Disconnected maps fall out of the same wirings.  The tests check the
+catalog sizes against the closed form sum over partitions lambda of k of
+z_lambda (Burnside's count of permutation pairs up to simultaneous
+conjugation) and against an independent dart-pairing generator.
 """
 
 from __future__ import annotations
@@ -45,49 +47,6 @@ class Catalog:
             key = (len(comps), profile, isomorphic(trial(g)[0], g))
             out[key] = out.get(key, 0) + 1
         return out
-
-
-def _alternating_partitions(darts: list[int], is_head) -> list[list[tuple[int, ...]]]:
-    """All partitions of darts into alternating cyclic sequences.
-
-    Each cycle is anchored at its smallest dart, and cycles are opened in
-    increasing order of their anchors, so every set of cyclic orders is
-    produced exactly once.
-    """
-    results: list[list[tuple[int, ...]]] = []
-
-    def extend(remaining: set[int], current: list[int], vertices: list[tuple[int, ...]]):
-        if not current:
-            if not remaining:
-                results.append(list(vertices))
-                return
-            anchor = min(remaining)
-            extend(remaining - {anchor}, [anchor], vertices)
-            return
-        # Close the cycle when the wrap also alternates.
-        if len(current) >= 2 and is_head(current[-1]) != is_head(current[0]):
-            vertices.append(tuple(current))
-            extend(remaining, [], vertices)
-            vertices.pop()
-        want_head = not is_head(current[-1])
-        for d in sorted(remaining):
-            if is_head(d) == want_head and d > current[0]:
-                extend(remaining - {d}, current + [d], vertices)
-
-    extend(set(darts), [], [])
-    return results
-
-
-def generate_dart_pairing_first(k: int) -> list[AlternatingDimap]:
-    """All k-edge maps (with duplicates) from fixed pairing, free rotations."""
-    edges = tuple(Edge(f"e{i}", 2 * i, 2 * i + 1) for i in range(k))
-    darts = list(range(2 * k))
-    maps = []
-    for rotations in _alternating_partitions(darts, lambda d: d % 2 == 1):
-        g = AlternatingDimap(edges, tuple(rotations))
-        if is_valid(g):
-            maps.append(g)
-    return maps
 
 
 def generate_rotation_first(k: int) -> list[AlternatingDimap]:
@@ -134,20 +93,13 @@ def _dedupe(maps) -> tuple[AlternatingDimap, ...]:
     return tuple(seen[key] for key in sorted(seen))
 
 
-def enumerate_dimaps(k: int, cap: int = DEFAULT_CAP,
-                     strategy: str = "dart-pairing") -> Catalog:
+def enumerate_dimaps(k: int, cap: int = DEFAULT_CAP) -> Catalog:
     """Catalog of all k-edge alternating dimaps up to isomorphism."""
     if k > cap:
         raise CapExceeded(f"k = {k} above cap {cap}")
     if k == 0:
         return Catalog(0, (AlternatingDimap((), ()),))
-    if strategy == "dart-pairing":
-        raw = generate_dart_pairing_first(k)
-    elif strategy == "rotation-first":
-        raw = generate_rotation_first(k)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return Catalog(k, _dedupe(raw))
+    return Catalog(k, _dedupe(generate_rotation_first(k)))
 
 
 def self_trial_members(catalog: Catalog) -> list[AlternatingDimap]:
@@ -186,7 +138,6 @@ __all__ = [
     "Catalog",
     "DEFAULT_CAP",
     "enumerate_dimaps",
-    "generate_dart_pairing_first",
     "generate_rotation_first",
     "random_dimap",
     "self_trial_members",

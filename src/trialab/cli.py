@@ -102,7 +102,7 @@ def _cmd_dimap(args) -> int:
             name = f"map{idx:03d}.adm"
             write_dimap(os.path.join(args.output, name), g)
             comps = components(g)
-            profile = ",".join(str(genus(g, c)) for c in comps) or "-"
+            profile = ",".join(map(str, sorted(genus(g, c) for c in comps))) or "-"
             flag = "yes" if id(g) in self_trial_forms else "no"
             print(f"{idx:5d} {len(comps):10d} {profile:>13s} {flag:>10s} {name}")
         return 0

@@ -59,3 +59,7 @@ class NotMinorClosed(TrialabError):
 
 class FileFormatError(TrialabError):
     """Malformed .bf or .adm file."""
+
+
+class NonFiniteValue(TrialabError):
+    """Vector holds a NaN or infinite entry where finite values are required."""

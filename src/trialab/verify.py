@@ -5,12 +5,13 @@ check; randomized checks draw from a seeded generator so runs are
 reproducible.  Oracles here are deliberately independent of the code paths
 they judge: dense Kronecker products against the fast kernel, brute-force
 GF(2) complements against the transform, rank computations against the
-degeneracy test, and the second enumeration strategy against the first.
+degeneracy test, and Burnside's closed-form counts against the catalogs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -292,10 +293,26 @@ def check_degeneracy_mu_independence(rng, tol=1e-7) -> CheckResult:
 # ---------------------------------------------------------------------------
 # dimaps
 
-def check_enumeration_counts(rng) -> CheckResult:
-    counts = {k: len(_catalog(k).maps) for k in (0, 1, 2)}
-    ok = counts == {0: 1, 1: 1, 2: 4}
-    return CheckResult("dimaps", "enumeration-counts", ok, f"counts {counts}")
+def _burnside_counts(kmax: int) -> list[int]:
+    """Sum over partitions lambda of k of z_lambda, for k = 0..kmax.
+
+    That is the number of permutation pairs on k points up to simultaneous
+    conjugation.  The series is the product over part sizes i of
+    sum_m i^m m! x^(i m), expanded one part size at a time.
+    """
+    counts = [1] + [0] * kmax
+    for i in range(1, kmax + 1):
+        counts = [sum(counts[n - i * m] * i**m * math.factorial(m)
+                      for m in range(n // i + 1))
+                  for n in range(kmax + 1)]
+    return counts
+
+
+def check_enumeration_counts(rng, kmax=4) -> CheckResult:
+    counts = [len(_catalog(k).maps) for k in range(kmax + 1)]
+    expected = _burnside_counts(kmax)
+    return CheckResult("dimaps", "enumeration-counts", counts == expected,
+                       f"k=0..{kmax} counts {counts} (Burnside {expected})")
 
 
 def check_self_trial_two_edges(rng) -> CheckResult:

@@ -1,7 +1,20 @@
+from functools import lru_cache
+from math import factorial, prod
+
 import numpy as np
 import pytest
 
-from trialab.altmap import canonical_form, is_valid, isomorphic, k_copies, trial, ultraloop
+from trialab.altmap import (
+    AlternatingDimap,
+    Edge,
+    canonical_form,
+    components,
+    is_valid,
+    isomorphic,
+    k_copies,
+    trial,
+    ultraloop,
+)
 from trialab.catalog import (
     enumerate_dimaps,
     random_dimap,
@@ -13,6 +26,76 @@ from trialab.reductions import ALL_KINDS, reduce_edge
 # Derived once from the two independent generation strategies, then frozen
 # as regression constants.
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 11, 4: 43}
+# Connected and self-trial catalog members for k = 1..6.
+CONNECTED_COUNTS = {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624}
+SELF_TRIAL_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 5, 6: 13}
+
+
+@lru_cache(maxsize=None)
+def _catalog(k):
+    return enumerate_dimaps(k, cap=k)
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    largest = n if largest is None else largest
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _burnside_count(k):
+    """Sum over partitions lambda of k of z_lambda = prod_i i^m_i * m_i!:
+    the number of permutation pairs on k points up to simultaneous
+    conjugation, by Burnside's lemma."""
+    return sum(prod(i ** shape.count(i) * factorial(shape.count(i)) for i in set(shape))
+               for shape in _partitions(k))
+
+
+def _alternating_partitions(darts, is_head):
+    """All partitions of darts into alternating cyclic sequences.
+
+    Each cycle is anchored at its smallest dart, and cycles are opened in
+    increasing order of their anchors, so every set of cyclic orders is
+    produced exactly once.
+    """
+    results = []
+
+    def extend(remaining, current, vertices):
+        if not current:
+            if not remaining:
+                results.append(list(vertices))
+                return
+            anchor = min(remaining)
+            extend(remaining - {anchor}, [anchor], vertices)
+            return
+        # Close the cycle when the wrap also alternates.
+        if len(current) >= 2 and is_head(current[-1]) != is_head(current[0]):
+            vertices.append(tuple(current))
+            extend(remaining, [], vertices)
+            vertices.pop()
+        want_head = not is_head(current[-1])
+        for d in sorted(remaining):
+            if is_head(d) == want_head and d > current[0]:
+                extend(remaining - {d}, current + [d], vertices)
+
+    extend(set(darts), [], [])
+    return results
+
+
+def _dart_pairing_forms(k):
+    """Canonical forms of every k-edge map, from an independent generator:
+    fix the dart pairing (edge i owns darts 2i, 2i+1) and arrange all darts
+    into alternating cyclic vertex sequences."""
+    edges = tuple(Edge(f"e{i}", 2 * i, 2 * i + 1) for i in range(k))
+    forms = set()
+    for rotations in _alternating_partitions(range(2 * k), lambda d: d % 2 == 1):
+        g = AlternatingDimap(edges, tuple(rotations))
+        if is_valid(g):
+            forms.add(canonical_form(g))
+    return sorted(forms)
 
 
 def test_counts_small():
@@ -31,12 +114,26 @@ def test_single_edge_map_is_the_ultraloop():
     assert isomorphic(only, ultraloop())
 
 
+def test_counts_match_burnside():
+    assert [_burnside_count(k) for k in range(9)] == [1, 1, 4, 11, 43, 161, 901, 5579, 43206]
+    for k in range(0, 7):
+        assert len(_catalog(k).maps) == _burnside_count(k)
+
+
+def test_connected_counts():
+    for k, n in CONNECTED_COUNTS.items():
+        assert sum(len(components(g)) == 1 for g in _catalog(k).maps) == n
+
+
+def test_self_trial_counts():
+    for k, n in SELF_TRIAL_COUNTS.items():
+        assert len(self_trial_members(_catalog(k))) == n
+
+
 def test_strategies_agree():
-    for k in range(1, 4):
-        a = enumerate_dimaps(k, strategy="dart-pairing")
-        b = enumerate_dimaps(k, strategy="rotation-first")
-        assert sorted(canonical_form(g) for g in a.maps) == \
-            sorted(canonical_form(g) for g in b.maps)
+    for k in range(1, 5):
+        forms = sorted(canonical_form(g) for g in enumerate_dimaps(k).maps)
+        assert forms == _dart_pairing_forms(k)
 
 
 def test_members_are_valid_and_pairwise_nonisomorphic():

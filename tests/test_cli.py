@@ -120,6 +120,17 @@ def test_cli_rejects_non_finite_input_file(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_cli_refuses_to_write_non_finite_output(tmp_path):
+    # Finite input whose transform overflows to inf and nan.
+    src = tmp_path / "big.bf"
+    src.write_text("bf 1\n0 1 0\n1 1e308 0\n")
+    out = tmp_path / "out.bf"
+    assert main(["transform", str(src), "--mu", "1e300", "-o", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_rejects_non_finite_mu(tmp_path):
     src = _write_c1(tmp_path)
     out = tmp_path / "out.bf"
@@ -166,6 +177,15 @@ def test_cli_dimap_catalog(tmp_path, capsys):
     assert sum(isomorphic(g, ultraloop()) for g in maps) == 0
     stdout = capsys.readouterr().out
     assert "4 maps" in stdout
+
+
+def test_cli_dimap_catalog_genus_profiles_sorted(tmp_path, capsys):
+    assert main(["dimap", "catalog", "--edges", "4", "-o", str(tmp_path / "atlas")]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 43
+    for row in rows:
+        profile = [int(x) for x in row.split()[2].split(",")]
+        assert profile == sorted(profile)
 
 
 def test_cli_dimap_classify(tmp_path, capsys):
