@@ -15,6 +15,12 @@ forward: an anticlockwise face.  The mirrored walk gives the clockwise
 faces.  The left (right) successor of an edge is the next edge around its
 anticlockwise (clockwise) face.
 
+The topology is read off the successor permutations ls and rs on edge
+positions: anticlockwise faces are the cycles of ls, clockwise faces the
+cycles of rs, and components the orbits of <ls, rs>.  Both permutations,
+each edge's component and each component's Euler characteristic are
+computed once per map and kept, as int tuples, with its cached index.
+
 The trial has one vertex per clockwise face.  The image of edge e runs
 from the clockwise face of its left successor to the clockwise face of e,
 and keeps e's label.  The rotation at a trial vertex interleaves, along
@@ -78,7 +84,7 @@ class _Index:
     """Lookup tables for a structurally valid map."""
 
     __slots__ = ("edge_pos", "dart_edge", "dart_is_head", "dart_vertex",
-                 "next_cw", "prev_cw", "partner")
+                 "next_cw", "partner", "shape")
 
     def __init__(self, g: AlternatingDimap):
         self.edge_pos = {e.label: p for p, e in enumerate(g.edges)}
@@ -94,17 +100,93 @@ class _Index:
             self.partner[e.head] = e.tail
         self.dart_vertex = {}
         self.next_cw = {}
-        self.prev_cw = {}
         for v, rot in enumerate(g.rotations):
             for k, d in enumerate(rot):
                 self.dart_vertex[d] = v
                 self.next_cw[d] = rot[(k + 1) % len(rot)]
-                self.prev_cw[d] = rot[(k - 1) % len(rot)]
+        self.shape = None
 
 
 @lru_cache(maxsize=4096)
 def _index(g: AlternatingDimap) -> _Index:
     return _Index(g)
+
+
+class _Shape(NamedTuple):
+    """Topology of an alternating map, as int tuples over edge positions."""
+
+    ls: tuple[int, ...]      # left successor: the next edge on its anticlockwise face
+    rs: tuple[int, ...]      # right successor: the next edge on its clockwise face
+    comp: tuple[int, ...]    # component id of each edge, numbered by first vertex
+    chi: tuple[int, ...]     # Euler characteristic V - E + F of each component
+
+
+def _cycles(perm) -> list[list[int]]:
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cyc = []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            cyc.append(p)
+            p = perm[p]
+        cycles.append(cyc)
+    return cycles
+
+
+def _shape(g: AlternatingDimap) -> _Shape:
+    """Successor permutations, components and Euler data, computed once per
+    map and kept with its index.  Requires an alternating map."""
+    idx = _index(g)
+    if idx.shape is not None:
+        return idx.shape
+    de, nxt = idx.dart_edge, idx.next_cw
+    # By alternation the dart clockwise after e's head is the tail of ls(e),
+    # and the dart clockwise after e's tail is the head of rs^-1(e).
+    ls = [de[nxt[e.head]] for e in g.edges]
+    rs = [0] * len(ls)
+    for p, e in enumerate(g.edges):
+        rs[de[nxt[e.tail]]] = p
+    # Components are the orbits of <ls, rs>.  All edges at a vertex share
+    # one, so components are numbered in the order of their first vertex.
+    # chi gains one per vertex here, loses one per edge and gains one per
+    # face below: V - E + F per component.
+    comp = [-1] * len(ls)
+    chi = []
+    for rot in g.rotations:
+        first = de[rot[0]]
+        if comp[first] < 0:
+            comp[first] = len(chi)
+            stack = [first]
+            while stack:
+                p = stack.pop()
+                for q in (ls[p], rs[p]):
+                    if comp[q] < 0:
+                        comp[q] = len(chi)
+                        stack.append(q)
+            chi.append(0)
+        chi[comp[first]] += 1
+    for c in comp:
+        chi[c] -= 1
+    for cyc in _cycles(ls) + _cycles(rs):
+        chi[comp[cyc[0]]] += 1
+    idx.shape = _Shape(tuple(ls), tuple(rs), tuple(comp), tuple(chi))
+    return idx.shape
+
+
+def _vertex_components(g: AlternatingDimap) -> list[int]:
+    """Component id of each vertex."""
+    de, comp = _index(g).dart_edge, _shape(g).comp
+    return [comp[de[rot[0]]] for rot in g.rotations]
+
+
+def _genus_of(chi: int) -> int:
+    if chi % 2 != 0 or chi > 2:
+        raise NonIntegerGenus(f"Euler characteristic {chi} is not 2 - 2g with g >= 0")
+    return (2 - chi) // 2
 
 
 def validate(g: AlternatingDimap) -> list[str]:
@@ -153,8 +235,8 @@ def validate(g: AlternatingDimap) -> list[str]:
     # Face orientation coherence follows from alternation; the Euler data
     # is checked anyway as a guard against construction bugs.
     try:
-        for comp in components(g):
-            genus(g, comp)
+        for chi in _shape(g).chi:
+            _genus_of(chi)
     except NonIntegerGenus as exc:
         report.append(str(exc))
     return report
@@ -173,40 +255,18 @@ def _require_edge(g: AlternatingDimap, label: str) -> int:
 
 def left_successor(g: AlternatingDimap, label: str) -> str:
     """Next edge after e around its anticlockwise face, in e's direction."""
-    idx = _index(g)
-    p = _require_edge(g, label)
-    return g.edges[idx.dart_edge[idx.next_cw[g.edges[p].head]]].label
+    return g.edges[_shape(g).ls[_require_edge(g, label)]].label
 
 
 def right_successor(g: AlternatingDimap, label: str) -> str:
     """Next edge after e around its clockwise face, in e's direction."""
-    idx = _index(g)
-    p = _require_edge(g, label)
-    return g.edges[idx.dart_edge[idx.prev_cw[g.edges[p].head]]].label
-
-
-def _successor_perm(g: AlternatingDimap, anticlockwise: bool) -> dict[int, int]:
-    """Successor permutation on edge positions."""
-    idx = _index(g)
-    step = idx.next_cw if anticlockwise else idx.prev_cw
-    return {p: idx.dart_edge[step[e.head]] for p, e in enumerate(g.edges)}
+    return g.edges[_shape(g).rs[_require_edge(g, label)]].label
 
 
 def _face_cycles(g: AlternatingDimap, anticlockwise: bool) -> list[list[int]]:
-    perm = _successor_perm(g, anticlockwise)
-    seen = set()
-    cycles = []
-    for start in range(len(g.edges)):
-        if start in seen:
-            continue
-        cyc = []
-        p = start
-        while p not in seen:
-            seen.add(p)
-            cyc.append(p)
-            p = perm[p]
-        cycles.append(cyc)
-    return cycles
+    """Anticlockwise faces are the cycles of ls, clockwise faces those of rs."""
+    shape = _shape(g)
+    return _cycles(shape.ls if anticlockwise else shape.rs)
 
 
 @dataclass(frozen=True)
@@ -235,44 +295,23 @@ def faces(g: AlternatingDimap) -> list[Face]:
 
 def components(g: AlternatingDimap) -> list[dict]:
     """Connected components, each as {'vertices': set, 'edges': set of positions}."""
-    idx = _index(g)
-    parent = list(range(len(g.rotations)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.edges:
-        a, b = find(idx.dart_vertex[e.tail]), find(idx.dart_vertex[e.head])
-        if a != b:
-            parent[a] = b
-    groups: dict[int, dict] = {}
-    for v in range(len(g.rotations)):
-        groups.setdefault(find(v), {"vertices": set(), "edges": set()})["vertices"].add(v)
-    for p, e in enumerate(g.edges):
-        groups[find(idx.dart_vertex[e.tail])]["edges"].add(p)
-    return list(groups.values())
+    shape = _shape(g)
+    out = [{"vertices": set(), "edges": set()} for _ in shape.chi]
+    for v, c in enumerate(_vertex_components(g)):
+        out[c]["vertices"].add(v)
+    for p, c in enumerate(shape.comp):
+        out[c]["edges"].add(p)
+    return out
 
 
 def genus(g: AlternatingDimap, component: dict) -> int:
     """Genus from V - E + F = 2 - 2g for one component."""
-    nv = len(component["vertices"])
-    ne = len(component["edges"])
-    nf = 0
-    for anticlockwise in (True, False):
-        for cyc in _face_cycles(g, anticlockwise):
-            if cyc and cyc[0] in component["edges"]:
-                nf += 1
-    chi = nv - ne + nf
-    if chi % 2 != 0 or chi > 2:
-        raise NonIntegerGenus(f"Euler characteristic {chi} is not 2 - 2g with g >= 0")
-    return (2 - chi) // 2
+    shape = _shape(g)
+    return _genus_of(shape.chi[shape.comp[min(component["edges"])]])
 
 
 def total_genus(g: AlternatingDimap) -> int:
-    return sum(genus(g, c) for c in components(g))
+    return sum(_genus_of(chi) for chi in _shape(g).chi)
 
 
 def trial(g: AlternatingDimap) -> tuple[AlternatingDimap, dict[str, str]]:
@@ -283,13 +322,10 @@ def trial(g: AlternatingDimap) -> tuple[AlternatingDimap, dict[str, str]]:
     """
     if not is_valid(g):
         raise InvalidMap("; ".join(validate(g)))
-    ls = _successor_perm(g, True)
-    ls_inv = {v: k for k, v in ls.items()}
-    cw_of: dict[int, int] = {}
+    ls_inv = [0] * len(g.edges)
+    for p, q in enumerate(_shape(g).ls):
+        ls_inv[q] = p
     cw_cycles = _face_cycles(g, False)
-    for fi, cyc in enumerate(cw_cycles):
-        for p in cyc:
-            cw_of[p] = fi
 
     # Image of edge p uses darts (2p, 2p+1) = (tail, head).
     new_edges = tuple(Edge(e.label, 2 * p, 2 * p + 1) for p, e in enumerate(g.edges))
@@ -340,17 +376,17 @@ def classify_edge(g: AlternatingDimap, label: str) -> EdgeClassification:
     p = _require_edge(g, label)
     e = g.edges[p]
     loop = _is_loop(g, p)
-    comp = next(c for c in components(g) if p in c["edges"])
-    ultra = loop and len(comp["edges"]) == 1
+    shape = _shape(g)
+    ultra = loop and shape.comp.count(shape.comp[p]) == 1
     one_loop = len(g.rotations[idx.dart_vertex[e.head]]) == 2
-    omega_loop = idx.dart_edge[idx.next_cw[e.head]] == p
-    omega2_loop = idx.dart_edge[idx.prev_cw[e.head]] == p
+    omega_loop = shape.ls[p] == p
+    omega2_loop = shape.rs[p] == p
     triloop = one_loop or omega_loop or omega2_loop
+    n_comps, g_genus = len(shape.chi), total_genus(g)
 
     def disconnects_or_drops_genus(kind) -> bool:
         reduced = reduce_edge(g, label, kind)
-        more_components = len(components(reduced)) > len(components(g))
-        return more_components or total_genus(reduced) < total_genus(g)
+        return len(_shape(reduced).chi) > n_comps or total_genus(reduced) < g_genus
 
     semi_1 = loop
     semi_w = omega2_loop or disconnects_or_drops_genus(ReductionKind.OMEGA2)
@@ -386,12 +422,9 @@ def labeled_equal(g: AlternatingDimap, h: AlternatingDimap) -> bool:
 
 
 def _component_darts(g: AlternatingDimap) -> list[list[int]]:
-    idx = _index(g)
-    comps = components(g)
-    out = []
-    for comp in comps:
-        darts = [d for v in sorted(comp["vertices"]) for d in g.rotations[v]]
-        out.append(darts)
+    out = [[] for _ in _shape(g).chi]
+    for v, c in enumerate(_vertex_components(g)):
+        out[c] += g.rotations[v]
     return out
 
 
@@ -400,18 +433,15 @@ def _canonical_run(g: AlternatingDimap, start: int) -> tuple[tuple, dict[int, in
     idx = _index(g)
     order = {start: 0}
     queue = [start]
-    while queue:
-        d = queue.pop(0)
+    for d in queue:
         for nxt in (idx.next_cw[d], idx.partner[d]):
             if nxt not in order:
                 order[nxt] = len(order)
                 queue.append(nxt)
-    enc = []
-    by_rank = sorted(order, key=order.get)
-    for d in by_rank:
-        enc.append((order[idx.next_cw[d]], order[idx.partner[d]],
-                    1 if idx.dart_is_head[d] else 0))
-    return tuple(enc), order
+    # Insertion order is rank order, and queue holds the darts in it.
+    enc = tuple((order[idx.next_cw[d]], order[idx.partner[d]],
+                 1 if idx.dart_is_head[d] else 0) for d in queue)
+    return enc, order
 
 
 def _component_canonical(g: AlternatingDimap, darts: list[int]) -> tuple[tuple, list[dict[int, int]]]:

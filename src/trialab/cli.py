@@ -18,6 +18,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import binfun
 from .altmap import classify_edge, components, genus, read_dimap, trial, validate, write_dimap
 from .binfun import DEFAULT_TOL
@@ -67,12 +69,15 @@ def tolerance() -> float:
 def _cmd_transform(args) -> int:
     raw = binfun.read_vector(args.input)
     mu = parse_mu(args.mu)
-    out = inverse_transform(raw, mu) if args.inverse else transform(raw, mu)
-    values = out.values
-    if args.normalize:
-        if abs(values[0]) < tolerance():
-            raise TrialabError("empty-set entry too small to normalize")
-        values = values / values[0]
+    # A finite input may overflow; write_vector refuses the non-finite
+    # result, so numpy's own warnings would only repeat that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = inverse_transform(raw, mu) if args.inverse else transform(raw, mu)
+        values = out.values
+        if args.normalize:
+            if abs(values[0]) < tolerance():
+                raise TrialabError("empty-set entry too small to normalize")
+            values = values / values[0]
     binfun.write_vector(args.output, out.m, values)
     return 0
 

@@ -25,6 +25,7 @@ from .altmap import (
     AlternatingDimap,
     UnknownEdge,
     _index,
+    _shape,
     labeled_equal,
     trial_power,
     validate,
@@ -97,8 +98,10 @@ def _contract(g: AlternatingDimap, p: int) -> AlternatingDimap:
 def _successor_rewire(g: AlternatingDimap, p: int, use_left: bool) -> AlternatingDimap:
     idx = _index(g)
     e = g.edges[p]
-    step = idx.next_cw if use_left else idx.prev_cw
-    t_s = step[e.head]
+    # Tail dart of the left (right) successor: the dart clockwise after
+    # (before) e's head.
+    shape = _shape(g)
+    t_s = g.edges[(shape.ls if use_left else shape.rs)[p]].tail
     rots = [list(r) for r in g.rotations]
     if t_s == e.tail:
         # The successor is e itself: plain deletion of the loop.

@@ -111,22 +111,8 @@ def canonical_class(k: int, nu: complex = 1.0) -> RepresentationCandidate:
 
 def _pullback(values: np.ndarray, m: int, position_map: dict[int, int]) -> np.ndarray:
     """Vector with entry at X equal to values at {position_map(i) : i in X}."""
-    out = np.empty_like(values)
-    for x in range(2**m):
-        y = 0
-        for i in range(m):
-            if x & (1 << (m - 1 - i)):
-                y |= 1 << (m - 1 - position_map[i])
-        out[x] = values[y]
-    return out
-
-
-def _find_member(candidate: RepresentationCandidate, g: AlternatingDimap):
-    form = canonical_form(g)
-    for idx, member in enumerate(candidate.members):
-        if canonical_form(member) == form:
-            return idx
-    return None
+    axes = [position_map[i] for i in range(m)]
+    return np.transpose(values.reshape((2,) * m), axes).flatten()
 
 
 def check_representation(candidate: RepresentationCandidate,
@@ -156,9 +142,13 @@ def check_representation(candidate: RepresentationCandidate,
     if not report.passed:
         return report
 
+    member_of: dict[tuple, int] = {}
+    for idx, g in enumerate(members):
+        member_of.setdefault(canonical_form(g), idx)
+
     for idx, (g, f, emap) in enumerate(zip(members, images, edge_maps)):
         trial_g, edge_map = trial(g)
-        target = _find_member(candidate, trial_g)
+        target = member_of.get(canonical_form(trial_g))
         if target is None:
             report.triality.fail(f"member {idx}: trial image leaves the class")
             continue
@@ -180,7 +170,7 @@ def check_representation(candidate: RepresentationCandidate,
         for lab in g.labels():
             for kind in ALL_KINDS:
                 reduced = reduce_edge(g, lab, kind)
-                target = _find_member(candidate, reduced)
+                target = member_of.get(canonical_form(reduced))
                 if target is None:
                     raise NotMinorClosed(
                         f"member {idx}: reduction {kind.token} of {lab!r} leaves the class")

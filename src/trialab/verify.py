@@ -19,7 +19,6 @@ import numpy as np
 
 from . import binfun
 from .altmap import (
-    canonical_form,
     classify_edge,
     isomorphic,
     k_copies,
@@ -368,7 +367,8 @@ def check_triloop_equivalence(rng) -> CheckResult:
 
 def check_noncommutation_witness(rng, cap=4) -> CheckResult:
     for k in range(2, cap + 1):
-        for idx, g in enumerate(sorted(_catalog(k).maps, key=canonical_form)):
+        # Catalog.maps is already in canonical-form order.
+        for idx, g in enumerate(_catalog(k).maps):
             witness = find_noncommuting_pair(g)
             if witness is not None:
                 l1, k1, l2, k2 = witness

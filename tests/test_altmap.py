@@ -27,6 +27,7 @@ from trialab.altmap import (
     validate,
     write_dimap,
 )
+from trialab.catalog import enumerate_dimaps, random_dimap
 from trialab.errors import FileFormatError, InvalidMap, UnknownEdge
 
 C1 = ultraloop()
@@ -126,6 +127,58 @@ def test_genus_is_nonnegative_integer_everywhere():
     for g in (C1, TWO_CW_LOOPS, TWO_ACW_LOOPS, DIGON, TORUS3):
         for comp in components(g):
             assert genus(g, comp) >= 0
+
+
+def _topology_oracle(g):
+    """Components by union-find over rotation vertices, and each one's genus
+    from faces walked as orbits of d -> next_cw(partner(d)) on darts."""
+    vertex = {d: v for v, rot in enumerate(g.rotations) for d in rot}
+    next_cw = {d: rot[(k + 1) % len(rot)] for rot in g.rotations for k, d in enumerate(rot)}
+    partner = {}
+    for e in g.edges:
+        partner[e.tail], partner[e.head] = e.head, e.tail
+    parent = list(range(len(g.rotations)))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e in g.edges:
+        parent[find(vertex[e.tail])] = find(vertex[e.head])
+    faces_of = {}
+    seen = set()
+    for d in next_cw:
+        if d not in seen:
+            faces_of[find(vertex[d])] = faces_of.get(find(vertex[d]), 0) + 1
+            while d not in seen:
+                seen.add(d)
+                d = next_cw[partner[d]]
+    out = []
+    for root in sorted(set(map(find, range(len(g.rotations))))):
+        vs = frozenset(v for v in range(len(g.rotations)) if find(v) == root)
+        es = frozenset(p for p, e in enumerate(g.edges) if vertex[e.tail] in vs)
+        chi = len(vs) - len(es) + faces_of[root]
+        assert chi % 2 == 0 and chi <= 2
+        out.append((vs, es, (2 - chi) // 2))
+    return out
+
+
+def test_topology_matches_independent_oracle():
+    rng = np.random.default_rng(24)
+    maps = [g for k in range(6) for g in enumerate_dimaps(k, cap=k).maps]
+    maps += [random_dimap(k, rng) for k in (6, 7, 8) for _ in range(50)]
+    for g in maps:
+        expected = _topology_oracle(g)
+        comps = components(g)
+        got = [(frozenset(c["vertices"]), frozenset(c["edges"]), genus(g, c)) for c in comps]
+        assert sorted(got, key=lambda c: min(c[0])) == sorted(expected, key=lambda c: min(c[0]))
+        assert total_genus(g) == sum(genus_ for _, _, genus_ in expected)
+        for c in comps:
+            c["vertices"].clear()
+            c["edges"].add(len(g.edges))
+        assert [(frozenset(c["vertices"]), frozenset(c["edges"])) for c in components(g)] \
+            == [(vs, es) for vs, es, _ in got]
 
 
 def test_trial_of_ultraloop_is_itself():

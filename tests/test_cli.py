@@ -120,15 +120,15 @@ def test_cli_rejects_non_finite_input_file(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_cli_refuses_to_write_non_finite_output(tmp_path):
+def test_cli_refuses_to_write_non_finite_output(tmp_path, capsys):
     # Finite input whose transform overflows to inf and nan.
     src = tmp_path / "big.bf"
     src.write_text("bf 1\n0 1 0\n1 1e308 0\n")
     out = tmp_path / "out.bf"
     assert main(["transform", str(src), "--mu", "1e300", "-o", str(out)]) == 2
     assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_cli_rejects_non_finite_mu(tmp_path):

@@ -5,6 +5,7 @@ from trialab import binfun
 from trialab.errors import NotMinorClosed
 from trialab.represent import (
     RepresentationCandidate,
+    _pullback,
     canonical_class,
     check_representation,
     main_theorem_check,
@@ -17,6 +18,28 @@ from trialab.represent import (
 from trialab.transform import ULOOP_RATIO, self_trial
 
 U = ULOOP_RATIO
+
+
+def _pullback_loop(values, m, position_map):
+    """Entry by entry: the bit of element i in X moves to position_map(i)."""
+    out = np.empty_like(values)
+    for x in range(2**m):
+        y = 0
+        for i in range(m):
+            if x & (1 << (m - 1 - i)):
+                y |= 1 << (m - 1 - position_map[i])
+        out[x] = values[y]
+    return out
+
+
+def test_pullback_matches_bitwise_loop():
+    rng = np.random.default_rng(23)
+    for m in range(1, 11):
+        for _ in range(3):
+            values = rng.standard_normal(2**m) + 1j * rng.standard_normal(2**m)
+            position_map = dict(enumerate(int(q) for q in rng.permutation(m)))
+            assert np.array_equal(_pullback(values, m, position_map),
+                                  _pullback_loop(values, m, position_map))
 
 
 def test_ultraloop_image_is_the_fixed_vector():
