@@ -15,11 +15,15 @@ forward: an anticlockwise face.  The mirrored walk gives the clockwise
 faces.  The left (right) successor of an edge is the next edge around its
 anticlockwise (clockwise) face.
 
-The topology is read off the successor permutations ls and rs on edge
-positions: anticlockwise faces are the cycles of ls, clockwise faces the
-cycles of rs, and components the orbits of <ls, rs>.  Both permutations,
-each edge's component and each component's Euler characteristic are
-computed once per map and kept, as int tuples, with its cached index.
+Each map carries one integer view, built on first use and stored on the
+map object: edge p's tail and head become darts 2p and 2p+1, and the map
+becomes its successor permutations ls and rs on edge positions.  Any pair
+of permutations is a valid map (Tutte, "Duality and trinity", 1975; Farr,
+"Minors for alternating dimaps", 2013).  Anticlockwise faces are the
+cycles of ls, clockwise faces the cycles of rs, and components the orbits
+of <ls, rs>.  Building the view from darts checks them; trial and the
+reductions edit the permutations and build their output's darts and view
+from the edited pair, so their output is never re-parsed.
 
 The trial has one vertex per clockwise face.  The image of edge e runs
 from the clockwise face of its left successor to the clockwise face of e,
@@ -35,18 +39,23 @@ On-disk format (UTF-8 text)::
     edge <label> <tail_dart> <head_dart>
     vertex <dart> <dart> ...        # clockwise rotation
 
-Darts are non-negative integers; ``#`` starts a comment.  Loading
-validates and rejects invalid files.
+The header is exactly ``adm <ndarts>``.  Darts are non-negative integers;
+``#`` starts a comment.  Loading validates and rejects invalid files.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .errors import FileFormatError, InvalidMap, NonIntegerGenus, UnknownEdge
+from .errors import (
+    FileFormatError,
+    InternalInvariantViolation,
+    InvalidMap,
+    NonIntegerGenus,
+    UnknownEdge,
+)
 
 
 class Edge(NamedTuple):
@@ -80,45 +89,88 @@ def ultraloop(label: str = "e0") -> AlternatingDimap:
     return AlternatingDimap((Edge(label, 0, 1),), ((0, 1),))
 
 
-class _Index:
-    """Lookup tables for a structurally valid map."""
+class _View:
+    """The integer form of a map, with edge p's tail and head as darts 2p, 2p+1.
 
-    __slots__ = ("edge_pos", "dart_edge", "dart_is_head", "dart_vertex",
-                 "next_cw", "partner", "shape")
+    pos maps edge labels to positions; ls and rs are the left and right
+    successors (the next edge on its anticlockwise and clockwise face); nxt
+    is the clockwise-next dart; firsts holds each vertex's first dart.  The
+    topology, comp (each edge's component, numbered by first vertex) and chi
+    (each component's V - E + F), is filled in on first use.
+    """
 
-    def __init__(self, g: AlternatingDimap):
-        self.edge_pos = {e.label: p for p, e in enumerate(g.edges)}
-        self.dart_edge = {}
-        self.dart_is_head = {}
-        self.partner = {}
-        for p, e in enumerate(g.edges):
-            self.dart_edge[e.tail] = p
-            self.dart_edge[e.head] = p
-            self.dart_is_head[e.tail] = False
-            self.dart_is_head[e.head] = True
-            self.partner[e.tail] = e.head
-            self.partner[e.head] = e.tail
-        self.dart_vertex = {}
-        self.next_cw = {}
-        for v, rot in enumerate(g.rotations):
-            for k, d in enumerate(rot):
-                self.dart_vertex[d] = v
-                self.next_cw[d] = rot[(k + 1) % len(rot)]
-        self.shape = None
+    __slots__ = ("pos", "ls", "rs", "nxt", "firsts", "comp", "chi")
+
+    def __init__(self, pos, ls, rs, nxt, firsts):
+        self.pos, self.ls, self.rs, self.nxt, self.firsts = pos, ls, rs, nxt, firsts
+        self.comp = self.chi = None
 
 
-@lru_cache(maxsize=4096)
-def _index(g: AlternatingDimap) -> _Index:
-    return _Index(g)
+def _view(g: AlternatingDimap) -> _View:
+    """The map's integer view, built on first use and kept on the map.
+
+    Building it from darts first checks them, so an invalid map raises
+    InvalidMap here.  Maps made by trial and the reductions carry theirs.
+    """
+    try:
+        return g._view
+    except AttributeError:
+        pass
+    problems = _dart_problems(g)
+    if problems:
+        raise InvalidMap("; ".join(problems))
+    norm = {}
+    for p, e in enumerate(g.edges):
+        norm[e.tail] = 2 * p
+        norm[e.head] = 2 * p + 1
+    nxt = [0] * len(norm)
+    for rot in g.rotations:
+        for a, b in zip(rot, rot[1:] + rot[:1]):
+            nxt[norm[a]] = norm[b]
+    # By alternation the dart clockwise after e's head is the tail of ls(e),
+    # and the dart clockwise after e's tail is the head of rs^-1(e).
+    ls = [d >> 1 for d in nxt[1::2]]
+    rs = [0] * len(ls)
+    for p, d in enumerate(nxt[0::2]):
+        rs[d >> 1] = p
+    view = _View({e.label: p for p, e in enumerate(g.edges)}, ls, rs, nxt,
+                 [norm[rot[0]] for rot in g.rotations])
+    object.__setattr__(g, "_view", view)
+    return view
 
 
-class _Shape(NamedTuple):
-    """Topology of an alternating map, as int tuples over edge positions."""
+def _from_pair(labels, ls: list[int], rs: list[int]) -> AlternatingDimap:
+    """The map with successor permutations (ls, rs) on edges labeled in order.
 
-    ls: tuple[int, ...]      # left successor: the next edge on its anticlockwise face
-    rs: tuple[int, ...]      # right successor: the next edge on its clockwise face
-    comp: tuple[int, ...]    # component id of each edge, numbered by first vertex
-    chi: tuple[int, ...]     # Euler characteristic V - E + F of each component
+    Any pair of permutations is a valid map, so the output check is that
+    both are permutations.  Edge p gets darts (2p, 2p+1), and vertices are
+    listed in the order of their smallest head dart, each starting there.
+    """
+    n = len(labels)
+    positions = list(range(n))
+    if sorted(ls) != positions or sorted(rs) != positions:
+        raise InternalInvariantViolation(
+            f"successor lists {ls} and {rs} are not permutations of range({n})")
+    nxt = [0] * (2 * n)
+    nxt[1::2] = [2 * q for q in ls]
+    for p, q in enumerate(rs):
+        nxt[2 * q] = 2 * p + 1
+    seen = [False] * (2 * n)
+    rotations = []
+    firsts = []
+    for start in range(1, 2 * n, 2):
+        if seen[start]:
+            continue
+        rot = _vertex_darts(nxt, start)
+        for d in rot[::2]:  # the heads: darts alternate, starting with one
+            seen[d] = True
+        rotations.append(tuple(rot))
+        firsts.append(start)
+    g = AlternatingDimap(
+        tuple(itertools.starmap(Edge, zip(labels, range(0, 2 * n, 2), range(1, 2 * n, 2)))),
+        tuple(rotations))
+    object.__setattr__(g, "_view", _View(dict(zip(labels, positions)), ls, rs, nxt, firsts))
+    return g
 
 
 def _cycles(perm) -> list[list[int]]:
@@ -137,50 +189,45 @@ def _cycles(perm) -> list[list[int]]:
     return cycles
 
 
-def _shape(g: AlternatingDimap) -> _Shape:
-    """Successor permutations, components and Euler data, computed once per
-    map and kept with its index.  Requires an alternating map."""
-    idx = _index(g)
-    if idx.shape is not None:
-        return idx.shape
-    de, nxt = idx.dart_edge, idx.next_cw
-    # By alternation the dart clockwise after e's head is the tail of ls(e),
-    # and the dart clockwise after e's tail is the head of rs^-1(e).
-    ls = [de[nxt[e.head]] for e in g.edges]
-    rs = [0] * len(ls)
-    for p, e in enumerate(g.edges):
-        rs[de[nxt[e.tail]]] = p
-    # Components are the orbits of <ls, rs>.  All edges at a vertex share
-    # one, so components are numbered in the order of their first vertex.
-    # chi gains one per vertex here, loses one per edge and gains one per
-    # face below: V - E + F per component.
-    comp = [-1] * len(ls)
-    chi = []
-    for rot in g.rotations:
-        first = de[rot[0]]
-        if comp[first] < 0:
-            comp[first] = len(chi)
-            stack = [first]
-            while stack:
-                p = stack.pop()
-                for q in (ls[p], rs[p]):
-                    if comp[q] < 0:
-                        comp[q] = len(chi)
-                        stack.append(q)
-            chi.append(0)
-        chi[comp[first]] += 1
-    for c in comp:
-        chi[c] -= 1
-    for cyc in _cycles(ls) + _cycles(rs):
-        chi[comp[cyc[0]]] += 1
-    idx.shape = _Shape(tuple(ls), tuple(rs), tuple(comp), tuple(chi))
-    return idx.shape
+def _topology(v: _View) -> tuple[list[int], list[int]]:
+    """Each edge's component and each component's V - E + F, computed once."""
+    if v.comp is None:
+        ls, rs = v.ls, v.rs
+        # Components are the orbits of <ls, rs>.  All edges at a vertex share
+        # one, so components are numbered in the order of their first vertex.
+        # chi gains one per vertex here, loses one per edge and gains one per
+        # face below.
+        comp = [-1] * len(ls)
+        chi = []
+        for d in v.firsts:
+            first = d >> 1
+            if comp[first] < 0:
+                comp[first] = len(chi)
+                stack = [first]
+                while stack:
+                    p = stack.pop()
+                    for q in (ls[p], rs[p]):
+                        if comp[q] < 0:
+                            comp[q] = len(chi)
+                            stack.append(q)
+                chi.append(0)
+            chi[comp[first]] += 1
+        for c in comp:
+            chi[c] -= 1
+        for cyc in _cycles(ls) + _cycles(rs):
+            chi[comp[cyc[0]]] += 1
+        v.comp, v.chi = comp, chi
+    return v.comp, v.chi
 
 
-def _vertex_components(g: AlternatingDimap) -> list[int]:
-    """Component id of each vertex."""
-    de, comp = _index(g).dart_edge, _shape(g).comp
-    return [comp[de[rot[0]]] for rot in g.rotations]
+def _vertex_darts(nxt: list[int], first: int) -> list[int]:
+    """A vertex's darts in clockwise order from its first dart."""
+    darts = [first]
+    d = nxt[first]
+    while d != first:
+        darts.append(d)
+        d = nxt[d]
+    return darts
 
 
 def _genus_of(chi: int) -> int:
@@ -189,8 +236,8 @@ def _genus_of(chi: int) -> int:
     return (2 - chi) // 2
 
 
-def validate(g: AlternatingDimap) -> list[str]:
-    """Return a list of violations; empty means valid."""
+def _dart_problems(g: AlternatingDimap) -> list[str]:
+    """Structural violations of a map given by darts; empty means alternating."""
     report = []
     darts_in_edges = []
     seen_labels = set()
@@ -229,17 +276,23 @@ def validate(g: AlternatingDimap) -> list[str]:
                 report.append(
                     f"vertex {v}: darts {d} and {nxt} do not alternate in/out")
                 break
-    if report:
-        return report
+    return report
 
+
+def validate(g: AlternatingDimap) -> list[str]:
+    """Return a list of violations; empty means valid."""
+    try:
+        view = _view(g)
+    except InvalidMap:
+        return _dart_problems(g)
     # Face orientation coherence follows from alternation; the Euler data
     # is checked anyway as a guard against construction bugs.
     try:
-        for chi in _shape(g).chi:
+        for chi in _topology(view)[1]:
             _genus_of(chi)
     except NonIntegerGenus as exc:
-        report.append(str(exc))
-    return report
+        return [str(exc)]
+    return []
 
 
 def is_valid(g: AlternatingDimap) -> bool:
@@ -247,26 +300,20 @@ def is_valid(g: AlternatingDimap) -> bool:
 
 
 def _require_edge(g: AlternatingDimap, label: str) -> int:
-    idx = _index(g)
-    if label not in idx.edge_pos:
+    pos = _view(g).pos
+    if label not in pos:
         raise UnknownEdge(f"no edge labeled {label!r}")
-    return idx.edge_pos[label]
+    return pos[label]
 
 
 def left_successor(g: AlternatingDimap, label: str) -> str:
     """Next edge after e around its anticlockwise face, in e's direction."""
-    return g.edges[_shape(g).ls[_require_edge(g, label)]].label
+    return g.edges[_view(g).ls[_require_edge(g, label)]].label
 
 
 def right_successor(g: AlternatingDimap, label: str) -> str:
     """Next edge after e around its clockwise face, in e's direction."""
-    return g.edges[_shape(g).rs[_require_edge(g, label)]].label
-
-
-def _face_cycles(g: AlternatingDimap, anticlockwise: bool) -> list[list[int]]:
-    """Anticlockwise faces are the cycles of ls, clockwise faces those of rs."""
-    shape = _shape(g)
-    return _cycles(shape.ls if anticlockwise else shape.rs)
+    return g.edges[_view(g).rs[_require_edge(g, label)]].label
 
 
 @dataclass(frozen=True)
@@ -280,11 +327,11 @@ class Face:
 
 
 def faces(g: AlternatingDimap) -> list[Face]:
-    if not is_valid(g):
-        raise InvalidMap("; ".join(validate(g)))
+    """Anticlockwise faces are the cycles of ls, clockwise faces those of rs."""
+    view = _view(g)
     out = []
-    for anticlockwise, name in ((True, "anticlockwise"), (False, "clockwise")):
-        for cyc in _face_cycles(g, anticlockwise):
+    for perm, name in ((view.ls, "anticlockwise"), (view.rs, "clockwise")):
+        for cyc in _cycles(perm):
             out.append(Face(
                 name,
                 tuple(g.edges[p].label for p in cyc),
@@ -295,50 +342,40 @@ def faces(g: AlternatingDimap) -> list[Face]:
 
 def components(g: AlternatingDimap) -> list[dict]:
     """Connected components, each as {'vertices': set, 'edges': set of positions}."""
-    shape = _shape(g)
-    out = [{"vertices": set(), "edges": set()} for _ in shape.chi]
-    for v, c in enumerate(_vertex_components(g)):
-        out[c]["vertices"].add(v)
-    for p, c in enumerate(shape.comp):
+    view = _view(g)
+    comp, chi = _topology(view)
+    out = [{"vertices": set(), "edges": set()} for _ in chi]
+    for v, d in enumerate(view.firsts):
+        out[comp[d >> 1]]["vertices"].add(v)
+    for p, c in enumerate(comp):
         out[c]["edges"].add(p)
     return out
 
 
 def genus(g: AlternatingDimap, component: dict) -> int:
     """Genus from V - E + F = 2 - 2g for one component."""
-    shape = _shape(g)
-    return _genus_of(shape.chi[shape.comp[min(component["edges"])]])
+    comp, chi = _topology(_view(g))
+    return _genus_of(chi[comp[min(component["edges"])]])
 
 
 def total_genus(g: AlternatingDimap) -> int:
-    return sum(_genus_of(chi) for chi in _shape(g).chi)
+    return sum(_genus_of(chi) for chi in _topology(_view(g))[1])
 
 
 def trial(g: AlternatingDimap) -> tuple[AlternatingDimap, dict[str, str]]:
     """Order-three transform; returns the new map and the edge-label map.
 
+    On successor permutations trial is (ls, rs) -> (ls^-1 rs, ls^-1).
     Image edges keep their labels, so the returned map is the identity on
     labels; it is still returned so callers can transport edges explicitly.
     """
-    if not is_valid(g):
-        raise InvalidMap("; ".join(validate(g)))
-    ls_inv = [0] * len(g.edges)
-    for p, q in enumerate(_shape(g).ls):
+    view = _view(g)
+    ls_inv = [0] * len(view.ls)
+    for p, q in enumerate(view.ls):
         ls_inv[q] = p
-    cw_cycles = _face_cycles(g, False)
-
-    # Image of edge p uses darts (2p, 2p+1) = (tail, head).
-    new_edges = tuple(Edge(e.label, 2 * p, 2 * p + 1) for p, e in enumerate(g.edges))
-    rotations = []
-    for cyc in cw_cycles:
-        rot = []
-        s = len(cyc)
-        for j in range(s):
-            rot.append(2 * cyc[j] + 1)            # head of the image of y_j
-            rot.append(2 * ls_inv[cyc[(j + 1) % s]])  # tail of the image of ls^-1(y_{j+1})
-        rotations.append(tuple(rot))
-    out = AlternatingDimap(new_edges, tuple(rotations))
-    return out, {e.label: e.label for e in g.edges}
+    labels = g.labels()
+    out = _from_pair(labels, [ls_inv[q] for q in view.rs], ls_inv)
+    return out, {lab: lab for lab in labels}
 
 
 def trial_power(g: AlternatingDimap, times: int) -> AlternatingDimap:
@@ -364,33 +401,34 @@ class EdgeClassification:
     is_proper_semiloop: bool
 
 
-def _is_loop(g: AlternatingDimap, p: int) -> bool:
-    idx = _index(g)
-    return idx.dart_vertex[g.edges[p].tail] == idx.dart_vertex[g.edges[p].head]
+def _same_cycle(perm: list[int], a: int, b: int) -> bool:
+    p = perm[a]
+    while p != a and p != b:
+        p = perm[p]
+    return p == b
 
 
 def classify_edge(g: AlternatingDimap, label: str) -> EdgeClassification:
-    from .reductions import reduce_edge, ReductionKind  # local import: cycle
-
-    idx = _index(g)
+    view = _view(g)
     p = _require_edge(g, label)
-    e = g.edges[p]
-    loop = _is_loop(g, p)
-    shape = _shape(g)
-    ultra = loop and shape.comp.count(shape.comp[p]) == 1
-    one_loop = len(g.rotations[idx.dart_vertex[e.head]]) == 2
-    omega_loop = shape.ls[p] == p
-    omega2_loop = shape.rs[p] == p
+    ls, rs = view.ls, view.rs
+    loop = 2 * p in _vertex_darts(view.nxt, 2 * p + 1)
+    comp = _topology(view)[0]
+    ultra = loop and comp.count(comp[p]) == 1
+    one_loop = view.nxt[view.nxt[2 * p + 1]] == 2 * p + 1
+    omega_loop = ls[p] == p
+    omega2_loop = rs[p] == p
     triloop = one_loop or omega_loop or omega2_loop
-    n_comps, g_genus = len(shape.chi), total_genus(g)
-
-    def disconnects_or_drops_genus(kind) -> bool:
-        reduced = reduce_edge(g, label, kind)
-        return len(_shape(reduced).chi) > n_comps or total_genus(reduced) < g_genus
-
+    # An omega-semiloop is an omega^2-loop or an edge whose omega^2-reduction
+    # disconnects its component or lowers the genus.  By the triality-minor
+    # identity that reduction is the 1-reduction of the second trial, which
+    # preserves components and genus; a 1-reduction does either exactly when
+    # it contracts a loop with darts on both of its sides.  On (ls, rs) that
+    # loop is: rs(e) on e's anticlockwise face, and ls(e) != rs(e).  The
+    # omega^2 kind mirrors this through the first trial.
     semi_1 = loop
-    semi_w = omega2_loop or disconnects_or_drops_genus(ReductionKind.OMEGA2)
-    semi_w2 = omega_loop or disconnects_or_drops_genus(ReductionKind.OMEGA)
+    semi_w = omega2_loop or (ls[p] != rs[p] and _same_cycle(ls, p, rs[p]))
+    semi_w2 = omega_loop or (ls[p] != rs[p] and _same_cycle(rs, p, ls[p]))
     return EdgeClassification(
         is_ultraloop=ultra,
         is_1loop=one_loop,
@@ -409,58 +447,74 @@ def classify_edge(g: AlternatingDimap, label: str) -> EdgeClassification:
 # Equality, canonical form, isomorphism
 
 def labeled_equal(g: AlternatingDimap, h: AlternatingDimap) -> bool:
-    """Dart-renaming equality that must preserve edge labels."""
+    """Dart-renaming equality that must preserve edge labels: the label
+    bijection carries g's successor permutations onto h's."""
     if sorted(g.labels()) != sorted(h.labels()):
         return False
-    gi, hi = _index(g), _index(h)
-    phi = {}
-    for e in g.edges:
-        f = h.edges[hi.edge_pos[e.label]]
-        phi[e.tail] = f.tail
-        phi[e.head] = f.head
-    return all(phi[gi.next_cw[d]] == hi.next_cw[phi[d]] for d in phi)
+    gv, hv = _view(g), _view(h)
+    to_h = [hv.pos[e.label] for e in g.edges]
+    return all(hv.ls[to_h[p]] == to_h[q] for p, q in enumerate(gv.ls)) \
+        and all(hv.rs[to_h[p]] == to_h[q] for p, q in enumerate(gv.rs))
 
 
-def _component_darts(g: AlternatingDimap) -> list[list[int]]:
-    out = [[] for _ in _shape(g).chi]
-    for v, c in enumerate(_vertex_components(g)):
-        out[c] += g.rotations[v]
+def _component_darts(v: _View) -> list[list[int]]:
+    comp, chi = _topology(v)
+    out = [[] for _ in chi]
+    for d in v.firsts:
+        out[comp[d >> 1]] += _vertex_darts(v.nxt, d)
     return out
 
 
-def _canonical_run(g: AlternatingDimap, start: int) -> tuple[tuple, dict[int, int]]:
-    """Deterministic relabeling of start's component; returns (encoding, dart map)."""
-    idx = _index(g)
-    order = {start: 0}
+def _canonical_run(nxt: list[int], start: int) -> tuple[list[int], list[int]]:
+    """Breadth-first relabeling of start's component over next-clockwise and
+    partner; returns the encoding, flattened, and the darts in rank order.
+
+    The encoding lists (rank of next-clockwise, rank of partner, is-head)
+    per dart in rank order.  A dart's two neighbours are ranked by the time
+    its entry is written, so one pass does both.
+    """
+    rank = [-1] * len(nxt)
+    rank[start] = 0
     queue = [start]
+    enc = []
     for d in queue:
-        for nxt in (idx.next_cw[d], idx.partner[d]):
-            if nxt not in order:
-                order[nxt] = len(order)
-                queue.append(nxt)
-    # Insertion order is rank order, and queue holds the darts in it.
-    enc = tuple((order[idx.next_cw[d]], order[idx.partner[d]],
-                 1 if idx.dart_is_head[d] else 0) for d in queue)
-    return enc, order
+        a = nxt[d]
+        if rank[a] < 0:
+            rank[a] = len(queue)
+            queue.append(a)
+        b = d ^ 1
+        if rank[b] < 0:
+            rank[b] = len(queue)
+            queue.append(b)
+        enc += (rank[a], rank[b], d & 1)
+    return enc, queue
 
 
-def _component_canonical(g: AlternatingDimap, darts: list[int]) -> tuple[tuple, list[dict[int, int]]]:
-    """Minimal encoding over all starting darts plus every relabeling achieving it."""
+def _component_canonical(v: _View, darts: list[int]) -> tuple[tuple, list[list[int]]]:
+    """Minimal encoding over all starting darts plus every relabeling
+    achieving it, each as its darts in rank order."""
+    nxt = v.nxt
+    # The first entry of a run is (1, 1 or 2, is-head): only starts with
+    # the least (partner is next-clockwise, is-head) can reach the minimum.
+    key = min((nxt[d] != d ^ 1, d & 1) for d in darts)
     best = None
-    maps = []
+    orders = []
     for start in darts:
-        enc, order = _canonical_run(g, start)
+        if (nxt[start] != start ^ 1, start & 1) != key:
+            continue
+        enc, order = _canonical_run(nxt, start)
         if best is None or enc < best:
-            best, maps = enc, [order]
+            best, orders = enc, [order]
         elif enc == best:
-            maps.append(order)
-    return best, maps
+            orders.append(order)
+    return tuple(zip(best[0::3], best[1::3], best[2::3])), orders
 
 
 def canonical_form(g: AlternatingDimap) -> tuple:
     """Label-independent canonical encoding; equal iff maps are isomorphic."""
-    encs = [_component_canonical(g, darts)[0] for darts in _component_darts(g)]
-    return tuple(sorted(encs))
+    view = _view(g)
+    return tuple(sorted(_component_canonical(view, darts)[0]
+                        for darts in _component_darts(view)))
 
 
 def isomorphic(g: AlternatingDimap, h: AlternatingDimap) -> bool:
@@ -469,23 +523,21 @@ def isomorphic(g: AlternatingDimap, h: AlternatingDimap) -> bool:
 
 def isomorphisms(g: AlternatingDimap, h: AlternatingDimap) -> Iterator[dict[str, str]]:
     """All orientation-preserving isomorphisms as edge-label maps g -> h."""
-    g_comps = _component_darts(g)
-    h_comps = _component_darts(h)
+    gv, hv = _view(g), _view(h)
+    g_comps = _component_darts(gv)
+    h_comps = _component_darts(hv)
     if len(g_comps) != len(h_comps):
         return
-    g_canon = [_component_canonical(g, d) for d in g_comps]
-    h_canon = [_component_canonical(h, d) for d in h_comps]
-    hi = _index(h)
+    g_canon = [_component_canonical(gv, d) for d in g_comps]
+    h_canon = [_component_canonical(hv, d) for d in h_comps]
 
-    # Group h components by encoding, then try every assignment of g's
-    # components onto distinct h components with equal encoding.
-    remaining = list(range(len(h_comps)))
-
+    # Try every assignment of g's components onto distinct h components
+    # with equal encoding.
     def assignments(k: int, used: set[int]):
         if k == len(g_comps):
             yield []
             return
-        for j in remaining:
+        for j in range(len(h_comps)):
             if j in used or h_canon[j][0] != g_canon[k][0]:
                 continue
             for rest in assignments(k + 1, used | {j}):
@@ -494,21 +546,18 @@ def isomorphisms(g: AlternatingDimap, h: AlternatingDimap) -> Iterator[dict[str,
     for assign in assignments(0, set()):
         # Fix one minimal relabeling on the g side; vary over all on h side.
         choices = [h_canon[j][1] for j in assign]
-        for h_maps in itertools.product(*choices):
+        for h_orders in itertools.product(*choices):
             dart_map = {}
-            for k, hm in enumerate(h_maps):
-                gm = g_canon[k][1][0]
-                inv = {rank: d for d, rank in hm.items()}
-                for d, rank in gm.items():
-                    dart_map[d] = inv[rank]
+            for k, h_order in enumerate(h_orders):
+                dart_map.update(zip(g_canon[k][1][0], h_order))
             label_map = {}
             ok = True
-            for e in g.edges:
-                img = dart_map[e.tail]
-                if hi.dart_is_head[img]:
+            for p, e in enumerate(g.edges):
+                img = dart_map[2 * p]
+                if img & 1:
                     ok = False
                     break
-                label_map[e.label] = h.edges[hi.dart_edge[img]].label
+                label_map[e.label] = h.edges[img >> 1].label
             if ok and len(set(label_map.values())) == len(label_map):
                 yield label_map
 
@@ -568,12 +617,12 @@ def read_dimap(path) -> AlternatingDimap:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("adm"):
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "adm":
         raise FileFormatError(f"{path}: first line must be 'adm <ndarts>'")
-    head = lines[0].split()
     try:
         ndarts = int(head[1])
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise FileFormatError(f"{path}: bad header {lines[0]!r}") from exc
     edges = []
     rotations = []

@@ -69,9 +69,7 @@ def generate_rotation_first(k: int) -> list[AlternatingDimap]:
             rotations_template.append(tuple(rot))
         for heads in itertools.permutations(slots_in):
             edges = tuple(Edge(f"e{i}", tails[i], heads[i]) for i in range(k))
-            g = AlternatingDimap(edges, tuple(rotations_template))
-            if is_valid(g):
-                maps.append(g)
+            maps.append(AlternatingDimap(edges, tuple(rotations_template)))
     return maps
 
 

@@ -129,25 +129,3 @@ def is_degenerate(f: BinaryFunction, i: int, tol: float = 1e-8) -> bool:
         return bool(np.all(residual == 0))
     scale = float(np.max(np.abs(f.values))) * max(1.0, abs(t))
     return bool(np.max(np.abs(residual), initial=0.0) <= tol * scale)
-
-
-def degenerate_reduction_check(f: BinaryFunction, u: BinaryFunction, i: int,
-                               mu1: complex, mu2: complex,
-                               tol: float = DEFAULT_TOL) -> bool:
-    """Biconditional check: equal minors at two distinct mu iff the slice
-    factorization f(G : i <- b) = f(0 : i <- b) * u(G) holds.
-
-    Returns True when both sides agree (both hold or both fail).
-    NormalizationError propagates; callers treat it as inconclusive.
-    """
-    if complex(mu1) == complex(mu2):
-        raise PoleError("need two distinct mu values")
-    g1 = take_minor(f, MinorSpec(i, mu1), tol=tol)
-    g2 = take_minor(f, MinorSpec(i, mu2), tol=tol)
-    lhs = allclose(g1, g2, tol) and allclose(g1, u, tol) and allclose(g2, u, tol)
-
-    a, b = _split_slices(f.values, f.m, i)
-    scale = max(1.0, float(np.max(np.abs(f.values)))) * max(1.0, float(np.max(np.abs(u.values))))
-    rhs = (np.max(np.abs(a - a[0] * u.values), initial=0.0) <= tol * scale
-           and np.max(np.abs(b - b[0] * u.values), initial=0.0) <= tol * scale)
-    return lhs == rhs

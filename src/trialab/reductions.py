@@ -11,9 +11,18 @@ Each reduction removes one edge and keeps the rest an alternating dimap:
   simply deleted.
 * omega^2-reduction mirrors this using the right successor.
 
+On the successor permutations (ls, rs) of the altmap view each reduction
+cuts e out of both, after one transposition for the omega kinds:
+
+* 1-reduction: ls and rs;
+* omega-reduction: ls, and rs after trading the values e and ls(e);
+* omega^2-reduction: rs, and ls after trading the values e and rs(e).
+
 Labels of surviving edges never change, so results of different reduction
-orders stay comparable with labeled equality.  Every output is re-validated
-and a failure raises, since it would mean a case-rule bug, not bad input.
+orders stay comparable with labeled equality.  The output is built from the
+edited pair, which is a valid map as soon as both lists are permutations;
+that is checked, and a failure raises, since it would mean a case-rule bug,
+not bad input.
 """
 
 from __future__ import annotations
@@ -24,13 +33,11 @@ import itertools
 from .altmap import (
     AlternatingDimap,
     UnknownEdge,
-    _index,
-    _shape,
+    _from_pair,
+    _view,
     labeled_equal,
     trial_power,
-    validate,
 )
-from .errors import InternalInvariantViolation
 from .transform import OMEGA, OMEGA2
 
 
@@ -67,72 +74,35 @@ class ReductionKind(enum.Enum):
 ALL_KINDS = (ReductionKind.ONE, ReductionKind.OMEGA, ReductionKind.OMEGA2)
 
 
-def _rotate_after(rot: list[int], dart: int) -> list[int]:
-    """Rotation list starting just after dart, with dart dropped."""
-    k = rot.index(dart)
-    return rot[k + 1:] + rot[:k]
+def _swap(perm: list[int], a: int, b: int) -> list[int]:
+    """(a b) after perm: the values a and b trade places."""
+    out = perm[:]
+    i, j = out.index(a), out.index(b)
+    out[i], out[j] = b, a
+    return out
 
 
-def _contract(g: AlternatingDimap, p: int) -> AlternatingDimap:
-    idx = _index(g)
-    e = g.edges[p]
-    vt, vh = idx.dart_vertex[e.tail], idx.dart_vertex[e.head]
-    rots = [list(r) for r in g.rotations]
-    if vt != vh:
-        merged = _rotate_after(rots[vt], e.tail) + _rotate_after(rots[vh], e.head)
-        new_rots = [tuple(r) for v, r in enumerate(rots) if v not in (vt, vh)]
-        new_rots.append(tuple(merged))
-    else:
-        rot = rots[vt]
-        kt, kh = rot.index(e.tail), rot.index(e.head)
-        if kt < kh:
-            side_a, side_b = rot[kt + 1:kh], rot[kh + 1:] + rot[:kt]
-        else:
-            side_a, side_b = rot[kt + 1:] + rot[:kh], rot[kh + 1:kt]
-        new_rots = [tuple(r) for v, r in enumerate(rots) if v != vt]
-        new_rots += [tuple(s) for s in (side_a, side_b) if s]
-    edges = tuple(f for q, f in enumerate(g.edges) if q != p)
-    return AlternatingDimap(edges, tuple(new_rots))
-
-
-def _successor_rewire(g: AlternatingDimap, p: int, use_left: bool) -> AlternatingDimap:
-    idx = _index(g)
-    e = g.edges[p]
-    # Tail dart of the left (right) successor: the dart clockwise after
-    # (before) e's head.
-    shape = _shape(g)
-    t_s = g.edges[(shape.ls if use_left else shape.rs)[p]].tail
-    rots = [list(r) for r in g.rotations]
-    if t_s == e.tail:
-        # The successor is e itself: plain deletion of the loop.
-        w = idx.dart_vertex[e.head]
-        rots[w] = [d for d in rots[w] if d not in (e.tail, e.head)]
-    else:
-        w = idx.dart_vertex[e.head]
-        rots[w] = [d for d in rots[w] if d not in (e.head, t_s)]
-        u = idx.dart_vertex[e.tail]
-        rots[u] = [t_s if d == e.tail else d for d in rots[u]]
-    edges = tuple(f for q, f in enumerate(g.edges) if q != p)
-    return AlternatingDimap(edges, tuple(tuple(r) for r in rots if r))
+def _skip(perm: list[int], p: int) -> list[int]:
+    """perm with p cut out of its cycle, on positions renumbered past p."""
+    after = perm[p] - (perm[p] > p)
+    out = [y - (y > p) if y != p else after for y in perm]
+    del out[p]
+    return out
 
 
 def reduce_edge(g: AlternatingDimap, label: str, kind: ReductionKind) -> AlternatingDimap:
-    """Apply one reduction; the result is validated before being returned."""
-    idx = _index(g)
-    if label not in idx.edge_pos:
+    """Apply one reduction as an edit of the successor permutations."""
+    view = _view(g)
+    if label not in view.pos:
         raise UnknownEdge(f"no edge labeled {label!r}")
-    p = idx.edge_pos[label]
-    if kind is ReductionKind.ONE:
-        out = _contract(g, p)
-    elif kind is ReductionKind.OMEGA:
-        out = _successor_rewire(g, p, use_left=True)
-    else:
-        out = _successor_rewire(g, p, use_left=False)
-    problems = validate(out)
-    if problems:
-        raise InternalInvariantViolation(
-            f"reduction {kind.token} of {label!r} broke the map: " + "; ".join(problems))
-    return out
+    p = view.pos[label]
+    ls, rs = view.ls, view.rs
+    if kind is ReductionKind.OMEGA:
+        rs = _swap(rs, p, ls[p])
+    elif kind is ReductionKind.OMEGA2:
+        ls = _swap(ls, p, rs[p])
+    labels = g.labels()
+    return _from_pair(labels[:p] + labels[p + 1:], _skip(ls, p), _skip(rs, p))
 
 
 def trial_minor_check(g: AlternatingDimap, label: str,
@@ -150,29 +120,6 @@ def is_degenerate_edge(g: AlternatingDimap, label: str) -> bool:
     b = reduce_edge(g, label, ReductionKind.OMEGA)
     c = reduce_edge(g, label, ReductionKind.OMEGA2)
     return labeled_equal(a, b) and labeled_equal(a, c)
-
-
-def _apply_sequence(g: AlternatingDimap, seq) -> AlternatingDimap:
-    for label, kind in seq:
-        g = reduce_edge(g, label, kind)
-    return g
-
-
-def totally_reduction_commutative(g: AlternatingDimap, max_edges: int = 6) -> bool:
-    """Full permutation check: every set of reductions on distinct edges gives
-    the same result in every order.  Intended for small maps."""
-    labels = g.labels()
-    if len(labels) > max_edges:
-        raise ValueError(f"map has {len(labels)} edges; cap is {max_edges}")
-    for r in range(2, len(labels) + 1):
-        for subset in itertools.combinations(labels, r):
-            for kinds in itertools.product(ALL_KINDS, repeat=r):
-                seq = list(zip(subset, kinds))
-                reference = _apply_sequence(g, seq)
-                for perm in itertools.permutations(seq):
-                    if not labeled_equal(_apply_sequence(g, list(perm)), reference):
-                        return False
-    return True
 
 
 def find_noncommuting_pair(g: AlternatingDimap):

@@ -195,21 +195,6 @@ def check_representation(candidate: RepresentationCandidate,
     return report
 
 
-def search_unit_phase(candidate: RepresentationCandidate, tol: float = DEFAULT_TOL,
-                      samples: int = 720) -> complex | None:
-    """Coarse unit-circle scan for a phase that makes the candidate pass.
-
-    Distinguishes "wrong nu" from "unrepresentable" after a failure.
-    """
-    for j in range(samples):
-        nu = np.exp(2j * np.pi * j / samples)
-        trial_candidate = RepresentationCandidate(
-            candidate.members, candidate.images, candidate.edge_maps, nu)
-        if check_representation(trial_candidate, tol).passed:
-            return complex(nu)
-    return None
-
-
 def unique_tensor_lift_check(k: int, rng=None, tol: float = 1e-9) -> tuple[bool, dict]:
     """The only function whose every minor is the k-th tensor power of the
     ultraloop image is the (k+1)-th tensor power.

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trialab.altmap import (
     EMPTY,
@@ -28,7 +29,7 @@ from trialab.altmap import (
     write_dimap,
 )
 from trialab.catalog import enumerate_dimaps, random_dimap
-from trialab.errors import FileFormatError, InvalidMap, UnknownEdge
+from trialab.errors import FileFormatError, InvalidMap, TrialabError, UnknownEdge
 
 C1 = ultraloop()
 # One vertex, two loops, loop darts adjacent: both edges bound clockwise
@@ -284,6 +285,60 @@ def test_dimap_file_rejects_invalid(tmp_path):
     path.write_text("oops\n")
     with pytest.raises(FileFormatError):
         read_dimap(path)
+
+
+def test_dimap_file_header_is_exactly_adm_and_a_count(tmp_path):
+    path = tmp_path / "c1.adm"
+    for header in ("admx 2", "adm 2 junk", "adm", "adm two", "ADM 2", "bf 2"):
+        path.write_text(f"{header}\nedge e0 0 1\nvertex 0 1\n")
+        with pytest.raises(FileFormatError):
+            read_dimap(path)
+    path.write_text("# ultraloop\n  adm   2 \nedge e0 0 1\nvertex 0 1\n")
+    assert labeled_equal(read_dimap(path), C1)
+
+
+def _shuffled_darts(g, rng):
+    """g with its darts renamed to distinct non-negative integers."""
+    darts = [d for e in g.edges for d in (e.tail, e.head)]
+    names = dict(zip(darts, (int(x) for x in rng.choice(10 * len(darts) + 1, len(darts),
+                                                       replace=False))))
+    return AlternatingDimap(tuple(Edge(e.label, names[e.tail], names[e.head]) for e in g.edges),
+                            tuple(tuple(names[d] for d in rot) for rot in g.rotations))
+
+
+_FILE_TESTS = settings(max_examples=60, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FILE_TESTS
+@given(st.integers(0, 7), st.integers(0, 2**32 - 1))
+def test_dimap_file_roundtrip_random(tmp_path, k, seed):
+    rng = np.random.default_rng(seed)
+    g = _shuffled_darts(random_dimap(k, rng), rng)
+    path = tmp_path / "g.adm"
+    write_dimap(path, g)
+    assert read_dimap(path) == g
+
+
+@_FILE_TESTS
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3),
+                          st.text(" \t\n#-0123456789adegmrtvxe", max_size=6)
+                          | st.text(max_size=3)),
+                max_size=4))
+def test_dimap_file_fuzz_raises_only_trialab_errors(tmp_path, k, seed, edits):
+    path = tmp_path / "g.adm"
+    write_dimap(path, random_dimap(k, np.random.default_rng(seed)))
+    text = path.read_text(encoding="utf-8")
+    for at, cut, insert in edits:
+        at %= len(text) + 1
+        text = text[:at] + insert + text[at + cut:]
+    path.write_text(text, encoding="utf-8")
+    try:
+        g = read_dimap(path)
+    except TrialabError:
+        return
+    assert validate(g) == []
 
 
 def test_validate_passes_on_trial_and_union_outputs():

@@ -168,6 +168,15 @@ def test_cli_dimap_validate_rejects_bad_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_dimap_validate_rejects_bad_header(tmp_path, capsys):
+    bad = tmp_path / "bad.adm"
+    for header in ("admx 2", "adm 2 junk"):
+        bad.write_text(f"{header}\nedge e0 0 1\nvertex 0 1\n")
+        assert main(["dimap", "validate", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "adm <ndarts>" in err
+
+
 def test_cli_dimap_catalog(tmp_path, capsys):
     outdir = tmp_path / "atlas"
     assert main(["dimap", "catalog", "--edges", "2", "-o", str(outdir)]) == 0

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from trialab import binfun
+from trialab.binfun import DEFAULT_TOL, allclose
 from trialab.errors import NormalizationError, PoleError
 from trialab.minor import (
     MU_POLE,
     MinorSpec,
-    degenerate_reduction_check,
+    _split_slices,
     is_degenerate,
     lambda_mu,
     minors_commute_check,
@@ -198,6 +199,26 @@ def test_degenerate_matches_loop_coloop_for_matroid_indicators():
             without = binfun.gf2_basis([v & ~bit for v in basis])
             coloop = len(without) == rank - 1
             assert is_degenerate(f, i) == (loop or coloop)
+
+
+def degenerate_reduction_check(f, u, i, mu1, mu2, tol=DEFAULT_TOL):
+    """Biconditional check: equal minors at two distinct mu iff the slice
+    factorization f(G : i <- b) = f(0 : i <- b) * u(G) holds.
+
+    Returns True when both sides agree (both hold or both fail).
+    NormalizationError propagates; callers treat it as inconclusive.
+    """
+    if complex(mu1) == complex(mu2):
+        raise PoleError("need two distinct mu values")
+    g1 = take_minor(f, MinorSpec(i, mu1), tol=tol)
+    g2 = take_minor(f, MinorSpec(i, mu2), tol=tol)
+    lhs = allclose(g1, g2, tol) and allclose(g1, u, tol) and allclose(g2, u, tol)
+
+    a, b = _split_slices(f.values, f.m, i)
+    scale = max(1.0, float(np.max(np.abs(f.values)))) * max(1.0, float(np.max(np.abs(u.values))))
+    rhs = (np.max(np.abs(a - a[0] * u.values), initial=0.0) <= tol * scale
+           and np.max(np.abs(b - b[0] * u.values), initial=0.0) <= tol * scale)
+    return lhs == rhs
 
 
 def test_degenerate_reduction_check_tensor_power():

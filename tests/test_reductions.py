@@ -22,7 +22,6 @@ from trialab.reductions import (
     find_noncommuting_pair,
     is_degenerate_edge,
     reduce_edge,
-    totally_reduction_commutative,
     trial_minor_check,
 )
 
@@ -124,6 +123,29 @@ def test_triloop_flag_matches_reduction_equality():
         for g in enumerate_dimaps(k).maps:
             for lab in g.labels():
                 assert classify_edge(g, lab).is_triloop == is_degenerate_edge(g, lab)
+
+
+def _apply_sequence(g, seq):
+    for label, kind in seq:
+        g = reduce_edge(g, label, kind)
+    return g
+
+
+def totally_reduction_commutative(g, max_edges=6):
+    """Full permutation check: every set of reductions on distinct edges gives
+    the same result in every order.  Intended for small maps."""
+    labels = g.labels()
+    if len(labels) > max_edges:
+        raise ValueError(f"map has {len(labels)} edges; cap is {max_edges}")
+    for r in range(2, len(labels) + 1):
+        for subset in itertools.combinations(labels, r):
+            for kinds in itertools.product(ALL_KINDS, repeat=r):
+                seq = list(zip(subset, kinds))
+                reference = _apply_sequence(g, seq)
+                for perm in itertools.permutations(seq):
+                    if not labeled_equal(_apply_sequence(g, list(perm)), reference):
+                        return False
+    return True
 
 
 def test_totally_reduction_commutative_examples():

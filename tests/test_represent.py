@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trialab import binfun
+from trialab.binfun import DEFAULT_TOL
 from trialab.errors import NotMinorClosed
 from trialab.represent import (
     RepresentationCandidate,
@@ -9,7 +10,6 @@ from trialab.represent import (
     canonical_class,
     check_representation,
     main_theorem_check,
-    search_unit_phase,
     tensor_lift_perturbation_breaks,
     ultraloop_funnel_check,
     ultraloop_image,
@@ -103,6 +103,20 @@ def test_not_minor_closed_raises():
         (cand.edge_maps[0], cand.edge_maps[2]), 1.0)
     with pytest.raises(NotMinorClosed):
         check_representation(bad)
+
+
+def search_unit_phase(candidate, tol=DEFAULT_TOL, samples=720):
+    """Coarse unit-circle scan for a phase that makes the candidate pass.
+
+    Distinguishes "wrong nu" from "unrepresentable" after a failure.
+    """
+    for j in range(samples):
+        nu = np.exp(2j * np.pi * j / samples)
+        trial_candidate = RepresentationCandidate(
+            candidate.members, candidate.images, candidate.edge_maps, nu)
+        if check_representation(trial_candidate, tol).passed:
+            return complex(nu)
+    return None
 
 
 def test_search_unit_phase_finds_one():
