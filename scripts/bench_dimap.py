@@ -6,7 +6,10 @@ Per checkout it measures
     random maps at each of k = 6, 7, 8, calling them in the order the
     ``dimap-sweep`` benchmark does (``validate`` first on every map);
   * the wall time of one in-process ``dimap-sweep`` pass, timed calls plus
-    the benchmark's oracle checks, beside the timed calls alone.
+    the benchmark's oracle checks, beside the timed calls alone; the checks
+    read every output's darts, so darts a change stops building inside the
+    timed calls but the checks then render still show in the wall time;
+  * the best of three ``enumerate_dimaps(k, cap=k)`` calls at k = 4, 5, 6.
 
 Compare two checkouts, alternating child runs so that both sample the
 machine over the same minutes::
@@ -31,6 +34,7 @@ from pathlib import Path
 from time import perf_counter
 
 FUNCTIONS = ("reduce_edge", "classify_edge", "canonical_form", "trial")
+CATALOG_KS = (4, 5, 6)
 WORKLOADS = ("bf-kernels", "dimap-sweep", "verify-e2e")
 END_TO_END = ("setup_s", "pass_s", "ops_per_s", "peak_rss_mb")
 HIGHER_IS_BETTER = ("ops_per_s",)
@@ -79,9 +83,19 @@ def measure(root: Path, passes: int) -> dict:
         wl.run_pass(p, i, None)
         walls.append(perf_counter() - start)
         timed_sums.append(p.time)
+
+    catalog_s = {}
+    for k in CATALOG_KS:
+        runs = []
+        for _ in range(3):
+            start = perf_counter()
+            C.enumerate_dimaps(k, cap=k)
+            runs.append(perf_counter() - start)
+        catalog_s[f"k{k}"] = min(runs)
     return {"call_p50_us": p50,
             "sweep_pass_wall_s": statistics.median(walls),
-            "sweep_pass_timed_s": statistics.median(timed_sums)}
+            "sweep_pass_timed_s": statistics.median(timed_sums),
+            "catalog_s": catalog_s}
 
 
 def _child(root: Path, passes: int) -> dict:
@@ -116,7 +130,7 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
         for side in order:
             runs[side].append(_child(before if side == "before" else after, passes))
-    out = {"primitives": {}, "sweep_pass": {}}
+    out = {"primitives": {}, "sweep_pass": {}, "catalog_s": {}}
     for side, results in runs.items():
         out["primitives"][side] = {
             group: {name: statistics.median(r["call_p50_us"][group][name] for r in results)
@@ -125,6 +139,9 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         out["sweep_pass"][side] = {
             key: statistics.median(r[key] for r in results)
             for key in ("sweep_pass_wall_s", "sweep_pass_timed_s")}
+        out["catalog_s"][side] = {
+            key: statistics.median(r["catalog_s"][key] for r in results)
+            for key in results[0]["catalog_s"]}
     if e2e_seconds > 0:
         out["end_to_end"] = {}
         for workload in WORKLOADS:

@@ -21,9 +21,13 @@ becomes its successor permutations ls and rs on edge positions.  Any pair
 of permutations is a valid map (Tutte, "Duality and trinity", 1975; Farr,
 "Minors for alternating dimaps", 2013).  Anticlockwise faces are the
 cycles of ls, clockwise faces the cycles of rs, and components the orbits
-of <ls, rs>.  Building the view from darts checks them; trial and the
-reductions edit the permutations and build their output's darts and view
-from the edited pair, so their output is never re-parsed.
+of <ls, rs>.  Building the view from darts checks them.  Trial and the
+reductions edit the permutations, and their output map holds only the
+view of the edited pair: its edges and rotations are rendered the first
+time they are read (darts (2p, 2p+1), vertices in the order of their
+smallest head dart, each starting there), so a map that is only computed
+on never builds darts, and one that is written or compared gets the same
+darts every time.
 
 The trial has one vertex per clockwise face.  The image of edge e runs
 from the clockwise face of its left successor to the clockwise face of e,
@@ -70,10 +74,21 @@ class AlternatingDimap:
     rotations: tuple[tuple[int, ...], ...]
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.edges)
+        return _view(self).labels
 
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(_view(self).ls)
+
+    def __getattr__(self, name):
+        # Reached only for attributes the instance lacks: a map made from its
+        # successor pair renders its darts the first time they are read.
+        view = self.__dict__.get("_view")
+        if name not in ("edges", "rotations") or view is None:
+            raise AttributeError(name)
+        edges, rotations = _render(view)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "rotations", rotations)
+        return edges if name == "edges" else rotations
 
     def __repr__(self):  # pragma: no cover - debugging aid
         es = ", ".join(f"{e.label}:{e.tail}->{e.head}" for e in self.edges)
@@ -92,25 +107,61 @@ def ultraloop(label: str = "e0") -> AlternatingDimap:
 class _View:
     """The integer form of a map, with edge p's tail and head as darts 2p, 2p+1.
 
-    pos maps edge labels to positions; ls and rs are the left and right
-    successors (the next edge on its anticlockwise and clockwise face); nxt
-    is the clockwise-next dart; firsts holds each vertex's first dart.  The
-    topology, comp (each edge's component, numbered by first vertex) and chi
-    (each component's V - E + F), is filled in on first use.
+    labels lists the edge labels by position; ls and rs are the left and
+    right successors (the next edge on its anticlockwise and clockwise
+    face).  The rest is filled in on first use: pos maps labels to
+    positions, nxt is the clockwise-next dart, firsts holds each vertex's
+    first dart, and the topology is comp (each edge's component, numbered by
+    first vertex) and chi (each component's V - E + F).
     """
 
-    __slots__ = ("pos", "ls", "rs", "nxt", "firsts", "comp", "chi")
+    __slots__ = ("labels", "ls", "rs", "_pos", "_nxt", "_firsts", "comp", "chi")
 
-    def __init__(self, pos, ls, rs, nxt, firsts):
-        self.pos, self.ls, self.rs, self.nxt, self.firsts = pos, ls, rs, nxt, firsts
-        self.comp = self.chi = None
+    def __init__(self, labels, ls, rs, nxt=None, firsts=None):
+        self.labels, self.ls, self.rs = labels, ls, rs
+        self._nxt, self._firsts = nxt, firsts
+        self._pos = self.comp = self.chi = None
+
+    @property
+    def pos(self) -> dict[str, int]:
+        if self._pos is None:
+            self._pos = {lab: p for p, lab in enumerate(self.labels)}
+        return self._pos
+
+    @property
+    def nxt(self) -> list[int]:
+        if self._nxt is None:
+            nxt = [0] * (2 * len(self.ls))
+            nxt[1::2] = [2 * q for q in self.ls]
+            for p, q in enumerate(self.rs):
+                nxt[2 * q] = 2 * p + 1
+            self._nxt = nxt
+        return self._nxt
+
+    @property
+    def firsts(self) -> list[int]:
+        """Vertices in the order of their smallest head dart, each starting there."""
+        if self._firsts is None:
+            nxt = self.nxt
+            seen = [False] * len(nxt)
+            firsts = []
+            for start in range(1, len(nxt), 2):
+                if seen[start]:
+                    continue
+                firsts.append(start)
+                d = start
+                while not seen[d]:  # the heads: darts alternate, starting with one
+                    seen[d] = True
+                    d = nxt[nxt[d]]
+            self._firsts = firsts
+        return self._firsts
 
 
 def _view(g: AlternatingDimap) -> _View:
     """The map's integer view, built on first use and kept on the map.
 
     Building it from darts first checks them, so an invalid map raises
-    InvalidMap here.  Maps made by trial and the reductions carry theirs.
+    InvalidMap here.  Maps made from a successor pair carry theirs.
     """
     try:
         return g._view
@@ -133,44 +184,36 @@ def _view(g: AlternatingDimap) -> _View:
     rs = [0] * len(ls)
     for p, d in enumerate(nxt[0::2]):
         rs[d >> 1] = p
-    view = _View({e.label: p for p, e in enumerate(g.edges)}, ls, rs, nxt,
+    view = _View(tuple(e.label for e in g.edges), ls, rs, nxt,
                  [norm[rot[0]] for rot in g.rotations])
     object.__setattr__(g, "_view", view)
     return view
 
 
-def _from_pair(labels, ls: list[int], rs: list[int]) -> AlternatingDimap:
+def _from_pair(labels: tuple[str, ...], ls: list[int], rs: list[int]) -> AlternatingDimap:
     """The map with successor permutations (ls, rs) on edges labeled in order.
 
     Any pair of permutations is a valid map, so the output check is that
-    both are permutations.  Edge p gets darts (2p, 2p+1), and vertices are
-    listed in the order of their smallest head dart, each starting there.
+    both are permutations.  The map holds only its view; its darts are
+    rendered by _render when first read.
     """
-    n = len(labels)
-    positions = list(range(n))
+    positions = list(range(len(labels)))
     if sorted(ls) != positions or sorted(rs) != positions:
         raise InternalInvariantViolation(
-            f"successor lists {ls} and {rs} are not permutations of range({n})")
-    nxt = [0] * (2 * n)
-    nxt[1::2] = [2 * q for q in ls]
-    for p, q in enumerate(rs):
-        nxt[2 * q] = 2 * p + 1
-    seen = [False] * (2 * n)
-    rotations = []
-    firsts = []
-    for start in range(1, 2 * n, 2):
-        if seen[start]:
-            continue
-        rot = _vertex_darts(nxt, start)
-        for d in rot[::2]:  # the heads: darts alternate, starting with one
-            seen[d] = True
-        rotations.append(tuple(rot))
-        firsts.append(start)
-    g = AlternatingDimap(
-        tuple(itertools.starmap(Edge, zip(labels, range(0, 2 * n, 2), range(1, 2 * n, 2)))),
-        tuple(rotations))
-    object.__setattr__(g, "_view", _View(dict(zip(labels, positions)), ls, rs, nxt, firsts))
+            f"successor lists {ls} and {rs} are not permutations of range({len(labels)})")
+    g = object.__new__(AlternatingDimap)
+    object.__setattr__(g, "_view", _View(labels, ls, rs))
     return g
+
+
+def _render(v: _View) -> tuple[tuple[Edge, ...], tuple[tuple[int, ...], ...]]:
+    """Darts of a map made from its pair: edge p gets darts (2p, 2p+1), and
+    vertices are listed in the order of their smallest head dart, each
+    starting there."""
+    n = len(v.labels)
+    edges = tuple(itertools.starmap(Edge, zip(v.labels, range(0, 2 * n, 2), range(1, 2 * n, 2))))
+    nxt = v.nxt
+    return edges, tuple(tuple(_vertex_darts(nxt, d)) for d in v.firsts)
 
 
 def _cycles(perm) -> list[list[int]]:
@@ -189,35 +232,43 @@ def _cycles(perm) -> list[list[int]]:
     return cycles
 
 
-def _topology(v: _View) -> tuple[list[int], list[int]]:
-    """Each edge's component and each component's V - E + F, computed once."""
+def _components(v: _View) -> list[int]:
+    """Each edge's component, computed once.  Components are the orbits of
+    <ls, rs>; all edges at a vertex share one, so they are numbered in the
+    order of their first vertex."""
     if v.comp is None:
         ls, rs = v.ls, v.rs
-        # Components are the orbits of <ls, rs>.  All edges at a vertex share
-        # one, so components are numbered in the order of their first vertex.
-        # chi gains one per vertex here, loses one per edge and gains one per
-        # face below.
         comp = [-1] * len(ls)
-        chi = []
+        n = 0
         for d in v.firsts:
             first = d >> 1
             if comp[first] < 0:
-                comp[first] = len(chi)
+                comp[first] = n
                 stack = [first]
                 while stack:
                     p = stack.pop()
                     for q in (ls[p], rs[p]):
                         if comp[q] < 0:
-                            comp[q] = len(chi)
+                            comp[q] = n
                             stack.append(q)
-                chi.append(0)
-            chi[comp[first]] += 1
+                n += 1
+        v.comp = comp
+    return v.comp
+
+
+def _euler(v: _View) -> list[int]:
+    """Each component's V - E + F, computed once."""
+    if v.chi is None:
+        comp = _components(v)
+        chi = [0] * (max(comp, default=-1) + 1)
+        for d in v.firsts:
+            chi[comp[d >> 1]] += 1
         for c in comp:
             chi[c] -= 1
-        for cyc in _cycles(ls) + _cycles(rs):
+        for cyc in _cycles(v.ls) + _cycles(v.rs):
             chi[comp[cyc[0]]] += 1
-        v.comp, v.chi = comp, chi
-    return v.comp, v.chi
+        v.chi = chi
+    return v.chi
 
 
 def _vertex_darts(nxt: list[int], first: int) -> list[int]:
@@ -281,17 +332,13 @@ def _dart_problems(g: AlternatingDimap) -> list[str]:
 
 def validate(g: AlternatingDimap) -> list[str]:
     """Return a list of violations; empty means valid."""
+    # Every alternating rotation system is a pair of permutations, whose
+    # components have V - E + F = 2 - 2g, so the dart checks are the whole
+    # test.
     try:
-        view = _view(g)
+        _view(g)
     except InvalidMap:
         return _dart_problems(g)
-    # Face orientation coherence follows from alternation; the Euler data
-    # is checked anyway as a guard against construction bugs.
-    try:
-        for chi in _topology(view)[1]:
-            _genus_of(chi)
-    except NonIntegerGenus as exc:
-        return [str(exc)]
     return []
 
 
@@ -308,12 +355,14 @@ def _require_edge(g: AlternatingDimap, label: str) -> int:
 
 def left_successor(g: AlternatingDimap, label: str) -> str:
     """Next edge after e around its anticlockwise face, in e's direction."""
-    return g.edges[_view(g).ls[_require_edge(g, label)]].label
+    view = _view(g)
+    return view.labels[view.ls[_require_edge(g, label)]]
 
 
 def right_successor(g: AlternatingDimap, label: str) -> str:
     """Next edge after e around its clockwise face, in e's direction."""
-    return g.edges[_view(g).rs[_require_edge(g, label)]].label
+    view = _view(g)
+    return view.labels[view.rs[_require_edge(g, label)]]
 
 
 @dataclass(frozen=True)
@@ -329,13 +378,16 @@ class Face:
 def faces(g: AlternatingDimap) -> list[Face]:
     """Anticlockwise faces are the cycles of ls, clockwise faces those of rs."""
     view = _view(g)
+    # A map made from its pair has head darts 2p + 1, rendered or not.
+    edges = g.__dict__.get("edges")
+    heads = range(1, 2 * len(view.ls), 2) if edges is None else [e.head for e in edges]
     out = []
     for perm, name in ((view.ls, "anticlockwise"), (view.rs, "clockwise")):
         for cyc in _cycles(perm):
             out.append(Face(
                 name,
-                tuple(g.edges[p].label for p in cyc),
-                tuple(g.edges[p].head for p in cyc),
+                tuple(view.labels[p] for p in cyc),
+                tuple(heads[p] for p in cyc),
             ))
     return out
 
@@ -343,8 +395,8 @@ def faces(g: AlternatingDimap) -> list[Face]:
 def components(g: AlternatingDimap) -> list[dict]:
     """Connected components, each as {'vertices': set, 'edges': set of positions}."""
     view = _view(g)
-    comp, chi = _topology(view)
-    out = [{"vertices": set(), "edges": set()} for _ in chi]
+    comp = _components(view)
+    out = [{"vertices": set(), "edges": set()} for _ in range(max(comp, default=-1) + 1)]
     for v, d in enumerate(view.firsts):
         out[comp[d >> 1]]["vertices"].add(v)
     for p, c in enumerate(comp):
@@ -354,12 +406,12 @@ def components(g: AlternatingDimap) -> list[dict]:
 
 def genus(g: AlternatingDimap, component: dict) -> int:
     """Genus from V - E + F = 2 - 2g for one component."""
-    comp, chi = _topology(_view(g))
-    return _genus_of(chi[comp[min(component["edges"])]])
+    view = _view(g)
+    return _genus_of(_euler(view)[_components(view)[min(component["edges"])]])
 
 
 def total_genus(g: AlternatingDimap) -> int:
-    return sum(_genus_of(chi) for chi in _topology(_view(g))[1])
+    return sum(_genus_of(chi) for chi in _euler(_view(g)))
 
 
 def trial(g: AlternatingDimap) -> tuple[AlternatingDimap, dict[str, str]]:
@@ -413,7 +465,7 @@ def classify_edge(g: AlternatingDimap, label: str) -> EdgeClassification:
     p = _require_edge(g, label)
     ls, rs = view.ls, view.rs
     loop = 2 * p in _vertex_darts(view.nxt, 2 * p + 1)
-    comp = _topology(view)[0]
+    comp = _components(view)
     ultra = loop and comp.count(comp[p]) == 1
     one_loop = view.nxt[view.nxt[2 * p + 1]] == 2 * p + 1
     omega_loop = ls[p] == p
@@ -452,14 +504,14 @@ def labeled_equal(g: AlternatingDimap, h: AlternatingDimap) -> bool:
     if sorted(g.labels()) != sorted(h.labels()):
         return False
     gv, hv = _view(g), _view(h)
-    to_h = [hv.pos[e.label] for e in g.edges]
+    to_h = [hv.pos[lab] for lab in gv.labels]
     return all(hv.ls[to_h[p]] == to_h[q] for p, q in enumerate(gv.ls)) \
         and all(hv.rs[to_h[p]] == to_h[q] for p, q in enumerate(gv.rs))
 
 
 def _component_darts(v: _View) -> list[list[int]]:
-    comp, chi = _topology(v)
-    out = [[] for _ in chi]
+    comp = _components(v)
+    out = [[] for _ in range(max(comp, default=-1) + 1)]
     for d in v.firsts:
         out[comp[d >> 1]] += _vertex_darts(v.nxt, d)
     return out
@@ -552,12 +604,12 @@ def isomorphisms(g: AlternatingDimap, h: AlternatingDimap) -> Iterator[dict[str,
                 dart_map.update(zip(g_canon[k][1][0], h_order))
             label_map = {}
             ok = True
-            for p, e in enumerate(g.edges):
+            for p, lab in enumerate(gv.labels):
                 img = dart_map[2 * p]
                 if img & 1:
                     ok = False
                     break
-                label_map[e.label] = h.edges[img >> 1].label
+                label_map[lab] = hv.labels[img >> 1]
             if ok and len(set(label_map.values())) == len(label_map):
                 yield label_map
 

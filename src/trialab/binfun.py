@@ -275,8 +275,9 @@ def read_vector(path) -> RawVector:
     if m < 0:
         raise FileFormatError(f"{path}: negative dimension")
     body = lines[1:]
-    if len(body) != 2**m:
-        raise FileFormatError(f"{path}: expected {2**m} value lines, found {len(body)}")
+    # No file holds 2**64 lines, and 2**m itself is costly for a huge m.
+    if m >= 64 or len(body) != 2**m:
+        raise FileFormatError(f"{path}: expected 2**{m} value lines, found {len(body)}")
     values = np.zeros(2**m, dtype=complex)
     for pos, ln in enumerate(body):
         parts = ln.split()

@@ -2,14 +2,19 @@
 orientation-preserving unlabeled isomorphism.
 
 Every vertex rotation alternates out-darts and in-darts, so every map is
-isomorphic to one built from a rotation template for its partition of
-out-degrees plus a wiring that sends each out-slot to an in-slot.  The
-generator lays out one template per partition of k, tries every wiring
-(k! per partition) and keeps one representative per canonical form.
-Disconnected maps fall out of the same wirings.  The tests check the
-catalog sizes against the closed form sum over partitions lambda of k of
-z_lambda (Burnside's count of permutation pairs up to simultaneous
-conjugation) and against an independent dart-pairing generator.
+isomorphic to one built from a rotation template for its partition lambda
+of out-degrees plus a wiring pi that sends each out-slot to an in-slot.
+On successor permutations that map is the pair (ls, rs) = (sigma o pi, pi),
+where sigma is the template's slot-successor permutation, so the
+generator never builds darts to tell wirings apart: it walks lambda and pi,
+canonicalises each pair under simultaneous conjugation, and builds the
+template map only for the first pair of each class.  Disconnected maps
+fall out of the same wirings.  Catalog.maps is sorted by canonical_form.
+The tests check the catalog sizes against the closed form sum over
+partitions lambda of k of z_lambda (Burnside's count of permutation pairs
+up to simultaneous conjugation), the connected and self-trial counts
+against their closed forms, and the classes against an independent
+dart-pairing generator.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .altmap import (
 )
 from .errors import CapExceeded
 
-DEFAULT_CAP = 4
+DEFAULT_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -49,30 +54,6 @@ class Catalog:
         return out
 
 
-def generate_rotation_first(k: int) -> list[AlternatingDimap]:
-    """All k-edge maps (with duplicates) from fixed degree shapes, free wiring."""
-    maps = []
-    for shape in _partitions(k):
-        # Vertex j has shape[j] out-slots interleaved with in-slots.
-        tails: list[int] = []
-        rotations_template = []
-        dart = 0
-        slots_in: list[int] = []
-        for d in shape:
-            rot = []
-            for _ in range(d):
-                rot.append(dart)      # out slot
-                tails.append(dart)
-                rot.append(dart + 1)  # in slot
-                slots_in.append(dart + 1)
-                dart += 2
-            rotations_template.append(tuple(rot))
-        for heads in itertools.permutations(slots_in):
-            edges = tuple(Edge(f"e{i}", tails[i], heads[i]) for i in range(k))
-            maps.append(AlternatingDimap(edges, tuple(rotations_template)))
-    return maps
-
-
 def _partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
     if n == 0:
         return [()]
@@ -84,11 +65,69 @@ def _partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
     return out
 
 
-def _dedupe(maps) -> tuple[AlternatingDimap, ...]:
-    seen = {}
-    for g in maps:
-        seen.setdefault(canonical_form(g), g)
-    return tuple(seen[key] for key in sorted(seen))
+def _template(shape: tuple[int, ...]) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Slot-successor permutation and rotations of a partition's template.
+
+    Vertex j has shape[j] consecutive slots; slot a holds out-dart 2a
+    followed clockwise by in-dart 2a + 1.
+    """
+    sigma: list[int] = []
+    rotations = []
+    slot = 0
+    for d in shape:
+        sigma += list(range(slot + 1, slot + d)) + [slot]
+        rotations.append(tuple(range(2 * slot, 2 * (slot + d))))
+        slot += d
+    return sigma, tuple(rotations)
+
+
+def _pair_run(ls, rs, start: int) -> tuple[list[int], list[int]]:
+    """Breadth-first relabeling of start's orbit under <ls, rs>; returns the
+    ranks of (ls(p), rs(p)) for p in rank order, flattened, and that order."""
+    rank = [-1] * len(ls)
+    rank[start] = 0
+    order = [start]
+    code = []
+    for p in order:
+        for q in (ls[p], rs[p]):
+            r = rank[q]
+            if r < 0:
+                r = rank[q] = len(order)
+                order.append(q)
+            code.append(r)
+    return code, order
+
+
+def _opening(ls, rs, p: int) -> tuple[int, int]:
+    """The first two entries of p's run: the ranks of ls(p) and rs(p)."""
+    a = 0 if ls[p] == p else 1
+    if rs[p] == p:
+        return a, 0
+    return a, 1 if rs[p] == ls[p] else a + 1
+
+
+def _pair_form(ls, rs) -> tuple:
+    """Canonical form of a permutation pair under simultaneous conjugation:
+    the sorted least runs of its orbits."""
+    done = [False] * len(ls)
+    codes = []
+    for first in range(len(ls)):
+        if done[first]:
+            continue
+        best, orbit = _pair_run(ls, rs, first)
+        # Only the starts with the least opening can reach the least run.
+        openings = [_opening(ls, rs, p) for p in orbit]
+        least = min(openings)
+        if openings[0] != least:
+            best = None
+        for start, opening in zip(orbit, openings):
+            done[start] = True
+            if opening == least and start != first:
+                code = _pair_run(ls, rs, start)[0]
+                if best is None or code < best:
+                    best = code
+        codes.append(tuple(best))
+    return tuple(sorted(codes))
 
 
 def enumerate_dimaps(k: int, cap: int = DEFAULT_CAP) -> Catalog:
@@ -97,7 +136,16 @@ def enumerate_dimaps(k: int, cap: int = DEFAULT_CAP) -> Catalog:
         raise CapExceeded(f"k = {k} above cap {cap}")
     if k == 0:
         return Catalog(0, (AlternatingDimap((), ()),))
-    return Catalog(k, _dedupe(generate_rotation_first(k)))
+    firsts = {}
+    for shape in _partitions(k):
+        sigma, rotations = _template(shape)
+        for wiring in itertools.permutations(range(k)):
+            # Out-slot i wired to in-slot pi(i) gives (ls, rs) = (sigma o pi, pi).
+            form = _pair_form([sigma[w] for w in wiring], wiring)
+            if form not in firsts:
+                edges = tuple(Edge(f"e{i}", 2 * i, 2 * w + 1) for i, w in enumerate(wiring))
+                firsts[form] = AlternatingDimap(edges, rotations)
+    return Catalog(k, tuple(sorted(firsts.values(), key=canonical_form)))
 
 
 def self_trial_members(catalog: Catalog) -> list[AlternatingDimap]:
@@ -136,7 +184,6 @@ __all__ = [
     "Catalog",
     "DEFAULT_CAP",
     "enumerate_dimaps",
-    "generate_rotation_first",
     "random_dimap",
     "self_trial_members",
     "total_genus",

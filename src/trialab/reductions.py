@@ -19,10 +19,10 @@ cuts e out of both, after one transposition for the omega kinds:
 * omega^2-reduction: rs, and ls after trading the values e and rs(e).
 
 Labels of surviving edges never change, so results of different reduction
-orders stay comparable with labeled equality.  The output is built from the
-edited pair, which is a valid map as soon as both lists are permutations;
-that is checked, and a failure raises, since it would mean a case-rule bug,
-not bad input.
+orders stay comparable with labeled equality.  The output is the edited
+pair, which is a valid map as soon as both lists are permutations; that is
+checked, and a failure raises, since it would mean a case-rule bug, not bad
+input.  Its darts are rendered only when read (see altmap).
 """
 
 from __future__ import annotations

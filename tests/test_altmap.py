@@ -182,6 +182,49 @@ def test_topology_matches_independent_oracle():
             == [(vs, es) for vs, es, _ in got]
 
 
+def _euler_characteristics(g):
+    """V - E + F of each component, from the darts alone: components are the
+    orbits of <next_cw, partner> and faces those of d -> next_cw(partner(d))."""
+    next_cw = {d: rot[(k + 1) % len(rot)] for rot in g.rotations for k, d in enumerate(rot)}
+    partner = {}
+    for e in g.edges:
+        partner[e.tail], partner[e.head] = e.head, e.tail
+    root = {}
+    for d in next_cw:
+        if d not in root:
+            root[d] = d
+            stack = [d]
+            while stack:
+                x = stack.pop()
+                for y in (next_cw[x], partner[x]):
+                    if y not in root:
+                        root[y] = d
+                        stack.append(y)
+    chi = dict.fromkeys(root.values(), 0)
+    for rot in g.rotations:
+        chi[root[rot[0]]] += 1
+    for e in g.edges:
+        chi[root[e.tail]] -= 1
+    seen = set()
+    for d in next_cw:
+        if d not in seen:
+            chi[root[d]] += 1
+            while d not in seen:
+                seen.add(d)
+                d = next_cw[partner[d]]
+    return sorted(chi.values())
+
+
+def test_every_component_has_even_euler_characteristic_at_most_two():
+    rng = np.random.default_rng(25)
+    maps = [g for k in range(6) for g in enumerate_dimaps(k, cap=k).maps]
+    maps += [random_dimap(k, rng) for k in (6, 7, 8) for _ in range(100)]
+    for g in maps:
+        chis = _euler_characteristics(g)
+        assert all(chi % 2 == 0 and chi <= 2 for chi in chis), g
+        assert chis == sorted(2 - 2 * genus(g, c) for c in components(g))
+
+
 def test_trial_of_ultraloop_is_itself():
     out, edge_map = trial(C1)
     assert labeled_equal(out, C1)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from trialab import binfun
 from trialab.errors import (
@@ -10,6 +10,7 @@ from trialab.errors import (
     EmptySetNotOne,
     FileFormatError,
     IndexOutOfRange,
+    NonFiniteValue,
     NormalizationError,
     WrongLength,
 )
@@ -243,3 +244,54 @@ def test_file_comments_and_errors(tmp_path):
         non_finite.write_text(f"bf 1\n0 1 0\n{line}\n")
         with pytest.raises(FileFormatError):
             binfun.read_vector(non_finite)
+
+
+_FILE_TESTS = settings(max_examples=80, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _finite_vectors(draw):
+    m = draw(st.integers(0, 6))
+    parts = draw(st.lists(st.tuples(_FINITE, _FINITE), min_size=2**m, max_size=2**m))
+    return m, np.array([complex(re, im) for re, im in parts])
+
+
+@_FILE_TESTS
+@given(_finite_vectors())
+def test_file_roundtrip_is_exact(tmp_path, vector):
+    m, v = vector
+    path = tmp_path / "v.bf"
+    binfun.write_vector(path, m, v)
+    raw = binfun.read_vector(path)
+    assert raw.m == m
+    # Bit for bit, so signed zeros and subnormals survive too.
+    assert raw.values.tobytes() == v.tobytes()
+    again = tmp_path / "again.bf"
+    binfun.write_vector(again, raw.m, raw.values)
+    assert again.read_text() == path.read_text()
+
+
+@_FILE_TESTS
+@given(_finite_vectors(),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3),
+                          st.text(" \t\n#-+.0123456789bfeEijnaNI", max_size=6)
+                          | st.text(max_size=3)),
+                min_size=1, max_size=4))
+@example((0, np.array([1 + 0j])), [(4, 0, "99999")])  # header "bf 099999"
+def test_file_fuzz_raises_only_format_errors(tmp_path, vector, edits):
+    m, v = vector
+    path = tmp_path / "v.bf"
+    binfun.write_vector(path, m, v)
+    text = path.read_text(encoding="utf-8")
+    for at, cut, insert in edits:
+        at %= len(text) + 1
+        text = text[:at] + insert + text[at + cut:]
+    path.write_text(text, encoding="utf-8")
+    try:
+        raw = binfun.read_vector(path)
+    except (FileFormatError, NonFiniteValue):
+        return
+    assert raw.values.shape == (2**raw.m,)
+    assert np.isfinite(raw.values).all()

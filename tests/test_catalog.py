@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 from math import factorial, prod
 
@@ -52,6 +53,33 @@ def _burnside_count(k):
     conjugation, by Burnside's lemma."""
     return sum(prod(i ** shape.count(i) * factorial(shape.count(i)) for i in set(shape))
                for shape in _partitions(k))
+
+
+def _connected_counts(kmax):
+    """Inverse Euler transform of the Burnside counts.  A map is a multiset
+    of connected maps, so sum_k a_k x^k = prod_i (1 - x^i)^-c_i; with
+    b_n = sum_{d | n} d c_d this reads n a_n = sum_{j=1..n} b_j a_{n-j}."""
+    a = [_burnside_count(k) for k in range(kmax + 1)]
+    b = [0] * (kmax + 1)
+    c = [0] * (kmax + 1)
+    for n in range(1, kmax + 1):
+        b[n] = n * a[n] - sum(b[j] * a[n - j] for j in range(1, n))
+        c[n] = (b[n] - sum(d * c[d] for d in range(1, n) if n % d == 0)) // n
+    return {k: c[k] for k in range(1, kmax + 1)}
+
+
+def _self_trial_count(k):
+    """(1/k!) #{(g, w) in S_k^2 : g^3 = w^3}.  Trial acts on the classes of
+    pairs as a cyclic shift of the triples of permutations with product 1;
+    by Burnside's lemma the fixed classes number this, and the pairs with
+    equal cubes number sum_h r_3(h)^2 with r_3(h) = #{w : w^3 = h}."""
+    cubes = {}
+    for w in itertools.permutations(range(k)):
+        cube = tuple(w[w[w[i]]] for i in range(k))
+        cubes[cube] = cubes.get(cube, 0) + 1
+    total = sum(r * r for r in cubes.values())
+    assert total % factorial(k) == 0
+    return total // factorial(k)
 
 
 def _alternating_partitions(darts, is_head):
@@ -130,6 +158,20 @@ def test_self_trial_counts():
         assert len(self_trial_members(_catalog(k))) == n
 
 
+def test_connected_counts_match_inverse_euler_transform():
+    closed = _connected_counts(6)
+    assert closed == CONNECTED_COUNTS
+    for k, n in closed.items():
+        assert sum(len(components(g)) == 1 for g in _catalog(k).maps) == n
+
+
+def test_self_trial_counts_match_cube_count():
+    closed = {k: _self_trial_count(k) for k in range(1, 7)}
+    assert closed == SELF_TRIAL_COUNTS
+    for k, n in closed.items():
+        assert len(self_trial_members(_catalog(k))) == n
+
+
 def test_strategies_agree():
     for k in range(1, 5):
         forms = sorted(canonical_form(g) for g in enumerate_dimaps(k).maps)
@@ -185,7 +227,7 @@ def test_genus_one_appears_at_three_edges():
 
 def test_cap():
     with pytest.raises(CapExceeded):
-        enumerate_dimaps(5)
+        enumerate_dimaps(7)
     assert len(enumerate_dimaps(2, cap=2).maps) == 4
 
 
