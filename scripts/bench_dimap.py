@@ -1,4 +1,5 @@
-"""Before/after timings of the alternating-dimap primitives.
+"""Before/after timings of the alternating-dimap primitives and the
+binary-function kernels.
 
 Per checkout it measures
   * the per-call p50 of ``reduce_edge``, ``classify_edge``,
@@ -9,7 +10,13 @@ Per checkout it measures
     the benchmark's oracle checks, beside the timed calls alone; the checks
     read every output's darts, so darts a change stops building inside the
     timed calls but the checks then render still show in the wall time;
-  * the best of three ``enumerate_dimaps(k, cap=k)`` calls at k = 4, 5, 6.
+  * the best of three ``enumerate_dimaps(k, cap=k)`` calls at k = 4, 5, 6;
+  * the per-call p50 of ``transform`` (at w), ``take_minor`` (at w) and
+    ``proportional`` (one proportional and one non-proportional pair) on
+    seeded random binary functions at m = 16, 20, 22, and of
+    ``write_vector`` / ``read_vector`` at m = 12, 16;
+  * the per-call time of ``take_minor`` and ``make`` at m = 6, the size of
+    the verify suites' many small calls: the best of five loops of 2000.
 
 Compare two checkouts, alternating child runs so that both sample the
 machine over the same minutes::
@@ -35,6 +42,10 @@ from time import perf_counter
 
 FUNCTIONS = ("reduce_edge", "classify_edge", "canonical_form", "trial")
 CATALOG_KS = (4, 5, 6)
+KERNEL_MS = (16, 20, 22)
+IO_MS = (12, 16)
+KERNEL_REPEATS = 7
+SMALL_M, SMALL_CALLS = 6, 2000
 WORKLOADS = ("bf-kernels", "dimap-sweep", "verify-e2e")
 END_TO_END = ("setup_s", "pass_s", "ops_per_s", "peak_rss_mb")
 HIGHER_IS_BETTER = ("ops_per_s",)
@@ -95,7 +106,62 @@ def measure(root: Path, passes: int) -> dict:
     return {"call_p50_us": p50,
             "sweep_pass_wall_s": statistics.median(walls),
             "sweep_pass_timed_s": statistics.median(timed_sums),
-            "catalog_s": catalog_s}
+            "catalog_s": catalog_s,
+            "kernels_s": measure_kernels()}
+
+
+def measure_kernels() -> dict:
+    import tempfile
+
+    import numpy as np
+    from trialab import binfun as B
+    from trialab import minor as M
+    from trialab import transform as T
+
+    def p50(fn, *args):
+        runs = []
+        for _ in range(KERNEL_REPEATS):
+            start = perf_counter()
+            fn(*args)  # the result is dropped before the next call
+            runs.append(perf_counter() - start)
+        return statistics.median(runs)
+
+    def random_values(rng, m):
+        v = rng.standard_normal(2 ** (m + 1)).view(complex)
+        v[0] = 1.0
+        return v
+
+    rng = np.random.default_rng(8)
+    out = {}
+    for m in KERNEL_MS:
+        f = B.make(m, random_values(rng, m))
+        spec = M.MinorSpec(m // 2, T.OMEGA)
+        out[f"transform.m{m}"] = p50(T.transform, f, T.OMEGA)
+        out[f"take_minor.m{m}"] = p50(M.take_minor, f, spec)
+        g = T.transform(f, T.OMEGA)
+        scaled = complex(*rng.standard_normal(2)) * g.values
+        out[f"proportional.m{m}"] = statistics.median(
+            [p50(B.proportional, g, scaled), p50(B.proportional, g, f)])
+        del f, g, scaled
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.bf"
+        for m in IO_MS:
+            v = random_values(rng, m)
+            out[f"write_vector.m{m}"] = p50(B.write_vector, path, m, v)
+            out[f"read_vector.m{m}"] = p50(B.read_vector, path)
+
+    v = random_values(rng, SMALL_M)
+    f = B.make(SMALL_M, v)
+    spec = M.MinorSpec(SMALL_M // 2, T.OMEGA)
+    for name, fn, args in (("take_minor", M.take_minor, (f, spec)), ("make", B.make, (SMALL_M, v))):
+        loops = []
+        for _ in range(5):
+            start = perf_counter()
+            for _ in range(SMALL_CALLS):
+                fn(*args)
+            loops.append((perf_counter() - start) / SMALL_CALLS)
+        out[f"{name}.m{SMALL_M}"] = min(loops)
+    return out
 
 
 def _child(root: Path, passes: int) -> dict:
@@ -130,7 +196,7 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
         for side in order:
             runs[side].append(_child(before if side == "before" else after, passes))
-    out = {"primitives": {}, "sweep_pass": {}, "catalog_s": {}}
+    out = {"primitives": {}, "sweep_pass": {}, "catalog_s": {}, "kernels_s": {}}
     for side, results in runs.items():
         out["primitives"][side] = {
             group: {name: statistics.median(r["call_p50_us"][group][name] for r in results)
@@ -139,9 +205,10 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         out["sweep_pass"][side] = {
             key: statistics.median(r[key] for r in results)
             for key in ("sweep_pass_wall_s", "sweep_pass_timed_s")}
-        out["catalog_s"][side] = {
-            key: statistics.median(r["catalog_s"][key] for r in results)
-            for key in results[0]["catalog_s"]}
+        for section in ("catalog_s", "kernels_s"):
+            out[section][side] = {
+                key: statistics.median(r[section][key] for r in results)
+                for key in results[0][section]}
     if e2e_seconds > 0:
         out["end_to_end"] = {}
         for workload in WORKLOADS:

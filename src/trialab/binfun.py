@@ -7,6 +7,10 @@ empty-set entry equals 1.  Element ``e_i`` owns the index bit of weight
 fixed once here and shared by the transform kernel, the minor operations and
 the file format; every other module relies on it.
 
+:func:`make` copies its input and rejects any NaN or infinite entry;
+kernels wrap the one fresh array they build (``tensor``, ``take_minor``)
+without that copy or scan.
+
 On-disk format (UTF-8 text)::
 
     bf <m>
@@ -20,6 +24,7 @@ same container also stores raw (unnormalized) vectors; only
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,10 +42,12 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 
-# Entries per np.vdot call.  OpenBLAS splits a dot product over more than
-# 10000 entries across threads, and on a busy host the call then waits for
-# its second thread to be scheduled; chunks keep it on the calling thread.
+# Entries per slice in proportionality_residual.  OpenBLAS splits a dot
+# product over more than 10000 entries across threads, and on a busy host the
+# call then waits for its second thread to be scheduled; slices keep it on the
+# calling thread, and keep the norms' temporaries small and in cache.
 DOT_CHUNK = 8192
+WRITE_ROWS = 8192  # rows per formatting operation in write_vector
 
 
 def default_labels(m: int) -> tuple[str, ...]:
@@ -92,17 +99,29 @@ def as_values(x) -> tuple[int, np.ndarray]:
 
 def make(m: int, values, labels: Sequence[str] | None = None,
          tol: float = DEFAULT_TOL) -> BinaryFunction:
-    """Build a binary function, rejecting vectors whose empty-set entry is not 1.
+    """Build a binary function from a copy of values, rejecting vectors whose
+    empty-set entry is not 1 and vectors with a NaN or infinite entry.
 
-    The entry is snapped to exactly 1 after the tolerance check so the
-    invariant holds bit-for-bit downstream; a non-finite entry is rejected,
-    never snapped.
+    The empty-set entry is snapped to exactly 1 after the tolerance check so
+    the invariant holds bit-for-bit downstream; a non-finite entry is
+    rejected, never snapped.
     """
     v = np.array(values, dtype=complex)
     if m < 0:
         raise WrongLength("dimension must be non-negative")
     if v.shape != (2**m,):
         raise WrongLength(f"need 2**{m} = {2**m} values, got {v.shape}")
+    f = _adopt(m, v, labels, tol)
+    if not np.isfinite(v).all():
+        bad = np.flatnonzero(~np.isfinite(v))[0]
+        raise NonFiniteValue(f"non-finite value {v[bad]} at index {bad}")
+    return f
+
+
+def _adopt(m: int, v: np.ndarray, labels: Sequence[str] | None,
+           tol: float) -> BinaryFunction:
+    """Wrap a fresh length-2**m array that the caller hands over, without a
+    copy or a finiteness scan; only the empty-set entry is checked and snapped."""
     if not (np.isfinite(v[0]) and abs(v[0] - 1.0) <= tol):
         raise EmptySetNotOne(f"empty-set entry {v[0]} differs from 1 by more than {tol}")
     v[0] = 1.0
@@ -144,13 +163,6 @@ def insert_bit(bits: Sequence[int], i: int, b: int) -> tuple[int, ...]:
     return g[:i] + (1 if b else 0,) + g[i:]
 
 
-def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """np.vdot(a, b), summed over chunks of DOT_CHUNK entries when longer."""
-    if a.size <= DOT_CHUNK:
-        return np.vdot(a, b)
-    return sum(np.vdot(a[i:i + DOT_CHUNK], b[i:i + DOT_CHUNK]) for i in range(0, a.size, DOT_CHUNK))
-
-
 def proportionality_residual(a, b) -> float:
     """Relative sup-norm residual of the best least-squares fit a = c*b.
 
@@ -162,16 +174,27 @@ def proportionality_residual(a, b) -> float:
     mb, vb = as_values(b)
     if ma != mb:
         raise DimensionMismatch(f"dimensions differ: {ma} vs {mb}")
-    na = float(np.max(np.abs(va))) if va.size else 0.0
-    nb = float(np.max(np.abs(vb))) if vb.size else 0.0
+    # Norms and dot products in one pass over DOT_CHUNK slices.  np.maximum
+    # rather than max() so that a NaN propagates as it does through np.max.
+    na = nb = 0.0
+    ba = bb = 0
+    for lo in range(0, va.size, DOT_CHUNK):
+        sa, sb = va[lo:lo + DOT_CHUNK], vb[lo:lo + DOT_CHUNK]
+        na = np.maximum(na, np.abs(sa).max())
+        nb = np.maximum(nb, np.abs(sb).max())
+        ba += np.vdot(sb, sa)
+        bb += np.vdot(sb, sb)
     if na == 0.0 and nb == 0.0:
         return 0.0
     if na == 0.0 or nb == 0.0:
         return float("inf")
-    c = _vdot(vb, va) / _vdot(vb, vb)
+    c = ba / bb
     if abs(c) == 0.0:
         return float("inf")
-    return float(np.max(np.abs(va - c * vb)) / na)
+    worst = 0.0
+    for lo in range(0, va.size, DOT_CHUNK):
+        worst = np.maximum(worst, np.abs(va[lo:lo + DOT_CHUNK] - c * vb[lo:lo + DOT_CHUNK]).max())
+    return float(worst / na)
 
 
 def proportional(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -190,8 +213,7 @@ def allclose(a, b, tol: float = DEFAULT_TOL) -> bool:
 
 def tensor(f: BinaryFunction, g: BinaryFunction) -> BinaryFunction:
     """Tensor product: value on (X, Y) is f(X) * g(Y); dimensions add."""
-    values = np.kron(f.values, g.values)
-    return make(f.m + g.m, values, tol=np.inf)
+    return _adopt(f.m + g.m, np.kron(f.values, g.values), None, np.inf)
 
 
 def tensor_power(f: BinaryFunction, k: int) -> BinaryFunction:
@@ -255,8 +277,11 @@ def write_vector(path, m: int, values) -> None:
         raise NonFiniteValue(f"{path}: refusing to write non-finite value at index {bad[0]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"bf {m}\n")
-        for i, z in enumerate(v):
-            fh.write(f"{i} {z.real:.17g} {z.imag:.17g}\n")
+        # Slices bound the Python floats alive at once.
+        for lo in range(0, v.size, WRITE_ROWS):
+            part = v[lo:lo + WRITE_ROWS]
+            rows = zip(range(lo, lo + part.size), part.real.tolist(), part.imag.tolist())
+            fh.write("%d %.17g %.17g\n" * part.size % tuple(itertools.chain.from_iterable(rows)))
 
 
 def read_vector(path) -> RawVector:
@@ -278,7 +303,7 @@ def read_vector(path) -> RawVector:
     # No file holds 2**64 lines, and 2**m itself is costly for a huge m.
     if m >= 64 or len(body) != 2**m:
         raise FileFormatError(f"{path}: expected 2**{m} value lines, found {len(body)}")
-    values = np.zeros(2**m, dtype=complex)
+    real, imag = [], []
     for pos, ln in enumerate(body):
         parts = ln.split()
         if len(parts) != 3:
@@ -289,7 +314,11 @@ def read_vector(path) -> RawVector:
             raise FileFormatError(f"{path}: bad value line {ln!r}") from exc
         if idx != pos:
             raise FileFormatError(f"{path}: index {idx} out of order (expected {pos})")
-        values[pos] = complex(re, im)
+        real.append(re)
+        imag.append(im)
+    values = np.empty(2**m, dtype=complex)
+    values.real = real
+    values.imag = imag
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise FileFormatError(f"{path}: non-finite value at index {bad[0]}")

@@ -29,7 +29,6 @@ from .altmap import (
     components,
     genus,
     is_valid,
-    isomorphic,
     total_genus,
     trial,
 )
@@ -40,16 +39,19 @@ DEFAULT_CAP = 6
 
 @dataclass(frozen=True)
 class Catalog:
+    """The maps sorted by canonical form; forms[i] is canonical_form(maps[i])."""
+
     k: int
     maps: tuple[AlternatingDimap, ...]
+    forms: tuple[tuple, ...]
 
     def summary(self) -> dict[tuple[int, tuple[int, ...], bool], int]:
         """Counts keyed by (component count, sorted genus profile, self-trial)."""
         out: dict[tuple[int, tuple[int, ...], bool], int] = {}
-        for g in self.maps:
+        for g, form in zip(self.maps, self.forms):
             comps = components(g)
             profile = tuple(sorted(genus(g, c) for c in comps))
-            key = (len(comps), profile, isomorphic(trial(g)[0], g))
+            key = (len(comps), profile, canonical_form(trial(g)[0]) == form)
             out[key] = out.get(key, 0) + 1
         return out
 
@@ -135,7 +137,8 @@ def enumerate_dimaps(k: int, cap: int = DEFAULT_CAP) -> Catalog:
     if k > cap:
         raise CapExceeded(f"k = {k} above cap {cap}")
     if k == 0:
-        return Catalog(0, (AlternatingDimap((), ()),))
+        empty = AlternatingDimap((), ())
+        return Catalog(0, (empty,), (canonical_form(empty),))
     firsts = {}
     for shape in _partitions(k):
         sigma, rotations = _template(shape)
@@ -145,11 +148,14 @@ def enumerate_dimaps(k: int, cap: int = DEFAULT_CAP) -> Catalog:
             if form not in firsts:
                 edges = tuple(Edge(f"e{i}", 2 * i, 2 * w + 1) for i, w in enumerate(wiring))
                 firsts[form] = AlternatingDimap(edges, rotations)
-    return Catalog(k, tuple(sorted(firsts.values(), key=canonical_form)))
+    by_form = {canonical_form(g): g for g in firsts.values()}
+    forms = tuple(sorted(by_form))
+    return Catalog(k, tuple(by_form[form] for form in forms), forms)
 
 
 def self_trial_members(catalog: Catalog) -> list[AlternatingDimap]:
-    return [g for g in catalog.maps if isomorphic(trial(g)[0], g)]
+    return [g for g, form in zip(catalog.maps, catalog.forms)
+            if canonical_form(trial(g)[0]) == form]
 
 
 def random_dimap(k: int, rng) -> AlternatingDimap:

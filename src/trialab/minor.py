@@ -32,9 +32,9 @@ import numpy as np
 from .binfun import (
     BinaryFunction,
     DEFAULT_TOL,
+    _adopt,
     allclose,
     as_values,
-    make,
     proportional,
 )
 from .errors import IndexOutOfRange, NormalizationError, PoleError
@@ -69,11 +69,17 @@ def _split_slices(values: np.ndarray, m: int, i: int) -> tuple[np.ndarray, np.nd
 
 
 def take_minor_raw(f, i: int, mu: complex) -> np.ndarray:
-    """Unnormalized minor vector of length 2**(m-1)."""
+    """Unnormalized minor vector of length 2**(m-1), in one fresh array."""
     m, values = as_values(f)
+    if not 0 <= i < m:
+        raise IndexOutOfRange(f"element {i} outside 0..{m - 1}")
     lam = lambda_mu(mu)
-    a, b = _split_slices(values, m, i)
-    return a + lam * b
+    w = values.reshape(2**i, 2, -1)
+    # lam * slice, not np.multiply(slice, lam): for complex lam the operand
+    # order changes the last bits of the product.
+    raw = lam * w[:, 1, :]
+    raw += w[:, 0, :]
+    return raw.reshape(-1)
 
 
 def take_minor(f: BinaryFunction, spec: MinorSpec,
@@ -84,8 +90,9 @@ def take_minor(f: BinaryFunction, spec: MinorSpec,
     if abs(c) < tol:
         raise NormalizationError(
             f"raw empty-set entry {c} below {tol} for element {spec.element}, mu {spec.mu}")
+    raw /= c
     labels = f.labels[: spec.element] + f.labels[spec.element + 1:]
-    return make(f.m - 1, raw / c, labels=labels, tol=np.inf)
+    return _adopt(f.m - 1, raw, labels, np.inf)
 
 
 def minors_commute_check(f: BinaryFunction, spec1: MinorSpec, spec2: MinorSpec,

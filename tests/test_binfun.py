@@ -38,6 +38,23 @@ def test_make_rejects_bad_empty_set_entry():
                 binfun.make(1, [bad, 2.0], tol=tol)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)])
+def test_make_and_read_vector_reject_non_finite_entries(tmp_path, bad):
+    m = 4
+    for pos in (1, 2**(m - 1), 2**m - 1):
+        v = np.ones(2**m, dtype=complex)
+        v[pos] = bad
+        with pytest.raises(NonFiniteValue, match=f"index {pos}$"):
+            binfun.make(m, v)
+        lines = [f"{i} {z.real!r} {z.imag!r}" for i, z in enumerate(v.tolist())]
+        path = tmp_path / "v.bf"
+        path.write_text(f"bf {m}\n" + "\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"index {pos}$"):
+            binfun.read_vector(path)
+        with pytest.raises(FileFormatError, match=f"index {pos}$"):
+            binfun.read_binary_function(path)
+
+
 def test_make_rejects_wrong_length():
     with pytest.raises(WrongLength):
         binfun.make(2, [1.0, 0.0])
@@ -116,6 +133,45 @@ def test_proportional_across_dot_chunks():
     c = np.vdot(b, a) / np.vdot(b, b)
     expect = np.max(np.abs(a - c * b)) / np.max(np.abs(a))
     assert abs(binfun.proportionality_residual(a, b) - expect) <= 1e-12
+
+
+def _full_size_residual(a, b):
+    """proportionality_residual computed on whole vectors: full-size norms and
+    difference, and np.vdot summed over DOT_CHUNK slices from 0 when longer."""
+    def vdot(x, y):
+        n = binfun.DOT_CHUNK
+        if x.size <= n:
+            return np.vdot(x, y)
+        return sum(np.vdot(x[i:i + n], y[i:i + n]) for i in range(0, x.size, n))
+
+    na, nb = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
+    if na == 0.0 and nb == 0.0:
+        return 0.0
+    if na == 0.0 or nb == 0.0:
+        return float("inf")
+    c = vdot(b, a) / vdot(b, b)
+    if abs(c) == 0.0:
+        return float("inf")
+    return float(np.max(np.abs(a - c * b)) / na)
+
+
+def test_proportionality_residual_is_exactly_the_full_size_one():
+    # m = 12..14 straddle DOT_CHUNK.
+    rng = np.random.default_rng(29)
+    for m in range(0, 15):
+        n = 2**m
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        near = (0.3 - 1.2j) * a
+        near[-1] += 1e-12
+        zero = np.zeros(n, dtype=complex)
+        signed = zero.copy()
+        signed[::2] = complex(-0.0, -0.0)
+        cases = [(a, b), (a, 2.5 * a), ((0.3 - 1.2j) * a, a), (near, a), (a, near),
+                 (zero, zero), (zero, a), (a, zero), (signed, zero), (signed, a)]
+        for x, y in cases:
+            got = binfun.proportionality_residual(x, y)
+            assert np.float64(got).tobytes() == np.float64(_full_size_residual(x, y)).tobytes()
 
 
 def test_proportional_zero_vectors():
@@ -244,6 +300,28 @@ def test_file_comments_and_errors(tmp_path):
         non_finite.write_text(f"bf 1\n0 1 0\n{line}\n")
         with pytest.raises(FileFormatError):
             binfun.read_vector(non_finite)
+
+
+def _per_line_write(path, m, v):
+    """write_vector's format written one line, and one numpy scalar, at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"bf {m}\n")
+        for i, z in enumerate(v):
+            fh.write(f"{i} {z.real:.17g} {z.imag:.17g}\n")
+
+
+def test_write_vector_is_byte_identical_to_per_line_writer(tmp_path):
+    # 2**14 rows span two slices of WRITE_ROWS.
+    rng = np.random.default_rng(37)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308, 1 / 3]
+    for m in (0, 1, 3, 13, 14):
+        v = rng.standard_normal(2**m) + 1j * rng.standard_normal(2**m)
+        n = min(2**m, 64)
+        v.real[:n], v.imag[:n] = rng.choice(special, size=(2, n))
+        v[-1] = complex(-0.0, 5e-324)
+        binfun.write_vector(tmp_path / "new.bf", m, v)
+        _per_line_write(tmp_path / "old.bf", m, v)
+        assert (tmp_path / "new.bf").read_bytes() == (tmp_path / "old.bf").read_bytes()
 
 
 _FILE_TESTS = settings(max_examples=80, deadline=None,

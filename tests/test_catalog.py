@@ -183,6 +183,7 @@ def test_members_are_valid_and_pairwise_nonisomorphic():
         cat = enumerate_dimaps(k)
         forms = [canonical_form(g) for g in cat.maps]
         assert len(set(forms)) == len(forms)
+        assert cat.forms == tuple(forms) == tuple(sorted(forms))
         assert all(is_valid(g) for g in cat.maps)
         assert all(g.n_edges() == k for g in cat.maps)
 

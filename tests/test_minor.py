@@ -299,3 +299,28 @@ def test_take_minor_raw_matches_dense_operator():
             block = np.array([[1.0, lam]]) if pos == i else np.eye(2)
             op = np.kron(op, block)
         assert np.allclose(op @ f.values, take_minor_raw(f, i, mu))
+
+
+def _slice_copy_minor(f, i, mu):
+    """take_minor_raw and take_minor as computed with both slices copied out:
+    a + lam*b, then divided by its empty-set entry and passed through make."""
+    w = f.values.reshape(2**i, 2, -1)
+    a, b = w[:, 0, :].reshape(-1), w[:, 1, :].reshape(-1)
+    raw = a + lambda_mu(mu) * b
+    labels = f.labels[:i] + f.labels[i + 1:]
+    return raw, binfun.make(f.m - 1, raw / raw[0], labels=labels, tol=np.inf)
+
+
+def test_take_minor_is_bit_identical_to_slice_copy_oracle():
+    # m = 12..14 straddle binfun.DOT_CHUNK; every element and five mu.
+    rng = np.random.default_rng(33)
+    mus = (1.0, -1.0, OMEGA, OMEGA2, random_mu(rng))
+    for m in range(1, 15):
+        f = random_bf(rng, m)
+        for i in range(m):
+            for mu in mus:
+                raw, g = _slice_copy_minor(f, i, mu)
+                assert take_minor_raw(f, i, mu).tobytes() == raw.tobytes()
+                out = take_minor(f, MinorSpec(i, mu))
+                assert out.values.tobytes() == g.values.tobytes()
+                assert out.labels == g.labels and out.m == m - 1
