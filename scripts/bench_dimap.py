@@ -1,5 +1,5 @@
-"""Before/after timings of the alternating-dimap primitives and the
-binary-function kernels.
+"""Before/after timings of the alternating-dimap primitives, the
+binary-function kernels and the verify checks.
 
 Per checkout it measures
   * the per-call p50 of ``reduce_edge``, ``classify_edge``,
@@ -16,7 +16,18 @@ Per checkout it measures
     seeded random binary functions at m = 16, 20, 22, and of
     ``write_vector`` / ``read_vector`` at m = 12, 16;
   * the per-call time of ``take_minor`` and ``make`` at m = 6, the size of
-    the verify suites' many small calls: the best of five loops of 2000.
+    the verify suites' many small calls: the best of five loops of 2000;
+  * the best of five in-process times of each of the 17 ``verify`` checks,
+    run suite by suite from seed 0 as ``verify.run_suites`` runs them, with
+    verify's own caches emptied before each run; and the two checks that
+    dominate, at two sizes each: Hadamard duality over the multigraphs of
+    at most 4 and at most 5 edges, and commutation over every pair at every
+    (mu1, mu2) from {1, -1, w, w2} on 20 seeded functions of m = 4 and of
+    m = 6.
+
+``--before``/``--after`` also alternates cold ``python -m trialab.cli
+verify --seed N`` runs of the two checkouts, one pair per seed from 0 to
+``--verify-pairs`` - 1.
 
 Compare two checkouts, alternating child runs so that both sample the
 machine over the same minutes::
@@ -33,7 +44,11 @@ checkout's figures as JSON.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
+import itertools
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -46,6 +61,9 @@ KERNEL_MS = (16, 20, 22)
 IO_MS = (12, 16)
 KERNEL_REPEATS = 7
 SMALL_M, SMALL_CALLS = 6, 2000
+VERIFY_REPEATS = 5
+DUALITY_MAX_EDGES = (4, 5)
+COMMUTATION_MS, COMMUTATION_FUNCTIONS = (4, 6), 20
 WORKLOADS = ("bf-kernels", "dimap-sweep", "verify-e2e")
 END_TO_END = ("setup_s", "pass_s", "ops_per_s", "peak_rss_mb")
 HIGHER_IS_BETTER = ("ops_per_s",)
@@ -107,7 +125,8 @@ def measure(root: Path, passes: int) -> dict:
             "sweep_pass_wall_s": statistics.median(walls),
             "sweep_pass_timed_s": statistics.median(timed_sums),
             "catalog_s": catalog_s,
-            "kernels_s": measure_kernels()}
+            "kernels_s": measure_kernels(),
+            "verify_s": measure_verify()}
 
 
 def measure_kernels() -> dict:
@@ -164,6 +183,82 @@ def measure_kernels() -> dict:
     return out
 
 
+def measure_verify() -> dict:
+    import numpy as np
+    from trialab import binfun as B
+    from trialab import minor as M
+    from trialab import verify as V
+    from trialab.errors import NormalizationError
+    from trialab.transform import OMEGA, OMEGA2
+
+    def clear_caches():
+        # verify's own caches (the catalogs) start empty in a cold run.
+        for obj in vars(V).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == V.__name__:
+                obj.cache_clear()
+
+    def best(fn):
+        runs = []
+        for _ in range(VERIFY_REPEATS):
+            clear_caches()
+            start = perf_counter()
+            fn()
+            runs.append(perf_counter() - start)
+        return min(runs)
+
+    out = {}
+    checks = {}
+    for _ in range(VERIFY_REPEATS):
+        clear_caches()
+        for suite in V.SUITE_NAMES:
+            rng = np.random.default_rng(0)
+            for check in V.SUITES[suite]:
+                start = perf_counter()
+                r = check(rng)
+                checks.setdefault(f"{r.suite}.{r.name}", []).append(perf_counter() - start)
+    out.update({name: min(runs) for name, runs in checks.items()})
+
+    real = V._all_multigraphs
+    for edges in DUALITY_MAX_EDGES:
+        V._all_multigraphs = functools.partial(real, max_edges=edges)
+        try:
+            out[f"hadamard-duality.max_edges{edges}"] = best(
+                lambda: V.check_hadamard_duality(np.random.default_rng(0)))
+        finally:
+            V._all_multigraphs = real
+
+    mus = [1.0 + 0j, -1.0 + 0j, OMEGA, OMEGA2]
+    if "mus" in inspect.signature(M.minors_commute_check).parameters:
+        def commute(f):
+            return M.minors_commute_check(f, mus, 1e-9)
+    else:
+        # Checkouts whose check compares one pair of minor specs per call.
+        def commute(f):
+            for i, j in itertools.combinations(range(f.m), 2):
+                for mu1, mu2 in itertools.product(mus, repeat=2):
+                    try:
+                        M.minors_commute_check(f, M.MinorSpec(i, mu1), M.MinorSpec(j, mu2), 1e-9)
+                    except NormalizationError:
+                        pass
+    rng = np.random.default_rng(9)
+    for m in COMMUTATION_MS:
+        fs = []
+        for _ in range(COMMUTATION_FUNCTIONS):
+            v = rng.standard_normal(2 ** (m + 1)).view(complex)
+            v[0] = 1.0
+            fs.append(B.make(m, v))
+        out[f"commutation.m{m}"] = best(lambda: [commute(f) for f in fs])
+    return out
+
+
+def _cold_verify(root: Path, seed: int) -> float:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = perf_counter()
+    subprocess.run([sys.executable, "-m", "trialab.cli", "verify", "--seed", str(seed)],
+                   cwd=root, env=env, check=True, stdout=subprocess.DEVNULL)
+    return perf_counter() - start
+
+
 def _child(root: Path, passes: int) -> dict:
     out = subprocess.run([sys.executable, __file__, "--measure", str(root), "--passes", str(passes)],
                          check=True, capture_output=True, text=True).stdout
@@ -189,14 +284,14 @@ def _after_better(before: float, after: float, metric: str) -> bool:
     return after > before if metric in HIGHER_IS_BETTER else after < before
 
 
-def compare(before: Path, after: Path, rounds: int, passes: int,
+def compare(before: Path, after: Path, rounds: int, passes: int, verify_pairs: int,
             e2e_seconds: float, e2e_pairs: int, e2e_first_seed: int) -> dict:
     runs = {"before": [], "after": []}
     for r in range(rounds):
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
         for side in order:
             runs[side].append(_child(before if side == "before" else after, passes))
-    out = {"primitives": {}, "sweep_pass": {}, "catalog_s": {}, "kernels_s": {}}
+    out = {"primitives": {}, "sweep_pass": {}, "catalog_s": {}, "kernels_s": {}, "verify_s": {}}
     for side, results in runs.items():
         out["primitives"][side] = {
             group: {name: statistics.median(r["call_p50_us"][group][name] for r in results)
@@ -205,10 +300,19 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         out["sweep_pass"][side] = {
             key: statistics.median(r[key] for r in results)
             for key in ("sweep_pass_wall_s", "sweep_pass_timed_s")}
-        for section in ("catalog_s", "kernels_s"):
+        for section in ("catalog_s", "kernels_s", "verify_s"):
             out[section][side] = {
                 key: statistics.median(r[section][key] for r in results)
                 for key in results[0][section]}
+    if verify_pairs > 0:
+        walls = {"before": [], "after": []}
+        for seed in range(verify_pairs):
+            order = ("before", "after") if seed % 2 == 0 else ("after", "before")
+            for side in order:
+                walls[side].append(_cold_verify(before if side == "before" else after, seed))
+        out["cold_verify_s"] = {
+            "before": _summary(walls["before"]), "after": _summary(walls["after"]),
+            "after_better_pairs": sum(a < b for b, a in zip(walls["before"], walls["after"]))}
     if e2e_seconds > 0:
         out["end_to_end"] = {}
         for workload in WORKLOADS:
@@ -234,6 +338,7 @@ def main(argv=None) -> int:
     parser.add_argument("--after", type=Path)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--passes", type=int, default=3)
+    parser.add_argument("--verify-pairs", type=int, default=10)
     parser.add_argument("--e2e-seconds", type=float, default=0.0)
     parser.add_argument("--e2e-pairs", type=int, default=5)
     parser.add_argument("--e2e-first-seed", type=int, default=1)
@@ -245,7 +350,7 @@ def main(argv=None) -> int:
     if not (args.before and args.after):
         parser.error("give --measure ROOT, or --before ROOT and --after ROOT")
     result = compare(args.before.resolve(), args.after.resolve(), args.rounds, args.passes,
-                     args.e2e_seconds, args.e2e_pairs, args.e2e_first_seed)
+                     args.verify_pairs, args.e2e_seconds, args.e2e_pairs, args.e2e_first_seed)
     text = json.dumps(result, indent=2) + "\n"
     if args.output:
         args.output.write_text(text)

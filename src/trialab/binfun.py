@@ -24,6 +24,7 @@ same container also stores raw (unnormalized) vectors; only
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -36,7 +37,6 @@ from .errors import (
     FileFormatError,
     IndexOutOfRange,
     NonFiniteValue,
-    NormalizationError,
     WrongLength,
 )
 
@@ -122,24 +122,14 @@ def _adopt(m: int, v: np.ndarray, labels: Sequence[str] | None,
            tol: float) -> BinaryFunction:
     """Wrap a fresh length-2**m array that the caller hands over, without a
     copy or a finiteness scan; only the empty-set entry is checked and snapped."""
-    if not (np.isfinite(v[0]) and abs(v[0] - 1.0) <= tol):
+    c = complex(v[0])
+    if not (cmath.isfinite(c) and abs(c - 1.0) <= tol):
         raise EmptySetNotOne(f"empty-set entry {v[0]} differs from 1 by more than {tol}")
     v[0] = 1.0
     lab = default_labels(m) if labels is None else tuple(labels)
     if len(lab) != m:
         raise WrongLength(f"need {m} labels, got {len(lab)}")
     return BinaryFunction(m, v, lab)
-
-
-def make_normalized(m: int, values, labels: Sequence[str] | None = None,
-                    tol: float = DEFAULT_TOL) -> BinaryFunction:
-    """Divide through by the empty-set entry; error when it is tiny."""
-    v = np.array(values, dtype=complex)
-    if v.shape != (2**m,):
-        raise WrongLength(f"need 2**{m} = {2**m} values, got {v.shape}")
-    if abs(v[0]) < tol:
-        raise NormalizationError(f"empty-set entry {v[0]} below {tol}; cannot normalize")
-    return make(m, v / v[0], labels=labels, tol=np.inf)
 
 
 def subset_index(bits: Iterable[int]) -> int:
@@ -208,7 +198,7 @@ def allclose(a, b, tol: float = DEFAULT_TOL) -> bool:
     mb, vb = as_values(b)
     if ma != mb:
         raise DimensionMismatch(f"dimensions differ: {ma} vs {mb}")
-    return bool(np.max(np.abs(va - vb), initial=0.0) <= tol)
+    return bool(np.abs(va - vb).max() <= tol)
 
 
 def tensor(f: BinaryFunction, g: BinaryFunction) -> BinaryFunction:

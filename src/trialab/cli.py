@@ -90,10 +90,14 @@ def _cmd_minor(args) -> int:
         raise TrialabError(f"element {args.element} outside 0..{raw.m - 1}")
     reduced = take_minor_raw(raw, args.element, mu)
     tol = tolerance()
-    if abs(reduced[0]) < tol:
+    c = complex(reduced[0])
+    if abs(c) < tol:
         raise TrialabError(
             f"minor exists only projectively (empty-set entry below {tol})")
-    binfun.write_vector(args.output, raw.m - 1, reduced / reduced[0])
+    # c / c need not round to 1; as in take_minor, the entry is set to 1.
+    reduced /= c
+    reduced[0] = 1.0
+    binfun.write_vector(args.output, raw.m - 1, reduced)
     return 0
 
 

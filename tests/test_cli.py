@@ -11,6 +11,7 @@ from trialab.altmap import (
 )
 from trialab.cli import format_mu, main, parse_mu
 from trialab.errors import TrialabError
+from trialab.minor import MinorSpec, take_minor
 from trialab.transform import OMEGA, OMEGA2, ULOOP_RATIO
 
 
@@ -100,6 +101,21 @@ def test_cli_minor(tmp_path):
     assert main(["minor", str(coloop), "--mu", "-1", "--element", "0",
                  "-o", str(out0)]) == 0
     assert binfun.read_vector(out0).m == 0
+
+
+def test_cli_minor_writes_an_exact_empty_set_entry(tmp_path):
+    # For this seed, raw / raw[0] at element 0 leaves 1 + 5.6e-17j in the
+    # empty-set slot; the command must write exactly 1, as take_minor holds.
+    v = np.random.default_rng(5).standard_normal(16).view(complex)
+    v[0] = 1.0
+    f = binfun.make(3, v)
+    src = tmp_path / "f.bf"
+    binfun.write_binary_function(src, f)
+    out = tmp_path / "minor.bf"
+    assert main(["minor", str(src), "--mu", "w", "--element", "0", "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "0 1 0"
+    expected = take_minor(f, MinorSpec(0, OMEGA)).values
+    assert binfun.read_vector(out).values.tobytes() == expected.tobytes()
 
 
 def test_cli_minor_pole_is_a_usage_error(tmp_path):

@@ -1,9 +1,12 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
-from trialab import binfun
+from trialab import binfun, minor, verify
 from trialab.binfun import DEFAULT_TOL, allclose
-from trialab.errors import NormalizationError, PoleError
+from trialab.errors import IndexOutOfRange, NormalizationError, PoleError
 from trialab.minor import (
     MU_POLE,
     MinorSpec,
@@ -91,27 +94,127 @@ def test_minor_keeps_remaining_labels():
 
 
 def test_minors_commute_on_random_inputs():
+    # Each draw's pair (i, mu_i), (j, mu_j) is one of the C(m, 2) * 4 pairs
+    # that the check compares at mus = [mu_i, mu_j]; none may be skipped.
     rng = np.random.default_rng(8)
     for _ in range(20):
         m = int(rng.integers(2, 6))
         f = random_bf(rng, m)
         i, j = rng.choice(m, size=2, replace=False)
-        s1 = MinorSpec(int(i), random_mu(rng))
-        s2 = MinorSpec(int(j), random_mu(rng))
-        assert minors_commute_check(f, s1, s2, 1e-9)
+        mus = [random_mu(rng), random_mu(rng)]
+        assert minors_commute_check(f, mus, 1e-9) == (m * (m - 1) // 2 * 4, 0)
 
 
 def test_minors_commute_examples():
     rng = np.random.default_rng(9)
     f = random_bf(rng, 4)
-    assert minors_commute_check(f, MinorSpec(0, -1.0), MinorSpec(2, -1.0))
-    assert minors_commute_check(f, MinorSpec(1, OMEGA), MinorSpec(3, OMEGA2))
+    # Covers (0, -1) with (2, -1), and (1, w) with (3, w2), among all pairs.
+    assert minors_commute_check(f, [-1.0]) == (6, 0)
+    assert minors_commute_check(f, [OMEGA, OMEGA2]) == (24, 0)
     # Graph-minor oracle on the digon: delete/contract in both orders ends
     # at the dimension-0 unit either way.
     out1 = take_minor(take_minor(DIGON, MinorSpec(0, 1.0)), MinorSpec(0, -1.0))
     out2 = take_minor(take_minor(DIGON, MinorSpec(1, -1.0)), MinorSpec(0, 1.0))
     assert out1.m == out2.m == 0
-    assert minors_commute_check(DIGON, MinorSpec(0, 1.0), MinorSpec(1, -1.0))
+    assert minors_commute_check(DIGON, [1.0, -1.0]) == (4, 0)
+
+
+def _per_pair_commute_check(f, spec1, spec2, tol=DEFAULT_TOL):
+    """The commutation check one pair at a time, four take_minor calls per
+    pair: both application orders agree entrywise."""
+    if spec1.element == spec2.element:
+        raise IndexOutOfRange("commutation check needs distinct elements")
+
+    def after(first, second):
+        # Looked up on the module, so that a patched take_minor reaches here.
+        g = minor.take_minor(f, first, tol=tol)
+        j = second.element - (1 if second.element > first.element else 0)
+        return minor.take_minor(g, MinorSpec(j, second.mu), tol=tol)
+
+    return allclose(after(spec1, spec2), after(spec2, spec1), tol)
+
+
+def _per_pair_counts(f, mus, tol=DEFAULT_TOL):
+    compared = differing = 0
+    for i, j in itertools.combinations(range(f.m), 2):
+        for mu1, mu2 in itertools.product(mus, repeat=2):
+            try:
+                ok = _per_pair_commute_check(f, MinorSpec(i, mu1), MinorSpec(j, mu2), tol)
+            except NormalizationError:
+                continue
+            compared += 1
+            differing += not ok
+    return compared, differing
+
+
+def _singleton(m, i):
+    return 1 << (m - 1 - i)
+
+
+def test_minors_commute_check_matches_per_pair_oracle():
+    rng = np.random.default_rng(40)
+    mus = [1.0 + 0j, -1.0 + 0j, OMEGA, OMEGA2]
+    skipped = 0
+    for m in range(2, 7):
+        for plant in ("none", "first", "second"):
+            v = rng.standard_normal(2**m) + 1j * rng.standard_normal(2**m)
+            v[0] = 1.0
+            i, j = sorted(int(x) for x in rng.choice(m, size=2, replace=False))
+            if plant == "first":
+                # The mu = 1 minor at i has raw empty-set entry 1 + f[e_i] = 0.
+                v[_singleton(m, i)] = -1.0
+            elif plant == "second":
+                # Both first minors at mu = 1 exist, but either second minor
+                # at mu = 1 has raw empty-set entry 0.
+                v[_singleton(m, i)] = 0.0
+                v[_singleton(m, j)] = 0.5
+                v[_singleton(m, i) | _singleton(m, j)] = -1.5
+            f = binfun.make(m, v)
+            expected = _per_pair_counts(f, mus)
+            assert minors_commute_check(f, mus) == expected
+            skipped += m * (m - 1) // 2 * len(mus) ** 2 - expected[0]
+    assert skipped > 0
+
+
+def perturb_element_zero(take_minor):
+    """take_minor, but minors that remove element 0 are off by 1e-6."""
+    def perturbed(f, spec, tol=DEFAULT_TOL):
+        g = take_minor(f, spec, tol=tol)
+        if spec.element != 0:
+            return g
+        v = g.values.copy()
+        v[1:] += 1e-6
+        return binfun.make(g.m, v, labels=g.labels)
+    return perturbed
+
+
+def test_minors_commute_check_matches_per_pair_oracle_on_a_faulty_minor(monkeypatch):
+    # A fault in the minors at element 0 shows whether or not the first
+    # minors are shared.  From m = 2 both orders end at dimension 0, where
+    # every function is the unit, so the sizes start at 3.
+    monkeypatch.setattr(minor, "take_minor", perturb_element_zero(take_minor))
+    rng = np.random.default_rng(41)
+    mus = [1.0 + 0j, -1.0 + 0j, OMEGA, OMEGA2]
+    for m in range(3, 7):
+        f = random_bf(rng, m)
+        compared, differing = minors_commute_check(f, mus)
+        assert (compared, differing) == _per_pair_counts(f, mus)
+        assert differing > 0
+
+
+def _commutation_counts(result):
+    pattern = r"(\d+) ordered pairs, (\d+) failures"
+    return tuple(map(int, re.match(pattern, result.details).groups()))
+
+
+def test_verify_commutation_reports_failures_when_a_minor_is_off(monkeypatch):
+    clean = verify.check_minor_commutation(np.random.default_rng(0))
+    assert clean.passed
+    monkeypatch.setattr(minor, "take_minor", perturb_element_zero(take_minor))
+    result = verify.check_minor_commutation(np.random.default_rng(0))
+    checks, failures = _commutation_counts(result)
+    assert not result.passed
+    assert checks == _commutation_counts(clean)[0] and failures > 0
 
 
 def test_transform_minor_interchange_identity_case():
