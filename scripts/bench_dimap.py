@@ -26,8 +26,8 @@ Per checkout it measures
     m = 6.
 
 ``--before``/``--after`` also alternates cold ``python -m trialab.cli
-verify --seed N`` runs of the two checkouts, one pair per seed from 0 to
-``--verify-pairs`` - 1.
+verify --seed N`` runs of the two checkouts, ``VERIFY_PAIRS`` pairs, one
+per seed from 0 on.
 
 Compare two checkouts, alternating child runs so that both sample the
 machine over the same minutes::
@@ -62,6 +62,7 @@ IO_MS = (12, 16)
 KERNEL_REPEATS = 7
 SMALL_M, SMALL_CALLS = 6, 2000
 VERIFY_REPEATS = 5
+VERIFY_PAIRS = 10
 DUALITY_MAX_EDGES = (4, 5)
 COMMUTATION_MS, COMMUTATION_FUNCTIONS = (4, 6), 20
 WORKLOADS = ("bf-kernels", "dimap-sweep", "verify-e2e")
@@ -284,7 +285,7 @@ def _after_better(before: float, after: float, metric: str) -> bool:
     return after > before if metric in HIGHER_IS_BETTER else after < before
 
 
-def compare(before: Path, after: Path, rounds: int, passes: int, verify_pairs: int,
+def compare(before: Path, after: Path, rounds: int, passes: int,
             e2e_seconds: float, e2e_pairs: int, e2e_first_seed: int) -> dict:
     runs = {"before": [], "after": []}
     for r in range(rounds):
@@ -304,15 +305,14 @@ def compare(before: Path, after: Path, rounds: int, passes: int, verify_pairs: i
             out[section][side] = {
                 key: statistics.median(r[section][key] for r in results)
                 for key in results[0][section]}
-    if verify_pairs > 0:
-        walls = {"before": [], "after": []}
-        for seed in range(verify_pairs):
-            order = ("before", "after") if seed % 2 == 0 else ("after", "before")
-            for side in order:
-                walls[side].append(_cold_verify(before if side == "before" else after, seed))
-        out["cold_verify_s"] = {
-            "before": _summary(walls["before"]), "after": _summary(walls["after"]),
-            "after_better_pairs": sum(a < b for b, a in zip(walls["before"], walls["after"]))}
+    walls = {"before": [], "after": []}
+    for seed in range(VERIFY_PAIRS):
+        order = ("before", "after") if seed % 2 == 0 else ("after", "before")
+        for side in order:
+            walls[side].append(_cold_verify(before if side == "before" else after, seed))
+    out["cold_verify_s"] = {
+        "before": _summary(walls["before"]), "after": _summary(walls["after"]),
+        "after_better_pairs": sum(a < b for b, a in zip(walls["before"], walls["after"]))}
     if e2e_seconds > 0:
         out["end_to_end"] = {}
         for workload in WORKLOADS:
@@ -338,7 +338,6 @@ def main(argv=None) -> int:
     parser.add_argument("--after", type=Path)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--passes", type=int, default=3)
-    parser.add_argument("--verify-pairs", type=int, default=10)
     parser.add_argument("--e2e-seconds", type=float, default=0.0)
     parser.add_argument("--e2e-pairs", type=int, default=5)
     parser.add_argument("--e2e-first-seed", type=int, default=1)
@@ -350,7 +349,7 @@ def main(argv=None) -> int:
     if not (args.before and args.after):
         parser.error("give --measure ROOT, or --before ROOT and --after ROOT")
     result = compare(args.before.resolve(), args.after.resolve(), args.rounds, args.passes,
-                     args.verify_pairs, args.e2e_seconds, args.e2e_pairs, args.e2e_first_seed)
+                     args.e2e_seconds, args.e2e_pairs, args.e2e_first_seed)
     text = json.dumps(result, indent=2) + "\n"
     if args.output:
         args.output.write_text(text)

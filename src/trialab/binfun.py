@@ -24,7 +24,6 @@ same container also stores raw (unnormalized) vectors; only
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -122,8 +121,7 @@ def _adopt(m: int, v: np.ndarray, labels: Sequence[str] | None,
            tol: float) -> BinaryFunction:
     """Wrap a fresh length-2**m array that the caller hands over, without a
     copy or a finiteness scan; only the empty-set entry is checked and snapped."""
-    c = complex(v[0])
-    if not (cmath.isfinite(c) and abs(c - 1.0) <= tol):
+    if not (np.isfinite(v[0]) and abs(v[0] - 1.0) <= tol):
         raise EmptySetNotOne(f"empty-set entry {v[0]} differs from 1 by more than {tol}")
     v[0] = 1.0
     lab = default_labels(m) if labels is None else tuple(labels)
@@ -198,7 +196,7 @@ def allclose(a, b, tol: float = DEFAULT_TOL) -> bool:
     mb, vb = as_values(b)
     if ma != mb:
         raise DimensionMismatch(f"dimensions differ: {ma} vs {mb}")
-    return bool(np.abs(va - vb).max() <= tol)
+    return bool(np.max(np.abs(va - vb), initial=0.0) <= tol)
 
 
 def tensor(f: BinaryFunction, g: BinaryFunction) -> BinaryFunction:

@@ -43,10 +43,6 @@ from .transform import transform
 
 MU_POLE = 3.0 + 2.0 * math.sqrt(2.0)
 POLE_TOL = 1e-12
-# lambda(mu) = (1 + mu) / (_LAMBDA_A - _LAMBDA_B * mu), with the square roots
-# taken once: every minor computes lambda.
-_LAMBDA_A = math.sqrt(2.0) + 1.0
-_LAMBDA_B = math.sqrt(2.0) - 1.0
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ def lambda_mu(mu: complex) -> complex:
     mu = complex(mu)
     if abs(mu - MU_POLE) <= POLE_TOL:
         raise PoleError(f"mu = {mu} is at the pole 3 + 2*sqrt(2) of lambda")
-    return (1.0 + mu) / (_LAMBDA_A - _LAMBDA_B * mu)
+    return (1.0 + mu) / (math.sqrt(2.0) + 1.0 - (math.sqrt(2.0) - 1.0) * mu)
 
 
 def _split_slices(values: np.ndarray, m: int, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +87,7 @@ def take_minor(f: BinaryFunction, spec: MinorSpec,
                tol: float = DEFAULT_TOL) -> BinaryFunction:
     """Normalized minor; NormalizationError when it exists only projectively."""
     raw = take_minor_raw(f, spec.element, spec.mu)
-    c = complex(raw[0])
+    c = raw[0]
     if abs(c) < tol:
         raise NormalizationError(
             f"raw empty-set entry {c} below {tol} for element {spec.element}, mu {spec.mu}")

@@ -136,7 +136,11 @@ def _all_multigraphs(max_vertices=4, max_edges=5):
 def _parity_table(m: int) -> np.ndarray:
     """Boolean table of |x & y| mod 2 over all x, y < 2**m, by counting bits."""
     x = np.arange(2**m)
-    table = np.bitwise_count(x[:, None] & x[None, :]) % 2 == 1
+    both = x[:, None] & x[None, :]
+    odd = np.zeros_like(both)
+    for bit in range(m):
+        odd ^= (both >> bit) & 1
+    table = odd == 1
     table.flags.writeable = False
     return table
 
