@@ -134,7 +134,7 @@ def _all_multigraphs(max_vertices=4, max_edges=5):
 
 @lru_cache(maxsize=None)
 def _parity_table(m: int) -> np.ndarray:
-    """Boolean table of |x & y| mod 2 over all x, y < 2**m, by counting bits."""
+    """Boolean table of |x & y| mod 2 over all x, y < 2**m, by XOR-folding the bits of x & y."""
     x = np.arange(2**m)
     both = x[:, None] & x[None, :]
     odd = np.zeros_like(both)
