@@ -509,64 +509,80 @@ def labeled_equal(g: AlternatingDimap, h: AlternatingDimap) -> bool:
         and all(hv.rs[to_h[p]] == to_h[q] for p, q in enumerate(gv.rs))
 
 
-def _component_darts(v: _View) -> list[list[int]]:
-    comp = _components(v)
-    out = [[] for _ in range(max(comp, default=-1) + 1)]
-    for d in v.firsts:
-        out[comp[d >> 1]] += _vertex_darts(v.nxt, d)
-    return out
-
-
-def _canonical_run(nxt: list[int], start: int) -> tuple[list[int], list[int]]:
+def _canonical_run(nxt: list[int], start: int,
+                   bound: list | None = None) -> tuple[list | None, list[int]]:
     """Breadth-first relabeling of start's component over next-clockwise and
-    partner; returns the encoding, flattened, and the darts in rank order.
+    partner; returns the encoding and the darts in rank order.
 
     The encoding lists (rank of next-clockwise, rank of partner, is-head)
     per dart in rank order.  A dart's two neighbours are ranked by the time
-    its entry is written, so one pass does both.
+    its entry is written, so one pass does both.  Given a bound, an
+    encoding of the same component, the run stops and returns None as its
+    encoding as soon as it exceeds the bound.
     """
     rank = [-1] * len(nxt)
     rank[start] = 0
     queue = [start]
     enc = []
-    for d in queue:
+    tied = bound is not None
+    for i, d in enumerate(queue):
         a = nxt[d]
-        if rank[a] < 0:
-            rank[a] = len(queue)
+        ra = rank[a]
+        if ra < 0:
+            ra = rank[a] = len(queue)
             queue.append(a)
         b = d ^ 1
-        if rank[b] < 0:
-            rank[b] = len(queue)
+        rb = rank[b]
+        if rb < 0:
+            rb = rank[b] = len(queue)
             queue.append(b)
-        enc += (rank[a], rank[b], d & 1)
+        entry = (ra, rb, d & 1)
+        if tied and entry != bound[i]:
+            if entry > bound[i]:
+                return None, queue
+            tied = False
+        enc.append(entry)
     return enc, queue
 
 
-def _component_canonical(v: _View, darts: list[int]) -> tuple[tuple, list[list[int]]]:
-    """Minimal encoding over all starting darts plus every relabeling
-    achieving it, each as its darts in rank order."""
-    nxt = v.nxt
-    # The first entry of a run is (1, 1 or 2, is-head): only starts with
-    # the least (partner is next-clockwise, is-head) can reach the minimum.
-    key = min((nxt[d] != d ^ 1, d & 1) for d in darts)
-    best = None
-    orders = []
-    for start in darts:
-        if (nxt[start] != start ^ 1, start & 1) != key:
+def _component_runs(nxt: list[int]) -> list[tuple[tuple, list[list[int]]]]:
+    """Per component, its least encoding over all starting darts and every
+    relabeling achieving it, each as its darts in rank order.
+
+    Each component is walked from its least unvisited dart, and that first
+    run lists the component's darts and bounds the others.  The first entry
+    of a run is (1, 1 or 2, is-head), its middle 1 when the start's partner
+    is next-clockwise: only starts with the least first entry can reach the
+    minimum, so only those run, each until it exceeds the least encoding so
+    far.
+    """
+    seen = [False] * len(nxt)
+    out = []
+    for first in range(len(nxt)):
+        if seen[first]:
             continue
-        enc, order = _canonical_run(nxt, start)
-        if best is None or enc < best:
-            best, orders = enc, [order]
-        elif enc == best:
-            orders.append(order)
-    return tuple(zip(best[0::3], best[1::3], best[2::3])), orders
+        best, order = _canonical_run(nxt, first)
+        orders = [order]
+        keys = [(nxt[d] != d ^ 1, d & 1) for d in order]
+        least = min(keys)
+        for start, key in zip(order, keys):
+            seen[start] = True
+            if key != least or start == first:
+                continue
+            enc, run = _canonical_run(nxt, start, best)
+            if enc is None:
+                continue
+            if enc < best:
+                best, orders = enc, [run]
+            else:
+                orders.append(run)
+        out.append((tuple(best), orders))
+    return out
 
 
 def canonical_form(g: AlternatingDimap) -> tuple:
     """Label-independent canonical encoding; equal iff maps are isomorphic."""
-    view = _view(g)
-    return tuple(sorted(_component_canonical(view, darts)[0]
-                        for darts in _component_darts(view)))
+    return tuple(sorted(enc for enc, _ in _component_runs(_view(g).nxt)))
 
 
 def isomorphic(g: AlternatingDimap, h: AlternatingDimap) -> bool:
@@ -576,32 +592,30 @@ def isomorphic(g: AlternatingDimap, h: AlternatingDimap) -> bool:
 def isomorphisms(g: AlternatingDimap, h: AlternatingDimap) -> Iterator[dict[str, str]]:
     """All orientation-preserving isomorphisms as edge-label maps g -> h."""
     gv, hv = _view(g), _view(h)
-    g_comps = _component_darts(gv)
-    h_comps = _component_darts(hv)
-    if len(g_comps) != len(h_comps):
+    g_runs = _component_runs(gv.nxt)
+    h_runs = _component_runs(hv.nxt)
+    if len(g_runs) != len(h_runs):
         return
-    g_canon = [_component_canonical(gv, d) for d in g_comps]
-    h_canon = [_component_canonical(hv, d) for d in h_comps]
 
     # Try every assignment of g's components onto distinct h components
     # with equal encoding.
     def assignments(k: int, used: set[int]):
-        if k == len(g_comps):
+        if k == len(g_runs):
             yield []
             return
-        for j in range(len(h_comps)):
-            if j in used or h_canon[j][0] != g_canon[k][0]:
+        for j in range(len(h_runs)):
+            if j in used or h_runs[j][0] != g_runs[k][0]:
                 continue
             for rest in assignments(k + 1, used | {j}):
                 yield [j] + rest
 
     for assign in assignments(0, set()):
         # Fix one minimal relabeling on the g side; vary over all on h side.
-        choices = [h_canon[j][1] for j in assign]
+        choices = [h_runs[j][1] for j in assign]
         for h_orders in itertools.product(*choices):
             dart_map = {}
             for k, h_order in enumerate(h_orders):
-                dart_map.update(zip(g_canon[k][1][0], h_order))
+                dart_map.update(zip(g_runs[k][1][0], h_order))
             label_map = {}
             ok = True
             for p, lab in enumerate(gv.labels):

@@ -5,11 +5,12 @@ Every vertex rotation alternates out-darts and in-darts, so every map is
 isomorphic to one built from a rotation template for its partition lambda
 of out-degrees plus a wiring pi that sends each out-slot to an in-slot.
 On successor permutations that map is the pair (ls, rs) = (sigma o pi, pi),
-where sigma is the template's slot-successor permutation, so the
-generator never builds darts to tell wirings apart: it walks lambda and pi,
-canonicalises each pair under simultaneous conjugation, and builds the
-template map only for the first pair of each class.  Disconnected maps
-fall out of the same wirings.  Catalog.maps is sorted by canonical_form.
+where sigma is the template's slot-successor permutation.  The generator
+walks lambda and pi, deduplicates each wiring by the canonical_form of the
+map made from its pair, and builds the template map's darts only for the
+first wiring of each class.  Disconnected maps fall out of the same
+wirings.  The forms collected are Catalog.forms, and Catalog.maps is
+sorted by them.
 The tests check the catalog sizes against the closed form sum over
 partitions lambda of k of z_lambda (Burnside's count of permutation pairs
 up to simultaneous conjugation), the connected and self-trial counts
@@ -25,11 +26,11 @@ from dataclasses import dataclass
 from .altmap import (
     AlternatingDimap,
     Edge,
+    _from_pair,
     canonical_form,
     components,
     genus,
     is_valid,
-    total_genus,
     trial,
 )
 from .errors import CapExceeded
@@ -83,74 +84,22 @@ def _template(shape: tuple[int, ...]) -> tuple[list[int], tuple[tuple[int, ...],
     return sigma, tuple(rotations)
 
 
-def _pair_run(ls, rs, start: int) -> tuple[list[int], list[int]]:
-    """Breadth-first relabeling of start's orbit under <ls, rs>; returns the
-    ranks of (ls(p), rs(p)) for p in rank order, flattened, and that order."""
-    rank = [-1] * len(ls)
-    rank[start] = 0
-    order = [start]
-    code = []
-    for p in order:
-        for q in (ls[p], rs[p]):
-            r = rank[q]
-            if r < 0:
-                r = rank[q] = len(order)
-                order.append(q)
-            code.append(r)
-    return code, order
-
-
-def _opening(ls, rs, p: int) -> tuple[int, int]:
-    """The first two entries of p's run: the ranks of ls(p) and rs(p)."""
-    a = 0 if ls[p] == p else 1
-    if rs[p] == p:
-        return a, 0
-    return a, 1 if rs[p] == ls[p] else a + 1
-
-
-def _pair_form(ls, rs) -> tuple:
-    """Canonical form of a permutation pair under simultaneous conjugation:
-    the sorted least runs of its orbits."""
-    done = [False] * len(ls)
-    codes = []
-    for first in range(len(ls)):
-        if done[first]:
-            continue
-        best, orbit = _pair_run(ls, rs, first)
-        # Only the starts with the least opening can reach the least run.
-        openings = [_opening(ls, rs, p) for p in orbit]
-        least = min(openings)
-        if openings[0] != least:
-            best = None
-        for start, opening in zip(orbit, openings):
-            done[start] = True
-            if opening == least and start != first:
-                code = _pair_run(ls, rs, start)[0]
-                if best is None or code < best:
-                    best = code
-        codes.append(tuple(best))
-    return tuple(sorted(codes))
-
-
 def enumerate_dimaps(k: int, cap: int = DEFAULT_CAP) -> Catalog:
     """Catalog of all k-edge alternating dimaps up to isomorphism."""
     if k > cap:
         raise CapExceeded(f"k = {k} above cap {cap}")
-    if k == 0:
-        empty = AlternatingDimap((), ())
-        return Catalog(0, (empty,), (canonical_form(empty),))
     firsts = {}
+    labels = tuple(f"e{i}" for i in range(k))
     for shape in _partitions(k):
         sigma, rotations = _template(shape)
         for wiring in itertools.permutations(range(k)):
             # Out-slot i wired to in-slot pi(i) gives (ls, rs) = (sigma o pi, pi).
-            form = _pair_form([sigma[w] for w in wiring], wiring)
+            form = canonical_form(_from_pair(labels, [sigma[w] for w in wiring], list(wiring)))
             if form not in firsts:
-                edges = tuple(Edge(f"e{i}", 2 * i, 2 * w + 1) for i, w in enumerate(wiring))
+                edges = tuple(Edge(labels[i], 2 * i, 2 * w + 1) for i, w in enumerate(wiring))
                 firsts[form] = AlternatingDimap(edges, rotations)
-    by_form = {canonical_form(g): g for g in firsts.values()}
-    forms = tuple(sorted(by_form))
-    return Catalog(k, tuple(by_form[form] for form in forms), forms)
+    forms = tuple(sorted(firsts))
+    return Catalog(k, tuple(firsts[form] for form in forms), forms)
 
 
 def self_trial_members(catalog: Catalog) -> list[AlternatingDimap]:
@@ -192,5 +141,4 @@ __all__ = [
     "enumerate_dimaps",
     "random_dimap",
     "self_trial_members",
-    "total_genus",
 ]

@@ -146,7 +146,7 @@ def _cmd_dimap(args) -> int:
                 "is_triloop", "is_proper_triloop", "is_1_semiloop",
                 "is_omega_semiloop", "is_omega2_semiloop", "is_proper_semiloop")
                 if getattr(cls, name)]
-            print(f"{lab}: {' '.join(flags) if flags is not None else ''}")
+            print(f"{lab}: {' '.join(flags)}")
         return 0
     raise TrialabError(f"unknown dimap verb {args.verb!r}")
 

@@ -152,47 +152,40 @@ def check_representation(candidate: RepresentationCandidate,
         if target is None:
             report.triality.fail(f"member {idx}: trial image leaves the class")
             continue
-        fh, emap_h = images[target], edge_maps[target]
-        lhs = transform(f, OMEGA)
-        ok = False
-        for iso in isomorphisms(trial_g, members[target]):
-            pos_map = {emap[lab]: emap_h[iso[edge_map[lab]]] for lab in emap}
-            rhs = _pullback(fh.values, fh.m, pos_map)
-            if proportional(lhs, rhs, tol):
-                ok = True
-                break
-        if not ok:
+        positions = {edge_map[lab]: pos for lab, pos in emap.items()}
+        if not _aligned(candidate, target, trial_g, transform(f, OMEGA), positions, tol):
             report.triality.fail(
                 f"member {idx}: no isomorphism matches the trinity transform")
 
     for idx, (g, f, emap) in enumerate(zip(members, images, edge_maps)):
-        inverse_emap = {pos: lab for lab, pos in emap.items()}
         for lab in g.labels():
+            pos = emap[lab]
+            # The reduction keeps the other labels; their positions close the gap.
+            positions = {other: p - (p > pos) for other, p in emap.items() if other != lab}
             for kind in ALL_KINDS:
                 reduced = reduce_edge(g, lab, kind)
                 target = member_of.get(canonical_form(reduced))
                 if target is None:
                     raise NotMinorClosed(
                         f"member {idx}: reduction {kind.token} of {lab!r} leaves the class")
-                fh, emap_h = images[target], edge_maps[target]
-                pos = emap[lab]
                 lhs = take_minor_raw(f, pos, candidate.nu * kind.complex_value)
-                ok = False
-                for iso in isomorphisms(reduced, members[target]):
-                    pos_map = {}
-                    for p in range(f.m):
-                        if p == pos:
-                            continue
-                        shifted = p - (1 if p > pos else 0)
-                        pos_map[shifted] = emap_h[iso[inverse_emap[p]]]
-                    rhs = _pullback(fh.values, fh.m, pos_map)
-                    if proportional(lhs, rhs, tol):
-                        ok = True
-                        break
-                if not ok:
+                if not _aligned(candidate, target, reduced, lhs, positions, tol):
                     report.minor_compat.fail(
                         f"member {idx}: edge {lab!r}, reduction {kind.token} has no match")
     return report
+
+
+def _aligned(candidate: RepresentationCandidate, target: int, source: AlternatingDimap,
+             lhs, positions: dict[str, int], tol: float) -> bool:
+    """Whether some isomorphism from source onto member target pulls that
+    member's image back to a function proportional to lhs; positions maps
+    each edge label of source to its element position in lhs."""
+    fh, emap_h = candidate.images[target], candidate.edge_maps[target]
+    for iso in isomorphisms(source, candidate.members[target]):
+        pos_map = {positions[lab]: emap_h[iso[lab]] for lab in positions}
+        if proportional(lhs, _pullback(fh.values, fh.m, pos_map), tol):
+            return True
+    return False
 
 
 def unique_tensor_lift_check(k: int, rng=None, tol: float = 1e-9) -> tuple[bool, dict]:
@@ -275,7 +268,7 @@ def tensor_lift_perturbation_breaks(k: int, tol: float = 1e-9) -> bool:
     return False
 
 
-def ultraloop_funnel_check(k: int, cap: int = 4) -> tuple[bool, dict]:
+def ultraloop_funnel_check(k: int) -> tuple[bool, dict]:
     """Maps on k+1 edges whose every reduction is the k-fold ultraloop stack.
 
     For k >= 2 the only such map is the (k+1)-fold stack; on two edges all
@@ -283,7 +276,7 @@ def ultraloop_funnel_check(k: int, cap: int = 4) -> tuple[bool, dict]:
     """
     target = k_copies(ultraloop(), k)
     qualifying = []
-    for g in enumerate_dimaps(k + 1, cap=cap).maps:
+    for g in enumerate_dimaps(k + 1).maps:
         if all(isomorphic(reduce_edge(g, lab, kind), target)
                for lab in g.labels() for kind in ALL_KINDS):
             qualifying.append(g)
@@ -293,6 +286,10 @@ def ultraloop_funnel_check(k: int, cap: int = 4) -> tuple[bool, dict]:
         ok = len(qualifying) == 1 and isomorphic(qualifying[0],
                                                  k_copies(ultraloop(), k + 1))
     return ok, {"qualifying": len(qualifying)}
+
+
+# Random unit phases checked per class size.
+N_PHASES = 10
 
 
 @dataclass
@@ -313,8 +310,7 @@ class MainTheoremReport:
                 and len(self.obstructions) == 3)
 
 
-def main_theorem_check(kmax: int = 5, rng=None, tol: float = DEFAULT_TOL,
-                       n_phases: int = 10) -> MainTheoremReport:
+def main_theorem_check(kmax: int = 5, rng=None, tol: float = DEFAULT_TOL) -> MainTheoremReport:
     """Mechanical verification at desk scale.
 
     The canonical ultraloop-stack classes admit strict representations for
@@ -331,7 +327,7 @@ def main_theorem_check(kmax: int = 5, rng=None, tol: float = DEFAULT_TOL,
 
     random_ok = True
     for k in range(kmax + 1):
-        for _ in range(n_phases):
+        for _ in range(N_PHASES):
             nu = np.exp(2j * np.pi * rng.random())
             if not check_representation(canonical_class(k, nu), tol).passed:
                 random_ok = False
@@ -339,11 +335,11 @@ def main_theorem_check(kmax: int = 5, rng=None, tol: float = DEFAULT_TOL,
     base = ultraloop_image()
     square = tensor_power(base, 2)
     double = k_copies(ultraloop(), 2)
+    forced_self_trial = self_trial(square, tol)
     obstructions = []
     for idx, g in enumerate(enumerate_dimaps(2).maps):
         if isomorphic(g, double):
             continue
-        forced_self_trial = self_trial(square, tol)
         map_self_trial = isomorphic(trial(g)[0], g)
         if forced_self_trial and not map_self_trial:
             obstructions.append(ObstructionWitness(

@@ -97,8 +97,13 @@ def _dense_power(matrix: np.ndarray, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # transforms
 
+def _worst(residuals: list[float]) -> float:
+    """The largest residual, or NaN if any is NaN, so that a NaN fails the check."""
+    return float(np.max(residuals))
+
+
 def check_transform_composition(rng, tol=1e-9) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for _ in range(200):
         m = int(rng.integers(1, 9))
         f = _random_bf(rng, m)
@@ -107,20 +112,22 @@ def check_transform_composition(rng, tol=1e-9) -> CheckResult:
         lhs = transform(transform(f, mu2), mu1).values
         rhs = transform(f, mu1 * mu2).values
         scale = float(np.max(np.abs(f.values)))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+        residuals.append(float(np.max(np.abs(lhs - rhs))) / scale)
+    worst = _worst(residuals)
     return CheckResult("transforms", "composition", worst <= tol,
                        f"200 samples, worst residual {worst:.3e} (tol {tol:g})")
 
 
 def check_fast_vs_dense(rng, tol=1e-10) -> CheckResult:
-    worst = 0.0
+    deviations = []
     for _ in range(50):
         m = int(rng.integers(0, 7))
         f = _random_bf(rng, m)
         mu = _random_mu_disk(rng)
         fast = transform(f, mu).values
         dense = _dense_power(m_matrix(mu).entries, m) @ f.values
-        worst = max(worst, float(np.max(np.abs(fast - dense), initial=0.0)))
+        deviations.append(float(np.max(np.abs(fast - dense))))
+    worst = _worst(deviations)
     return CheckResult("transforms", "fast-vs-dense", worst <= tol,
                        f"50 samples m<=6, worst deviation {worst:.3e} (tol {tol:g})")
 
@@ -158,7 +165,6 @@ def check_hadamard_duality(rng, tol=1e-9) -> CheckResult:
     # complement of the cutset space.  Multigraphs with the same cutset
     # space share one transform, one oracle and one residual.
     residuals: dict[bytes, float] = {}
-    worst = 0.0
     count = 0
     for edges in _all_multigraphs():
         m = len(edges)
@@ -168,13 +174,11 @@ def check_hadamard_duality(rng, tol=1e-9) -> CheckResult:
             inc[b, j] ^= 1
         cutset = binfun.rowspace_indicator(inc)
         key = cutset.values.tobytes()
-        residual = residuals.get(key)
-        if residual is None:
+        if key not in residuals:
             circuit = _gf2_complement_indicator(cutset.values, m)
-            residual = binfun.proportionality_residual(transform(cutset, -1.0), circuit)
-            residuals[key] = residual
-        worst = max(worst, residual)
+            residuals[key] = binfun.proportionality_residual(transform(cutset, -1.0), circuit)
         count += 1
+    worst = _worst(list(residuals.values()))
     return CheckResult("transforms", "hadamard-duality", worst <= tol,
                        f"{count} multigraphs, worst residual {worst:.3e} (tol {tol:g})")
 

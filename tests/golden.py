@@ -4,8 +4,9 @@
 golden file by name:
 
 * ``verify_seed0.txt``: ``trialab verify --seed 0`` standard output;
-* ``catalog_k<k>.txt`` for k = 0..4: ``trialab dimap catalog --edges k``
-  standard output, then every atlas file under a ``== <name>`` line;
+* ``catalog_k<k>.txt`` for k = 0..4: ``catalog_text(k, atlas)``, the
+  ``trialab dimap catalog --edges k`` standard output, then every atlas
+  file under a ``== <name>`` line;
 * ``classify.txt``, ``trial.txt``, ``reduce.txt``: ``trialab dimap
   classify``, ``trial`` and ``reduce`` (every edge and kind) on every
   atlas map, each block under a ``== <what was run>`` line.
@@ -49,17 +50,25 @@ def _labels(adm_text: str) -> list[str]:
     return sorted(ln.split()[1] for ln in adm_text.splitlines() if ln.startswith("edge "))
 
 
+def catalog_text(k: int, atlas) -> str:
+    """``trialab dimap catalog --edges k -o atlas`` standard output, then
+    every atlas file under a ``== <name>`` line."""
+    text = [run_cli(["dimap", "catalog", "--edges", str(k), "-o", atlas])]
+    for name in sorted(os.listdir(atlas)):
+        text.append(f"== {name}\n{_read(os.path.join(atlas, name))}")
+    return "".join(text)
+
+
 def render(workdir) -> dict[str, str]:
     files = {"verify_seed0.txt": run_cli(["verify", "--seed", "0"])}
     classify, trial, reduce = [], [], []
     out_path = os.path.join(workdir, "out.adm")
     for k in CATALOG_KS:
         atlas = os.path.join(workdir, f"k{k}")
-        text = [run_cli(["dimap", "catalog", "--edges", str(k), "-o", atlas])]
+        files[f"catalog_k{k}.txt"] = catalog_text(k, atlas)
         for name in sorted(os.listdir(atlas)):
             path = os.path.join(atlas, name)
             adm = _read(path)
-            text.append(f"== {name}\n{adm}")
             tag = f"k{k}/{name}"
             classify.append(f"== classify {tag}\n" + run_cli(["dimap", "classify", path]))
             stdout = run_cli(["dimap", "trial", path, "-o", out_path])
@@ -69,7 +78,6 @@ def render(workdir) -> dict[str, str]:
                     run_cli(["dimap", "reduce", path, "--edge", label, "--mu", kind,
                              "-o", out_path])
                     reduce.append(f"== reduce {tag} {label} {kind}\n{_read(out_path)}")
-        files[f"catalog_k{k}.txt"] = "".join(text)
     files["classify.txt"] = "".join(classify)
     files["trial.txt"] = "".join(trial)
     files["reduce.txt"] = "".join(reduce)

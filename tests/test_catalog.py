@@ -5,6 +5,7 @@ from math import factorial, prod
 import numpy as np
 import pytest
 
+from trialab import catalog
 from trialab.altmap import (
     AlternatingDimap,
     Edge,
@@ -186,6 +187,21 @@ def test_members_are_valid_and_pairwise_nonisomorphic():
         assert cat.forms == tuple(forms) == tuple(sorted(forms))
         assert all(is_valid(g) for g in cat.maps)
         assert all(g.n_edges() == k for g in cat.maps)
+
+
+def test_each_wiring_is_canonicalised_once(monkeypatch):
+    # k! wirings per partition of k, and no second pass over the classes.
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(catalog, "canonical_form", counted)
+    for k in range(0, 6):
+        calls.clear()
+        enumerate_dimaps(k)
+        assert len(calls) == factorial(k) * len(list(_partitions(k)))
 
 
 def test_catalog_closed_under_trial():

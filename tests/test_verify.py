@@ -1,9 +1,13 @@
 """The Hadamard-duality check scores each distinct cutset space once: its
 complement oracle matches the pair-by-pair form, and a planted fault in
 the transform still makes it fail.  The commutation check's counterparts
-are in test_minor.py."""
+are in test_minor.py.  A NaN residual anywhere among the samples fails
+each transform check."""
+
+import itertools
 
 import numpy as np
+import pytest
 
 from trialab import binfun, verify
 
@@ -69,3 +73,39 @@ def test_hadamard_duality_scores_every_distinct_cutset_space(monkeypatch):
 
         monkeypatch.setattr(verify, "transform", off_on_one_space)
         assert not verify.check_hadamard_duality(np.random.default_rng(0)).passed
+
+
+def _nan_on_call(monkeypatch, module, name, n, poison):
+    """Patch module.name so that its n-th call (from 0) returns poison(output)."""
+    real = getattr(module, name)
+    calls = itertools.count()
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return poison(out) if next(calls) == n else out
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def _nan_values(f):
+    return binfun.RawVector(f.m, np.full_like(f.values, np.nan))
+
+
+@pytest.mark.parametrize("check, calls", [
+    (verify.check_transform_composition, 600),  # 200 samples, three transforms each
+    (verify.check_fast_vs_dense, 50),
+])
+def test_a_nan_residual_in_the_middle_fails_the_transform_check(monkeypatch, check, calls):
+    _nan_on_call(monkeypatch, verify, "transform", calls // 2, _nan_values)
+    result = check(np.random.default_rng(0))
+    assert not result.passed
+    assert " nan " in result.details
+
+
+def test_a_nan_residual_in_the_middle_fails_hadamard_duality(monkeypatch):
+    middle = len(_distinct_cutset_spaces()) // 2
+    _nan_on_call(monkeypatch, binfun, "proportionality_residual", middle,
+                 lambda residual: float("nan"))
+    result = verify.check_hadamard_duality(np.random.default_rng(0))
+    assert not result.passed
+    assert " nan " in result.details
