@@ -45,8 +45,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
-import itertools
 import json
 import os
 import statistics
@@ -189,7 +187,6 @@ def measure_verify() -> dict:
     from trialab import binfun as B
     from trialab import minor as M
     from trialab import verify as V
-    from trialab.errors import NormalizationError
     from trialab.transform import OMEGA, OMEGA2
 
     def clear_caches():
@@ -229,18 +226,6 @@ def measure_verify() -> dict:
             V._all_multigraphs = real
 
     mus = [1.0 + 0j, -1.0 + 0j, OMEGA, OMEGA2]
-    if "mus" in inspect.signature(M.minors_commute_check).parameters:
-        def commute(f):
-            return M.minors_commute_check(f, mus, 1e-9)
-    else:
-        # Checkouts whose check compares one pair of minor specs per call.
-        def commute(f):
-            for i, j in itertools.combinations(range(f.m), 2):
-                for mu1, mu2 in itertools.product(mus, repeat=2):
-                    try:
-                        M.minors_commute_check(f, M.MinorSpec(i, mu1), M.MinorSpec(j, mu2), 1e-9)
-                    except NormalizationError:
-                        pass
     rng = np.random.default_rng(9)
     for m in COMMUTATION_MS:
         fs = []
@@ -248,7 +233,7 @@ def measure_verify() -> dict:
             v = rng.standard_normal(2 ** (m + 1)).view(complex)
             v[0] = 1.0
             fs.append(B.make(m, v))
-        out[f"commutation.m{m}"] = best(lambda: [commute(f) for f in fs])
+        out[f"commutation.m{m}"] = best(lambda: [M.minors_commute_check(f, mus, 1e-9) for f in fs])
     return out
 
 

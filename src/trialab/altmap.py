@@ -616,16 +616,9 @@ def isomorphisms(g: AlternatingDimap, h: AlternatingDimap) -> Iterator[dict[str,
             dart_map = {}
             for k, h_order in enumerate(h_orders):
                 dart_map.update(zip(g_runs[k][1][0], h_order))
-            label_map = {}
-            ok = True
-            for p, lab in enumerate(gv.labels):
-                img = dart_map[2 * p]
-                if img & 1:
-                    ok = False
-                    break
-                label_map[lab] = hv.labels[img >> 1]
-            if ok and len(set(label_map.values())) == len(label_map):
-                yield label_map
+            # Equal encodings agree on is-head at every rank, and ranks are
+            # distinct, so tails go to distinct tails.
+            yield {lab: hv.labels[dart_map[2 * p] >> 1] for p, lab in enumerate(gv.labels)}
 
 
 def find_isomorphism(g: AlternatingDimap, h: AlternatingDimap) -> dict[str, str] | None:

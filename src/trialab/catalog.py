@@ -28,8 +28,6 @@ from .altmap import (
     Edge,
     _from_pair,
     canonical_form,
-    components,
-    genus,
     is_valid,
     trial,
 )
@@ -45,16 +43,6 @@ class Catalog:
     k: int
     maps: tuple[AlternatingDimap, ...]
     forms: tuple[tuple, ...]
-
-    def summary(self) -> dict[tuple[int, tuple[int, ...], bool], int]:
-        """Counts keyed by (component count, sorted genus profile, self-trial)."""
-        out: dict[tuple[int, tuple[int, ...], bool], int] = {}
-        for g, form in zip(self.maps, self.forms):
-            comps = components(g)
-            profile = tuple(sorted(genus(g, c) for c in comps))
-            key = (len(comps), profile, canonical_form(trial(g)[0]) == form)
-            out[key] = out.get(key, 0) + 1
-        return out
 
 
 def _partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:

@@ -7,7 +7,7 @@ to standard output; files are only written through explicit ``-o``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 The environment variable ``TRIALAB_TOL`` overrides the default numeric
-tolerance.
+tolerance of ``minor`` and ``transform --normalize``.
 """
 
 from __future__ import annotations

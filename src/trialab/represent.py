@@ -17,10 +17,9 @@ passes when any isomorphism aligns the two sides; the class is treated as
 abstract, so the choice of representative carries no meaning.
 
 The canonical family assigns to the i-fold ultraloop stack the i-th tensor
-power of (1, sqrt(2)-1), the fixed vector of the trinity generator.  The
-module also houses the supporting checks used by the verification suites:
-the eigenvector solve, uniqueness of the tensor-power lift, and the
-characterization of maps whose every reduction collapses to ultraloops.
+power of (1, sqrt(2)-1), the fixed vector of the trinity generator, which
+`ultraloop_image` solves as an eigenvector.  The whole-claim sweeps built on
+this checker live in `verify`.
 """
 
 from __future__ import annotations
@@ -33,18 +32,16 @@ from . import binfun
 from .altmap import (
     AlternatingDimap,
     canonical_form,
-    isomorphic,
     isomorphisms,
     k_copies,
     trial,
     ultraloop,
 )
 from .binfun import BinaryFunction, DEFAULT_TOL, proportional, tensor_power
-from .catalog import enumerate_dimaps
 from .errors import NotMinorClosed
-from .minor import take_minor, take_minor_raw, MinorSpec
+from .minor import take_minor_raw
 from .reductions import ALL_KINDS, reduce_edge
-from .transform import OMEGA, ULOOP_RATIO, m_matrix, self_trial, transform
+from .transform import OMEGA, ULOOP_RATIO, m_matrix, transform
 
 
 @dataclass(frozen=True)
@@ -186,162 +183,3 @@ def _aligned(candidate: RepresentationCandidate, target: int, source: Alternatin
         if proportional(lhs, _pullback(fh.values, fh.m, pos_map), tol):
             return True
     return False
-
-
-def unique_tensor_lift_check(k: int, rng=None, tol: float = 1e-9) -> tuple[bool, dict]:
-    """The only function whose every minor is the k-th tensor power of the
-    ultraloop image is the (k+1)-th tensor power.
-
-    Oracle route: the slice factorization for all elements is a linear
-    system in the 2**(k+1) entries; full rank plus the pinned empty-set
-    entry forces a unique solution, compared against the tensor power.
-    Direct route: minors of the tensor power at {1, omega, omega^2} and two
-    random parameters per element all equal the k-th power.  The system
-    encodes equality at just two distinct parameters, so its unique
-    solvability also records that two values suffice.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    base = ultraloop_image()
-    u = tensor_power(base, k)
-    expected = tensor_power(base, k + 1)
-    m = k + 1
-
-    rows = []
-    rhs = []
-    for i in range(m):
-        for gbits in range(2**k):
-            bits = binfun.bits_of_index(gbits, k)
-            for b in (0, 1):
-                row = np.zeros(2**m, dtype=complex)
-                row[binfun.subset_index(binfun.insert_bit(bits, i, b))] += 1.0
-                row[binfun.subset_index(binfun.insert_bit((0,) * k, i, b))] -= u.values[gbits]
-                if np.any(row != 0):
-                    rows.append(row)
-                    rhs.append(0.0)
-    norm_row = np.zeros(2**m, dtype=complex)
-    norm_row[0] = 1.0
-    rows.append(norm_row)
-    rhs.append(1.0)
-    a = np.array(rows)
-    b = np.array(rhs, dtype=complex)
-    rank = int(np.linalg.matrix_rank(a))
-    solution, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.max(np.abs(solution - expected.values)))
-    unique = rank == 2**m
-
-    mus = [1.0 + 0j, OMEGA, OMEGA**2]
-    direct = True
-    for i in range(m):
-        sampled = []
-        while len(sampled) < 2:
-            z = complex(*rng.standard_normal(2))
-            if all(abs(z - w) > 1e-6 for w in sampled):
-                sampled.append(z)
-        for mu in mus + sampled:
-            got = take_minor(expected, MinorSpec(i, mu))
-            if not binfun.allclose(got, u, tol):
-                direct = False
-
-    ok = unique and residual <= tol and direct
-    details = {
-        "rank": rank,
-        "unknowns": 2**m,
-        "residual": residual,
-        "direct_minors_match": direct,
-        "two_values_suffice": unique,
-    }
-    return ok, details
-
-
-def tensor_lift_perturbation_breaks(k: int, tol: float = 1e-9) -> bool:
-    """Perturbing one entry of the tensor power must break some minor equality."""
-    base = ultraloop_image()
-    u = tensor_power(base, k)
-    values = tensor_power(base, k + 1).values.copy()
-    values[-1] += 0.1
-    f = binfun.make(k + 1, values)
-    for i in range(k + 1):
-        for mu in (1.0, OMEGA, OMEGA**2):
-            if not binfun.allclose(take_minor(f, MinorSpec(i, mu)), u, tol):
-                return True
-    return False
-
-
-def ultraloop_funnel_check(k: int) -> tuple[bool, dict]:
-    """Maps on k+1 edges whose every reduction is the k-fold ultraloop stack.
-
-    For k >= 2 the only such map is the (k+1)-fold stack; on two edges all
-    four maps have the property.
-    """
-    target = k_copies(ultraloop(), k)
-    qualifying = []
-    for g in enumerate_dimaps(k + 1).maps:
-        if all(isomorphic(reduce_edge(g, lab, kind), target)
-               for lab in g.labels() for kind in ALL_KINDS):
-            qualifying.append(g)
-    if k == 1:
-        ok = len(qualifying) == len(enumerate_dimaps(2).maps) == 4
-    else:
-        ok = len(qualifying) == 1 and isomorphic(qualifying[0],
-                                                 k_copies(ultraloop(), k + 1))
-    return ok, {"qualifying": len(qualifying)}
-
-
-# Random unit phases checked per class size.
-N_PHASES = 10
-
-
-@dataclass
-class ObstructionWitness:
-    map_index: int
-    reason: str
-
-
-@dataclass
-class MainTheoremReport:
-    classes_pass: dict[int, bool]
-    random_phase_pass: bool
-    obstructions: list[ObstructionWitness]
-
-    @property
-    def passed(self) -> bool:
-        return (all(self.classes_pass.values()) and self.random_phase_pass
-                and len(self.obstructions) == 3)
-
-
-def main_theorem_check(kmax: int = 5, rng=None, tol: float = DEFAULT_TOL) -> MainTheoremReport:
-    """Mechanical verification at desk scale.
-
-    The canonical ultraloop-stack classes admit strict representations for
-    every size up to kmax and for arbitrary unit phases.  Conversely every
-    two-edge map other than the double stack is obstructed: its image is
-    forced to the self-trial tensor square while the map itself is not
-    self-trial.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    classes_pass = {}
-    for k in range(kmax + 1):
-        classes_pass[k] = check_representation(canonical_class(k), tol).passed
-
-    random_ok = True
-    for k in range(kmax + 1):
-        for _ in range(N_PHASES):
-            nu = np.exp(2j * np.pi * rng.random())
-            if not check_representation(canonical_class(k, nu), tol).passed:
-                random_ok = False
-
-    base = ultraloop_image()
-    square = tensor_power(base, 2)
-    double = k_copies(ultraloop(), 2)
-    forced_self_trial = self_trial(square, tol)
-    obstructions = []
-    for idx, g in enumerate(enumerate_dimaps(2).maps):
-        if isomorphic(g, double):
-            continue
-        map_self_trial = isomorphic(trial(g)[0], g)
-        if forced_self_trial and not map_self_trial:
-            obstructions.append(ObstructionWitness(
-                idx, "forced image is self-trial but the map is not"))
-    return MainTheoremReport(classes_pass, random_ok, obstructions)

@@ -9,11 +9,7 @@ from trialab.represent import (
     _pullback,
     canonical_class,
     check_representation,
-    main_theorem_check,
-    tensor_lift_perturbation_breaks,
-    ultraloop_funnel_check,
     ultraloop_image,
-    unique_tensor_lift_check,
 )
 from trialab.transform import ULOOP_RATIO, self_trial
 
@@ -128,37 +124,6 @@ def test_tensor_powers_are_self_trial():
     base = ultraloop_image()
     for k in range(0, 9):
         assert self_trial(binfun.tensor_power(base, k))
-
-
-def test_unique_tensor_lift():
-    rng = np.random.default_rng(22)
-    for k in (1, 2, 3):
-        ok, details = unique_tensor_lift_check(k, rng)
-        assert ok
-        assert details["rank"] == details["unknowns"] == 2 ** (k + 1)
-        assert details["residual"] <= 1e-9
-        assert details["two_values_suffice"]
-
-
-def test_tensor_lift_perturbation():
-    assert tensor_lift_perturbation_breaks(1)
-    assert tensor_lift_perturbation_breaks(2)
-
-
-def test_ultraloop_funnel():
-    ok1, d1 = ultraloop_funnel_check(1)
-    assert ok1 and d1["qualifying"] == 4
-    ok2, d2 = ultraloop_funnel_check(2)
-    assert ok2 and d2["qualifying"] == 1
-    ok3, d3 = ultraloop_funnel_check(3)
-    assert ok3 and d3["qualifying"] == 1
-
-
-def test_main_theorem_report():
-    report = main_theorem_check(5)
-    assert report.passed
-    assert all(report.classes_pass[k] for k in range(6))
-    assert len(report.obstructions) == 3
 
 
 def test_empty_class_passes():

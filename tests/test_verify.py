@@ -2,7 +2,10 @@
 complement oracle matches the pair-by-pair form, and a planted fault in
 the transform still makes it fail.  The commutation check's counterparts
 are in test_minor.py.  A NaN residual anywhere among the samples fails
-each transform check."""
+each transform check.  The claim checks' parts hold on their own: the
+tensor-power lift is unique and breaks under perturbation, the funnel
+finds 4 / 1 / 1 maps on 2 / 3 / 4 edges, and the main theorem fails when
+the forced image is not self-trial."""
 
 import itertools
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from trialab import binfun, verify
+from trialab.altmap import isomorphic, k_copies, ultraloop
 
 
 def _pure_python_complement(values, m):
@@ -109,3 +113,62 @@ def test_a_nan_residual_in_the_middle_fails_hadamard_duality(monkeypatch):
     result = verify.check_hadamard_duality(np.random.default_rng(0))
     assert not result.passed
     assert " nan " in result.details
+
+
+def test_commutation_compares_no_two_element_function(monkeypatch):
+    # At m = 2 both orders end at the dimension-0 unit; the function is
+    # still drawn, so the random stream is unchanged.
+    sizes = []
+
+    def record(f, mus, tol):
+        sizes.append(f.m)
+        return 0, 0
+
+    monkeypatch.setattr(verify, "minors_commute_check", record)
+    verify.check_minor_commutation(np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    drawn = []
+    for _ in range(100):
+        drawn.append(int(rng.integers(2, 7)))
+        verify._random_bf(rng, drawn[-1])
+    assert 2 in drawn
+    assert sizes == [m for m in drawn if m > 2]
+
+
+def test_unique_tensor_lift():
+    rng = np.random.default_rng(22)
+    for k in (1, 2, 3):
+        rank, residual, direct = verify._tensor_lift(k, rng, 1e-9)
+        # Rank equal to the 2**(k+1) unknowns: the system, which compares
+        # minors at two parameters only, has one solution, so two values
+        # suffice.
+        assert rank == 2 ** (k + 1)
+        assert residual <= 1e-9
+        assert direct
+
+
+def test_tensor_lift_perturbation():
+    assert verify._perturbed_lift_breaks(1, 1e-9)
+    assert verify._perturbed_lift_breaks(2, 1e-9)
+
+
+def test_ultraloop_funnel():
+    assert len(verify._funnel(1)) == len(verify._catalog(2).maps) == 4
+    for k in (2, 3):
+        (only,) = verify._funnel(k)
+        assert isomorphic(only, k_copies(ultraloop(), k + 1))
+    assert verify.check_reduction_funnel(np.random.default_rng(0)).passed
+
+
+def test_main_theorem_report():
+    result = verify.check_main_theorem(np.random.default_rng(0))
+    assert result.passed
+    assert "classes 0..5 pass: True" in result.details
+    assert "3 obstruction witnesses" in result.details
+
+
+def test_main_theorem_fails_when_the_forced_image_is_not_self_trial(monkeypatch):
+    monkeypatch.setattr(verify, "self_trial", lambda f, tol: False)
+    result = verify.check_main_theorem(np.random.default_rng(0))
+    assert not result.passed
+    assert "0 obstruction witnesses" in result.details
