@@ -96,12 +96,11 @@ class AlternatingDimap:
         return f"AlternatingDimap[{es} | {vs}]"
 
 
-EMPTY = AlternatingDimap((), ())
-
-
-def ultraloop(label: str = "e0") -> AlternatingDimap:
-    """The one-edge map: a loop forming its own component."""
-    return AlternatingDimap((Edge(label, 0, 1),), ((0, 1),))
+def ultraloop_stack(k: int) -> AlternatingDimap:
+    """k disjoint ultraloops, each a loop forming its own component: edge
+    e<i> has darts (2i, 2i+1) and its own vertex (2i, 2i+1)."""
+    return AlternatingDimap(tuple(Edge(f"e{i}", 2 * i, 2 * i + 1) for i in range(k)),
+                            tuple((2 * i, 2 * i + 1) for i in range(k)))
 
 
 class _View:
@@ -353,45 +352,6 @@ def _require_edge(g: AlternatingDimap, label: str) -> int:
     return pos[label]
 
 
-def left_successor(g: AlternatingDimap, label: str) -> str:
-    """Next edge after e around its anticlockwise face, in e's direction."""
-    view = _view(g)
-    return view.labels[view.ls[_require_edge(g, label)]]
-
-
-def right_successor(g: AlternatingDimap, label: str) -> str:
-    """Next edge after e around its clockwise face, in e's direction."""
-    view = _view(g)
-    return view.labels[view.rs[_require_edge(g, label)]]
-
-
-@dataclass(frozen=True)
-class Face:
-    orientation: str  # "clockwise" or "anticlockwise"
-    edge_labels: tuple[str, ...]
-    darts: tuple[int, ...]  # head darts along the traversal
-
-    def size(self) -> int:
-        return len(self.edge_labels)
-
-
-def faces(g: AlternatingDimap) -> list[Face]:
-    """Anticlockwise faces are the cycles of ls, clockwise faces those of rs."""
-    view = _view(g)
-    # A map made from its pair has head darts 2p + 1, rendered or not.
-    edges = g.__dict__.get("edges")
-    heads = range(1, 2 * len(view.ls), 2) if edges is None else [e.head for e in edges]
-    out = []
-    for perm, name in ((view.ls, "anticlockwise"), (view.rs, "clockwise")):
-        for cyc in _cycles(perm):
-            out.append(Face(
-                name,
-                tuple(view.labels[p] for p in cyc),
-                tuple(heads[p] for p in cyc),
-            ))
-    return out
-
-
 def components(g: AlternatingDimap) -> list[dict]:
     """Connected components, each as {'vertices': set, 'edges': set of positions}."""
     view = _view(g)
@@ -408,10 +368,6 @@ def genus(g: AlternatingDimap, component: dict) -> int:
     """Genus from V - E + F = 2 - 2g for one component."""
     view = _view(g)
     return _genus_of(_euler(view)[_components(view)[min(component["edges"])]])
-
-
-def total_genus(g: AlternatingDimap) -> int:
-    return sum(_genus_of(chi) for chi in _euler(_view(g)))
 
 
 def trial(g: AlternatingDimap) -> tuple[AlternatingDimap, dict[str, str]]:
@@ -619,44 +575,6 @@ def isomorphisms(g: AlternatingDimap, h: AlternatingDimap) -> Iterator[dict[str,
             # Equal encodings agree on is-head at every rank, and ranks are
             # distinct, so tails go to distinct tails.
             yield {lab: hv.labels[dart_map[2 * p] >> 1] for p, lab in enumerate(gv.labels)}
-
-
-def find_isomorphism(g: AlternatingDimap, h: AlternatingDimap) -> dict[str, str] | None:
-    return next(isomorphisms(g, h), None)
-
-
-# ---------------------------------------------------------------------------
-# Assembly
-
-def relabel_darts(g: AlternatingDimap, offset: int) -> AlternatingDimap:
-    return AlternatingDimap(
-        tuple(Edge(e.label, e.tail + offset, e.head + offset) for e in g.edges),
-        tuple(tuple(d + offset for d in rot) for rot in g.rotations),
-    )
-
-
-def disjoint_union(g: AlternatingDimap, h: AlternatingDimap) -> AlternatingDimap:
-    """Components side by side; clashing labels in h get a ~n suffix."""
-    offset = max((d for rot in g.rotations for d in rot), default=-1) + 1
-    h2 = relabel_darts(h, offset)
-    taken = set(g.labels())
-    renamed = []
-    for e in h2.edges:
-        label = e.label
-        n = 2
-        while label in taken:
-            label = f"{e.label}~{n}"
-            n += 1
-        taken.add(label)
-        renamed.append(Edge(label, e.tail, e.head))
-    return AlternatingDimap(g.edges + tuple(renamed), g.rotations + h2.rotations)
-
-
-def k_copies(g: AlternatingDimap, k: int) -> AlternatingDimap:
-    out = EMPTY
-    for _ in range(k):
-        out = disjoint_union(out, g)
-    return out
 
 
 # ---------------------------------------------------------------------------

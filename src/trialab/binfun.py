@@ -18,12 +18,13 @@ On-disk format (UTF-8 text)::
 
 ``#`` starts a comment line, and every value must be finite.  The writer
 emits 17 significant digits so round trips are lossless for doubles.  The
-same container also stores raw (unnormalized) vectors; only
-:func:`read_binary_function` enforces the empty-set constraint on load.
+container stores raw vectors: the empty-set constraint is not checked on
+load, and :func:`normalize` is the one way to restore it.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -36,6 +37,7 @@ from .errors import (
     FileFormatError,
     IndexOutOfRange,
     NonFiniteValue,
+    NormalizationError,
     WrongLength,
 )
 
@@ -49,17 +51,12 @@ DOT_CHUNK = 8192
 WRITE_ROWS = 8192  # rows per formatting operation in write_vector
 
 
-def default_labels(m: int) -> tuple[str, ...]:
-    return tuple(f"e{i}" for i in range(m))
-
-
 @dataclass(frozen=True, eq=False)
 class BinaryFunction:
     """Immutable 2**m complex vector with empty-set entry exactly 1."""
 
     m: int
     values: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         self.values.flags.writeable = False
@@ -96,8 +93,7 @@ def as_values(x) -> tuple[int, np.ndarray]:
     return m, v
 
 
-def make(m: int, values, labels: Sequence[str] | None = None,
-         tol: float = DEFAULT_TOL) -> BinaryFunction:
+def make(m: int, values, tol: float = DEFAULT_TOL) -> BinaryFunction:
     """Build a binary function from a copy of values, rejecting vectors whose
     empty-set entry is not 1 and vectors with a NaN or infinite entry.
 
@@ -110,24 +106,38 @@ def make(m: int, values, labels: Sequence[str] | None = None,
         raise WrongLength("dimension must be non-negative")
     if v.shape != (2**m,):
         raise WrongLength(f"need 2**{m} = {2**m} values, got {v.shape}")
-    f = _adopt(m, v, labels, tol)
+    f = _adopt(m, v, tol)
     if not np.isfinite(v).all():
         bad = np.flatnonzero(~np.isfinite(v))[0]
         raise NonFiniteValue(f"non-finite value {v[bad]} at index {bad}")
     return f
 
 
-def _adopt(m: int, v: np.ndarray, labels: Sequence[str] | None,
-           tol: float) -> BinaryFunction:
+def _adopt(m: int, v: np.ndarray, tol: float) -> BinaryFunction:
     """Wrap a fresh length-2**m array that the caller hands over, without a
     copy or a finiteness scan; only the empty-set entry is checked and snapped."""
     if not (np.isfinite(v[0]) and abs(v[0] - 1.0) <= tol):
         raise EmptySetNotOne(f"empty-set entry {v[0]} differs from 1 by more than {tol}")
     v[0] = 1.0
-    lab = default_labels(m) if labels is None else tuple(labels)
-    if len(lab) != m:
-        raise WrongLength(f"need {m} labels, got {len(lab)}")
-    return BinaryFunction(m, v, lab)
+    return BinaryFunction(m, v)
+
+
+def normalize(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Divide a writable vector in place by its empty-set entry and set that
+    entry to exactly 1, since c / c need not round to 1; returns v.
+
+    NonFiniteValue when the entry is NaN or infinite, since snapping it to 1
+    would hide that; NormalizationError when it is below tol in magnitude:
+    the vector is then a binary function only projectively.
+    """
+    c = v[0]
+    if not cmath.isfinite(c):
+        raise NonFiniteValue(f"empty-set entry {c} is not finite; cannot normalize")
+    if abs(c) < tol:
+        raise NormalizationError(f"empty-set entry {c} below {tol}; cannot normalize")
+    v /= c
+    v[0] = 1.0
+    return v
 
 
 def subset_index(bits: Iterable[int]) -> int:
@@ -201,7 +211,7 @@ def allclose(a, b, tol: float = DEFAULT_TOL) -> bool:
 
 def tensor(f: BinaryFunction, g: BinaryFunction) -> BinaryFunction:
     """Tensor product: value on (X, Y) is f(X) * g(Y); dimensions add."""
-    return _adopt(f.m + g.m, np.kron(f.values, g.values), None, np.inf)
+    return _adopt(f.m + g.m, np.kron(f.values, g.values), np.inf)
 
 
 def tensor_power(f: BinaryFunction, k: int) -> BinaryFunction:
@@ -240,7 +250,7 @@ def gf2_span(basis: Sequence[int]) -> list[int]:
     return members
 
 
-def rowspace_indicator(matrix, labels: Sequence[str] | None = None) -> BinaryFunction:
+def rowspace_indicator(matrix) -> BinaryFunction:
     """Indicator of the GF(2) rowspace of a 0/1 matrix with m columns."""
     n = np.asarray(matrix, dtype=int) % 2
     if n.ndim != 2:
@@ -250,7 +260,7 @@ def rowspace_indicator(matrix, labels: Sequence[str] | None = None) -> BinaryFun
     values = np.zeros(2**m, dtype=complex)
     for member in gf2_span(gf2_basis(masks)):
         values[member] = 1.0
-    return make(m, values, labels=labels)
+    return make(m, values)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +321,3 @@ def read_vector(path) -> RawVector:
     if bad.size:
         raise FileFormatError(f"{path}: non-finite value at index {bad[0]}")
     return RawVector(m, values)
-
-
-def read_binary_function(path, tol: float = DEFAULT_TOL) -> BinaryFunction:
-    """Strict load: rejects files whose empty-set entry is not 1."""
-    raw = read_vector(path)
-    return make(raw.m, raw.values, tol=tol)
-
-
-def write_binary_function(path, f: BinaryFunction) -> None:
-    write_vector(path, f.m, f.values)

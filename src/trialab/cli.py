@@ -70,15 +70,13 @@ def tolerance() -> float:
 def _cmd_transform(args) -> int:
     raw = binfun.read_vector(args.input)
     mu = parse_mu(args.mu)
-    # A finite input may overflow; write_vector refuses the non-finite
-    # result, so numpy's own warnings would only repeat that error.
+    # A finite input may overflow; normalize and write_vector refuse the
+    # non-finite result, so numpy's own warnings would only repeat that error.
     with np.errstate(over="ignore", invalid="ignore"):
         out = inverse_transform(raw, mu) if args.inverse else transform(raw, mu)
         values = out.values
         if args.normalize:
-            if abs(values[0]) < tolerance():
-                raise TrialabError("empty-set entry too small to normalize")
-            values = values / values[0]
+            values = binfun.normalize(values.copy(), tolerance())
     binfun.write_vector(args.output, out.m, values)
     return 0
 
@@ -88,15 +86,8 @@ def _cmd_minor(args) -> int:
     mu = parse_mu(args.mu)
     if not 0 <= args.element < raw.m:
         raise TrialabError(f"element {args.element} outside 0..{raw.m - 1}")
-    reduced = take_minor_raw(raw, args.element, mu)
-    tol = tolerance()
-    c = complex(reduced[0])
-    if abs(c) < tol:
-        raise TrialabError(
-            f"minor exists only projectively (empty-set entry below {tol})")
-    # c / c need not round to 1; as in take_minor, the entry is set to 1.
-    reduced /= c
-    reduced[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _cmd_transform
+        reduced = binfun.normalize(take_minor_raw(raw, args.element, mu), tolerance())
     binfun.write_vector(args.output, raw.m - 1, reduced)
     return 0
 

@@ -33,9 +33,9 @@ import numpy as np
 from .binfun import (
     BinaryFunction,
     DEFAULT_TOL,
-    _adopt,
     allclose,
     as_values,
+    normalize,
     proportional,
 )
 from .errors import IndexOutOfRange, NormalizationError, PoleError
@@ -85,15 +85,9 @@ def take_minor_raw(f, i: int, mu: complex) -> np.ndarray:
 
 def take_minor(f: BinaryFunction, spec: MinorSpec,
                tol: float = DEFAULT_TOL) -> BinaryFunction:
-    """Normalized minor; NormalizationError when it exists only projectively."""
-    raw = take_minor_raw(f, spec.element, spec.mu)
-    c = raw[0]
-    if abs(c) < tol:
-        raise NormalizationError(
-            f"raw empty-set entry {c} below {tol} for element {spec.element}, mu {spec.mu}")
-    raw /= c
-    labels = f.labels[: spec.element] + f.labels[spec.element + 1:]
-    return _adopt(f.m - 1, raw, labels, np.inf)
+    """Normalized minor; NormalizationError when it exists only projectively,
+    NonFiniteValue when its raw empty-set entry is NaN or infinite."""
+    return BinaryFunction(f.m - 1, normalize(take_minor_raw(f, spec.element, spec.mu), tol))
 
 
 def minors_commute_check(f: BinaryFunction, mus, tol: float = DEFAULT_TOL) -> tuple[int, int]:

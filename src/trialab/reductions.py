@@ -52,10 +52,6 @@ class ReductionKind(enum.Enum):
         return ReductionKind((self.value + other.value) % 3)
 
     @property
-    def inverse(self) -> "ReductionKind":
-        return ReductionKind((-self.value) % 3)
-
-    @property
     def complex_value(self) -> complex:
         return (1.0 + 0j, OMEGA, OMEGA2)[self.value]
 

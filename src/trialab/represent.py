@@ -33,9 +33,8 @@ from .altmap import (
     AlternatingDimap,
     canonical_form,
     isomorphisms,
-    k_copies,
     trial,
-    ultraloop,
+    ultraloop_stack,
 )
 from .binfun import BinaryFunction, DEFAULT_TOL, proportional, tensor_power
 from .errors import NotMinorClosed
@@ -98,10 +97,10 @@ def canonical_class(k: int, nu: complex = 1.0) -> RepresentationCandidate:
     images = []
     edge_maps = []
     for i in range(k + 1):
-        g = k_copies(ultraloop(), i)
+        g = ultraloop_stack(i)
         members.append(g)
         images.append(tensor_power(base, i))
-        edge_maps.append({lab: pos for pos, lab in enumerate(sorted(g.labels()))})
+        edge_maps.append({lab: pos for pos, lab in enumerate(g.labels())})
     return RepresentationCandidate(tuple(members), tuple(images),
                                    tuple(edge_maps), complex(nu))
 

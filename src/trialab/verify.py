@@ -25,11 +25,10 @@ from . import binfun
 from .altmap import (
     classify_edge,
     isomorphic,
-    k_copies,
     labeled_equal,
     trial,
     trial_power,
-    ultraloop,
+    ultraloop_stack,
 )
 from .catalog import enumerate_dimaps, random_dimap, self_trial_members
 from .errors import NormalizationError
@@ -283,12 +282,8 @@ def _plant_degenerate_element(rng, m, i):
     u = _random_bf(rng, m - 1)
     c = complex(*rng.standard_normal(2))
     g = binfun.tensor(binfun.make(1, [1.0, c]), u)
-    perm = list(range(1, i + 1)) + [0] + list(range(i + 1, m))
-    vals = np.empty(2**m, dtype=complex)
-    for x in range(2**m):
-        bits = binfun.bits_of_index(x, m)
-        vals[x] = g.values[binfun.subset_index(tuple(bits[p] for p in perm))]
-    return binfun.make(m, vals)
+    # g's element 0 is degenerate; move its index axis to position i.
+    return binfun.make(m, np.moveaxis(g.values.reshape((2,) * m), 0, i).reshape(-1))
 
 
 def check_degeneracy_mu_independence(rng, tol=1e-7) -> CheckResult:
@@ -346,7 +341,7 @@ def check_enumeration_counts(rng, kmax=4) -> CheckResult:
 
 def check_self_trial_two_edges(rng) -> CheckResult:
     members = self_trial_members(_catalog(2))
-    ok = len(members) == 1 and isomorphic(members[0], k_copies(ultraloop(), 2))
+    ok = len(members) == 1 and isomorphic(members[0], ultraloop_stack(2))
     return CheckResult("dimaps", "self-trial-two-edges", ok,
                        f"{len(members)} self-trial map(s) on two edges")
 
@@ -420,7 +415,7 @@ def check_noncommutation_witness(rng) -> CheckResult:
 
 def _funnel(k: int) -> list:
     """The maps on k+1 edges whose every reduction is the k-fold ultraloop stack."""
-    target = k_copies(ultraloop(), k)
+    target = ultraloop_stack(k)
     return [g for g in _catalog(k + 1).maps
             if all(isomorphic(reduce_edge(g, lab, kind), target)
                    for lab in g.labels() for kind in ALL_KINDS)]
@@ -431,7 +426,7 @@ def check_reduction_funnel(rng) -> CheckResult:
     # edges the triple stack is the one map reducing to the double stack.
     two, three = _funnel(1), _funnel(2)
     ok = (len(two) == len(_catalog(2).maps) == 4 and len(three) == 1
-          and isomorphic(three[0], k_copies(ultraloop(), 3)))
+          and isomorphic(three[0], ultraloop_stack(3)))
     return CheckResult("claims", "reduction-funnel", ok,
                        f"two edges: {len(two)}/4 qualify; "
                        f"three edges: {len(three)} qualifying map(s)")
@@ -527,7 +522,7 @@ def check_main_theorem(rng, tol=1e-9) -> CheckResult:
                  for k in range(6) for _ in range(N_PHASES))
     obstructions = 0
     if self_trial(binfun.tensor_power(ultraloop_image(), 2), tol):
-        double = k_copies(ultraloop(), 2)
+        double = ultraloop_stack(2)
         obstructions = sum(not isomorphic(g, double) and not isomorphic(trial(g)[0], g)
                            for g in _catalog(2).maps)
     return CheckResult(

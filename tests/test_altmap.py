@@ -3,35 +3,29 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trialab.altmap import (
-    EMPTY,
     AlternatingDimap,
     Edge,
+    _cycles,
+    _view,
     canonical_form,
     classify_edge,
     components,
-    disjoint_union,
-    faces,
-    find_isomorphism,
     genus,
     is_valid,
     isomorphic,
     isomorphisms,
-    k_copies,
     labeled_equal,
-    left_successor,
     read_dimap,
-    right_successor,
-    total_genus,
     trial,
     trial_power,
-    ultraloop,
+    ultraloop_stack,
     validate,
     write_dimap,
 )
 from trialab.catalog import enumerate_dimaps, random_dimap
 from trialab.errors import FileFormatError, InvalidMap, TrialabError, UnknownEdge
 
-C1 = ultraloop()
+C1 = ultraloop_stack(1)
 # One vertex, two loops, loop darts adjacent: both edges bound clockwise
 # size-1 faces.
 TWO_CW_LOOPS = AlternatingDimap((Edge("e0", 0, 1), Edge("e1", 2, 3)), ((0, 1, 2, 3),))
@@ -45,7 +39,7 @@ TORUS3 = AlternatingDimap(
 
 
 def test_validate_accepts_hand_maps():
-    for g in (EMPTY, C1, TWO_CW_LOOPS, TWO_ACW_LOOPS, DIGON, TORUS3):
+    for g in (ultraloop_stack(0), C1, TWO_CW_LOOPS, TWO_ACW_LOOPS, DIGON, TORUS3):
         assert validate(g) == []
 
 
@@ -62,50 +56,58 @@ def test_validate_rejects_structural_problems():
     assert validate(AlternatingDimap((Edge("e0", 0, 1),), ((0, 1, 2),)))
 
 
+def n_faces(g):
+    """Anticlockwise faces are the cycles of ls, clockwise faces those of rs."""
+    view = _view(g)
+    return len(_cycles(view.ls)) + len(_cycles(view.rs))
+
+
+def total_genus(g):
+    return sum(genus(g, c) for c in components(g))
+
+
 def test_faces_of_ultraloop():
-    fs = faces(C1)
-    assert sorted((f.orientation, f.size()) for f in fs) == [
-        ("anticlockwise", 1), ("clockwise", 1)]
+    view = _view(C1)
+    assert [len(c) for c in _cycles(view.ls)] == [1]
+    assert [len(c) for c in _cycles(view.rs)] == [1]
 
 
 def test_faces_of_copies_add():
-    fs = faces(k_copies(C1, 3))
-    assert len(fs) == 6
+    assert n_faces(ultraloop_stack(3)) == 6
 
 
 def test_face_classes_two_color_shared_edges():
+    # Every edge lies on exactly one anticlockwise and one clockwise face.
     for g in (C1, TWO_CW_LOOPS, TWO_ACW_LOOPS, DIGON, TORUS3):
-        by_label = {}
-        for f in faces(g):
-            for lab in f.edge_labels:
-                by_label.setdefault(lab, []).append(f.orientation)
-        for orientations in by_label.values():
-            assert sorted(orientations) == ["anticlockwise", "clockwise"]
+        view = _view(g)
+        for perm in (view.ls, view.rs):
+            assert sorted(p for cyc in _cycles(perm) for p in cyc) == list(range(g.n_edges()))
 
 
 def test_successors_on_ultraloop():
-    assert left_successor(C1, "e0") == "e0"
-    assert right_successor(C1, "e0") == "e0"
+    # The loop is its own successor around both of its faces.
+    assert _view(C1).ls == [0]
+    assert _view(C1).rs == [0]
 
 
 def test_successors_follow_faces():
-    # In the two-anticlockwise-loop map each loop is its own left face.
-    assert left_successor(TWO_ACW_LOOPS, "e0") == "e0"
-    assert right_successor(TWO_ACW_LOOPS, "e0") == "e1"
+    # Successors are edge positions: e0 is 0, e1 is 1.  In the
+    # two-anticlockwise-loop map each loop is its own left face.
+    assert _view(TWO_ACW_LOOPS).ls[0] == 0
+    assert _view(TWO_ACW_LOOPS).rs[0] == 1
     # Two-edge anticlockwise face on the mirror map.
-    assert left_successor(TWO_CW_LOOPS, "e0") == "e1"
-    assert left_successor(TWO_CW_LOOPS, "e1") == "e0"
+    assert _view(TWO_CW_LOOPS).ls == [1, 0]
 
 
-def test_successor_unknown_edge():
+def test_classify_unknown_edge():
     with pytest.raises(UnknownEdge):
-        left_successor(C1, "nope")
+        classify_edge(C1, "nope")
 
 
 def test_components_and_genus():
     assert len(components(C1)) == 1
     assert total_genus(C1) == 0
-    g3 = k_copies(C1, 3)
+    g3 = ultraloop_stack(3)
     assert len(components(g3)) == 3
     assert total_genus(g3) == 0
 
@@ -114,13 +116,13 @@ def test_one_vertex_two_loop_maps_are_spherical():
     # Alternation forces the two loops into nested position, so both
     # arrangements trace three faces: V - E + F = 1 - 2 + 3 = 2.
     for g in (TWO_CW_LOOPS, TWO_ACW_LOOPS):
-        assert len(faces(g)) == 3
+        assert n_faces(g) == 3
         assert total_genus(g) == 0
 
 
 def test_smallest_genus_one_map():
     # Face tracing gives V=1, E=3, F=2, hence genus 1.
-    assert len(faces(TORUS3)) == 2
+    assert n_faces(TORUS3) == 2
     assert total_genus(TORUS3) == 1
 
 
@@ -232,7 +234,7 @@ def test_trial_of_ultraloop_is_itself():
 
 
 def test_trial_of_copies_is_componentwise():
-    g = k_copies(C1, 3)
+    g = ultraloop_stack(3)
     assert isomorphic(trial(g)[0], g)
 
 
@@ -275,11 +277,11 @@ def test_classify_proper_omega_loop():
 def test_labeled_equal_is_dart_renaming_invariant():
     renamed = AlternatingDimap((Edge("e0", 10, 11),), ((10, 11),))
     assert labeled_equal(C1, renamed)
-    assert not labeled_equal(C1, k_copies(C1, 2))
+    assert not labeled_equal(C1, ultraloop_stack(2))
 
 
 def test_canonical_form_separates_the_four_two_edge_maps():
-    four = [k_copies(C1, 2), TWO_CW_LOOPS, TWO_ACW_LOOPS, DIGON]
+    four = [ultraloop_stack(2), TWO_CW_LOOPS, TWO_ACW_LOOPS, DIGON]
     assert len({canonical_form(g) for g in four}) == 4
 
 
@@ -287,7 +289,7 @@ def test_isomorphic_ignores_labels():
     relabeled = AlternatingDimap((Edge("x", 0, 1), Edge("y", 2, 3)), ((0, 3), (1, 2)))
     assert isomorphic(DIGON, relabeled)
     assert not labeled_equal(DIGON, relabeled)
-    iso = find_isomorphism(DIGON, relabeled)
+    iso = next(isomorphisms(DIGON, relabeled), None)
     assert iso is not None and sorted(iso.values()) == ["x", "y"]
 
 
@@ -300,13 +302,15 @@ def test_isomorphisms_include_automorphisms():
     }
 
 
-def test_disjoint_union_identity_and_labels():
-    assert labeled_equal(disjoint_union(C1, EMPTY), C1)
-    two = disjoint_union(C1, C1)
-    assert sorted(two.labels()) == ["e0", "e0~2"]
-    assert k_copies(C1, 0).n_edges() == 0
-    assert k_copies(C1, 3).n_edges() == 3
-    assert len(components(k_copies(C1, 3))) == 3
+def test_ultraloop_stack_edges_and_components():
+    assert ultraloop_stack(0).n_edges() == 0
+    three = ultraloop_stack(3)
+    assert three.n_edges() == 3
+    assert len(components(three)) == 3
+    # Edge e<i> owns darts (2i, 2i+1) and the vertex they form.
+    assert three.edges == (Edge("e0", 0, 1), Edge("e1", 2, 3), Edge("e2", 4, 5))
+    assert three.rotations == ((0, 1), (2, 3), (4, 5))
+    assert all(classify_edge(three, lab).is_ultraloop for lab in three.labels())
 
 
 def test_dimap_file_roundtrip(tmp_path):
@@ -384,10 +388,8 @@ def test_dimap_file_fuzz_raises_only_trialab_errors(tmp_path, k, seed, edits):
     assert validate(g) == []
 
 
-def test_validate_passes_on_trial_and_union_outputs():
+def test_validate_passes_on_trial_outputs():
     rng = np.random.default_rng(1)
-    from trialab.catalog import random_dimap
     for _ in range(20):
         g = random_dimap(int(rng.integers(1, 5)), rng)
         assert is_valid(trial(g)[0])
-        assert is_valid(disjoint_union(g, C1))

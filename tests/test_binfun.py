@@ -51,8 +51,6 @@ def test_make_and_read_vector_reject_non_finite_entries(tmp_path, bad):
         path.write_text(f"bf {m}\n" + "\n".join(lines) + "\n")
         with pytest.raises(FileFormatError, match=f"index {pos}$"):
             binfun.read_vector(path)
-        with pytest.raises(FileFormatError, match=f"index {pos}$"):
-            binfun.read_binary_function(path)
 
 
 def test_make_rejects_wrong_length():
@@ -65,9 +63,7 @@ def make_normalized(m, values, tol=binfun.DEFAULT_TOL):
     v = np.array(values, dtype=complex)
     if v.shape != (2**m,):
         raise WrongLength(f"need 2**{m} = {2**m} values, got {v.shape}")
-    if abs(v[0]) < tol:
-        raise NormalizationError(f"empty-set entry {v[0]} below {tol}; cannot normalize")
-    return binfun.make(m, v / v[0], tol=np.inf)
+    return binfun.make(m, binfun.normalize(v, tol), tol=0.0)
 
 
 def test_make_normalized_divides_through():
@@ -79,6 +75,19 @@ def test_make_normalized_divides_through():
 def test_make_normalized_rejects_tiny_entry():
     with pytest.raises(NormalizationError):
         make_normalized(1, [1e-12, 1.0])
+
+
+def test_normalize_is_in_place_exact_and_finite():
+    # For this seed v / v[0] leaves 1 + 6.1e-17j in the empty-set slot.
+    v = np.random.default_rng(5).standard_normal(16).view(complex)
+    expected = v / v[0]
+    out = binfun.normalize(v)
+    assert out is v and v[0] == 1.0
+    assert v[1:].tobytes() == expected[1:].tobytes()
+    # A non-finite entry is refused, not divided through and snapped to 1.
+    for bad in (np.inf, np.nan, complex(1.0, -np.inf)):
+        with pytest.raises(NonFiniteValue):
+            binfun.normalize(np.array([bad, 2.0], dtype=complex))
 
 
 def test_subset_index_examples():
@@ -279,13 +288,13 @@ def test_file_roundtrip(tmp_path):
     v[0] = 1.0
     f = binfun.make(3, v)
     path = tmp_path / "f.bf"
-    binfun.write_binary_function(path, f)
-    g = binfun.read_binary_function(path)
+    binfun.write_vector(path, f.m, f.values)
+    g = binfun.read_vector(path)
     assert g.m == 3
     assert binfun.allclose(f, g, 0.0)
     # Second roundtrip is byte-identical.
     path2 = tmp_path / "g.bf"
-    binfun.write_binary_function(path2, g)
+    binfun.write_vector(path2, g.m, g.values)
     assert path.read_text() == path2.read_text()
 
 
@@ -299,11 +308,6 @@ def test_file_comments_and_errors(tmp_path):
     bad.write_text("bf 1\n1 1 0\n0 0.5 0\n")
     with pytest.raises(FileFormatError):
         binfun.read_vector(bad)
-
-    raw_file = tmp_path / "raw.bf"
-    raw_file.write_text("bf 1\n0 2 0\n1 0.5 0\n")
-    with pytest.raises(EmptySetNotOne):
-        binfun.read_binary_function(raw_file)
 
     for line in ("1 nan 0", "1 0.5 inf", "1 -inf 0"):
         non_finite = tmp_path / "non_finite.bf"

@@ -6,13 +6,13 @@ from trialab.altmap import (
     isomorphic,
     labeled_equal,
     read_dimap,
-    ultraloop,
+    ultraloop_stack,
     write_dimap,
 )
 from trialab.cli import format_mu, main, parse_mu
 from trialab.errors import TrialabError
 from trialab.minor import MinorSpec, take_minor
-from trialab.transform import OMEGA, OMEGA2, ULOOP_RATIO
+from trialab.transform import OMEGA, OMEGA2, ULOOP_RATIO, transform
 
 
 def test_parse_mu_tokens():
@@ -42,7 +42,7 @@ def test_mu_parse_print_roundtrip():
 
 def _write_c1(tmp_path):
     path = tmp_path / "c1.bf"
-    binfun.write_binary_function(path, binfun.make(1, [1.0, ULOOP_RATIO]))
+    binfun.write_vector(path, 1, [1.0, ULOOP_RATIO])
     return path
 
 
@@ -80,7 +80,7 @@ def test_cli_inverse_at_zero_fails(tmp_path):
 def test_cli_transform_hadamard_duality(tmp_path):
     # Cutset indicator of the digon maps to the circuit indicator.
     src = tmp_path / "digon.bf"
-    binfun.write_binary_function(src, binfun.make(2, [1, 0, 0, 1]))
+    binfun.write_vector(src, 2, [1, 0, 0, 1])
     out = tmp_path / "out.bf"
     assert main(["transform", str(src), "--mu", "-1", "-o", str(out)]) == 0
     raw = binfun.read_vector(out)
@@ -89,14 +89,14 @@ def test_cli_transform_hadamard_duality(tmp_path):
 
 def test_cli_minor(tmp_path):
     src = tmp_path / "digon.bf"
-    binfun.write_binary_function(src, binfun.make(2, [1, 0, 0, 1]))
+    binfun.write_vector(src, 2, [1, 0, 0, 1])
     out = tmp_path / "out.bf"
     assert main(["minor", str(src), "--mu", "1", "--element", "1",
                  "-o", str(out)]) == 0
     assert np.allclose(binfun.read_vector(out).values, [1.0, 1.0])
 
     coloop = tmp_path / "coloop.bf"
-    binfun.write_binary_function(coloop, binfun.make(1, [1, 1]))
+    binfun.write_vector(coloop, 1, [1, 1])
     out0 = tmp_path / "out0.bf"
     assert main(["minor", str(coloop), "--mu", "-1", "--element", "0",
                  "-o", str(out0)]) == 0
@@ -110,7 +110,7 @@ def test_cli_minor_writes_an_exact_empty_set_entry(tmp_path):
     v[0] = 1.0
     f = binfun.make(3, v)
     src = tmp_path / "f.bf"
-    binfun.write_binary_function(src, f)
+    binfun.write_vector(src, 3, f.values)
     out = tmp_path / "minor.bf"
     assert main(["minor", str(src), "--mu", "w", "--element", "0", "-o", str(out)]) == 0
     assert out.read_text().splitlines()[1] == "0 1 0"
@@ -118,9 +118,29 @@ def test_cli_minor_writes_an_exact_empty_set_entry(tmp_path):
     assert binfun.read_vector(out).values.tobytes() == expected.tobytes()
 
 
+def test_cli_transform_normalize_writes_an_exact_empty_set_entry(tmp_path, monkeypatch):
+    # For this seed, values / values[0] leaves 0.99999999999999989 in the
+    # empty-set slot; --normalize must write exactly 1, as minor does.
+    v = np.random.default_rng(3).standard_normal(16).view(complex)
+    v[0] = 1.0
+    src = tmp_path / "f.bf"
+    binfun.write_vector(src, 3, v)
+    out = tmp_path / "t.bf"
+    assert main(["transform", str(src), "--mu", "w", "--normalize", "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "0 1 0"
+    raw = transform(v, OMEGA).values
+    expected = raw / raw[0]
+    assert binfun.read_vector(out).values[1:].tobytes() == expected[1:].tobytes()
+    # An entry below the tolerance is a usage error, and nothing is written.
+    monkeypatch.setenv("TRIALAB_TOL", "1e6")
+    again = tmp_path / "again.bf"
+    assert main(["transform", str(src), "--mu", "w", "--normalize", "-o", str(again)]) == 2
+    assert not again.exists()
+
+
 def test_cli_minor_pole_is_a_usage_error(tmp_path):
     src = tmp_path / "digon.bf"
-    binfun.write_binary_function(src, binfun.make(2, [1, 0, 0, 1]))
+    binfun.write_vector(src, 2, [1, 0, 0, 1])
     out = tmp_path / "out.bf"
     rc = main(["minor", str(src), "--mu", "5.828427124746190+0i",
                "--element", "0", "-o", str(out)])
@@ -147,6 +167,18 @@ def test_cli_refuses_to_write_non_finite_output(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_cli_minor_refuses_an_overflowed_empty_set_entry(tmp_path, capsys):
+    # The raw empty-set entry 1e308 + 1e308 overflows to inf while the rest
+    # stays finite; dividing through would write the bogus minor (1, 0).
+    src = tmp_path / "big.bf"
+    src.write_text("bf 2\n0 1e308 0\n1 1 0\n2 1e308 0\n3 1 0\n")
+    out = tmp_path / "out.bf"
+    assert main(["minor", str(src), "--mu", "1", "--element", "0", "-o", str(out)]) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_cli_rejects_non_finite_mu(tmp_path):
     src = _write_c1(tmp_path)
     out = tmp_path / "out.bf"
@@ -159,7 +191,7 @@ def test_cli_rejects_non_finite_mu(tmp_path):
 
 def test_cli_dimap_validate_reduce_trial(tmp_path, capsys):
     src = tmp_path / "c1.adm"
-    write_dimap(src, ultraloop())
+    write_dimap(src, ultraloop_stack(1))
     assert main(["dimap", "validate", str(src)]) == 0
 
     out = tmp_path / "reduced.adm"
@@ -173,7 +205,7 @@ def test_cli_dimap_validate_reduce_trial(tmp_path, capsys):
         nxt = tmp_path / f"t{step}.adm"
         assert main(["dimap", "trial", str(current), "-o", str(nxt)]) == 0
         current = nxt
-    assert labeled_equal(read_dimap(current), ultraloop())
+    assert labeled_equal(read_dimap(current), ultraloop_stack(1))
     capsys.readouterr()
 
 
@@ -199,7 +231,7 @@ def test_cli_dimap_catalog(tmp_path, capsys):
     files = sorted(p.name for p in outdir.iterdir())
     assert len(files) == 4
     maps = [read_dimap(outdir / name) for name in files]
-    assert sum(isomorphic(g, ultraloop()) for g in maps) == 0
+    assert sum(isomorphic(g, ultraloop_stack(1)) for g in maps) == 0
     stdout = capsys.readouterr().out
     assert "4 maps" in stdout
 
@@ -215,7 +247,7 @@ def test_cli_dimap_catalog_genus_profiles_sorted(tmp_path, capsys):
 
 def test_cli_dimap_classify(tmp_path, capsys):
     src = tmp_path / "c1.adm"
-    write_dimap(src, ultraloop())
+    write_dimap(src, ultraloop_stack(1))
     assert main(["dimap", "classify", str(src)]) == 0
     stdout = capsys.readouterr().out
     assert "is_ultraloop" in stdout and "is_triloop" in stdout
@@ -244,7 +276,7 @@ def test_cli_verify_seed_reproducible(capsys):
 
 def test_tolerance_env_override(tmp_path, monkeypatch):
     src = tmp_path / "f.bf"
-    binfun.write_binary_function(src, binfun.make(1, [1.0, -1.0]))
+    binfun.write_vector(src, 1, [1.0, -1.0])
     out = tmp_path / "out.bf"
     # lambda(1) = 1 makes the raw empty-set entry vanish; a huge tolerance
     # via the environment makes even healthy minors fail normalization.
@@ -258,7 +290,7 @@ def test_tolerance_env_override(tmp_path, monkeypatch):
 
 def test_tolerance_env_bad_value(tmp_path, monkeypatch):
     src = tmp_path / "f.bf"
-    binfun.write_binary_function(src, binfun.make(1, [1.0, 0.5]))
+    binfun.write_vector(src, 1, [1.0, 0.5])
     out = tmp_path / "out.bf"
     monkeypatch.setenv("TRIALAB_TOL", "not-a-number")
     assert main(["minor", str(src), "--mu", "1", "--element", "0",

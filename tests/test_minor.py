@@ -88,11 +88,6 @@ def test_minor_pole_and_normalization_errors():
         take_minor(f, MinorSpec(0, 1.0))
 
 
-def test_minor_keeps_remaining_labels():
-    g = take_minor(DIGON, MinorSpec(0, 1.0))
-    assert g.labels == ("e1",)
-
-
 def test_minors_commute_on_random_inputs():
     # Each draw's pair (i, mu_i), (j, mu_j) is one of the C(m, 2) * 4 pairs
     # that the check compares at mus = [mu_i, mu_j]; none may be skipped.
@@ -184,7 +179,7 @@ def perturb_element_zero(take_minor):
             return g
         v = g.values.copy()
         v[1:] += 1e-6
-        return binfun.make(g.m, v, labels=g.labels)
+        return binfun.make(g.m, v)
     return perturbed
 
 
@@ -410,8 +405,7 @@ def _slice_copy_minor(f, i, mu):
     w = f.values.reshape(2**i, 2, -1)
     a, b = w[:, 0, :].reshape(-1), w[:, 1, :].reshape(-1)
     raw = a + lambda_mu(mu) * b
-    labels = f.labels[:i] + f.labels[i + 1:]
-    return raw, binfun.make(f.m - 1, raw / raw[0], labels=labels, tol=np.inf)
+    return raw, binfun.make(f.m - 1, raw / raw[0], tol=np.inf)
 
 
 def test_take_minor_is_bit_identical_to_slice_copy_oracle():
@@ -426,4 +420,4 @@ def test_take_minor_is_bit_identical_to_slice_copy_oracle():
                 assert take_minor_raw(f, i, mu).tobytes() == raw.tobytes()
                 out = take_minor(f, MinorSpec(i, mu))
                 assert out.values.tobytes() == g.values.tobytes()
-                assert out.labels == g.labels and out.m == m - 1
+                assert out.m == m - 1

@@ -47,7 +47,7 @@ def test_canonical_class_shapes():
     cand = canonical_class(2)
     assert [g.n_edges() for g in cand.members] == [0, 1, 2]
     assert np.allclose(cand.images[2].values, [1, U, U, U * U])
-    assert cand.edge_maps[2] == {"e0": 0, "e0~2": 1}
+    assert cand.edge_maps[2] == {"e0": 0, "e1": 1}
 
 
 def test_canonical_classes_pass():

@@ -5,7 +5,8 @@ are in test_minor.py.  A NaN residual anywhere among the samples fails
 each transform check.  The claim checks' parts hold on their own: the
 tensor-power lift is unique and breaks under perturbation, the funnel
 finds 4 / 1 / 1 maps on 2 / 3 / 4 edges, and the main theorem fails when
-the forced image is not self-trial."""
+the forced image is not self-trial.  The mu-independence check's planted
+functions are degenerate at the element it tests."""
 
 import itertools
 
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from trialab import binfun, verify
-from trialab.altmap import isomorphic, k_copies, ultraloop
+from trialab.altmap import isomorphic, ultraloop_stack
+from trialab.minor import is_degenerate
 
 
 def _pure_python_complement(values, m):
@@ -135,6 +137,14 @@ def test_commutation_compares_no_two_element_function(monkeypatch):
     assert sizes == [m for m in drawn if m > 2]
 
 
+def test_planted_element_is_degenerate_at_its_position():
+    rng = np.random.default_rng(0)
+    for m in range(2, 6):
+        for i in range(m):
+            for _ in range(3):
+                assert is_degenerate(verify._plant_degenerate_element(rng, m, i), i), (m, i)
+
+
 def test_unique_tensor_lift():
     rng = np.random.default_rng(22)
     for k in (1, 2, 3):
@@ -156,7 +166,7 @@ def test_ultraloop_funnel():
     assert len(verify._funnel(1)) == len(verify._catalog(2).maps) == 4
     for k in (2, 3):
         (only,) = verify._funnel(k)
-        assert isomorphic(only, k_copies(ultraloop(), k + 1))
+        assert isomorphic(only, ultraloop_stack(k + 1))
     assert verify.check_reduction_funnel(np.random.default_rng(0)).passed
 
 
