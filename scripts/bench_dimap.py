@@ -20,10 +20,10 @@ Per checkout it measures
   * the best of five in-process times of each of the 17 ``verify`` checks,
     run suite by suite from seed 0 as ``verify.run_suites`` runs them, with
     verify's own caches emptied before each run; and the two checks that
-    dominate, at two sizes each: Hadamard duality over the multigraphs of
+    dominated, at several sizes each: Hadamard duality over the multigraphs of
     at most 4 and at most 5 edges, and commutation over every pair at every
-    (mu1, mu2) from {1, -1, w, w2} on 20 seeded functions of m = 4 and of
-    m = 6.
+    (mu1, mu2) from {1, -1, w, w2} on 20 seeded functions of each of
+    m = 4, 6, 8, 10.
 
 ``--before``/``--after`` also alternates cold ``python -m trialab.cli
 verify --seed N`` runs of the two checkouts, ``VERIFY_PAIRS`` pairs, one
@@ -62,7 +62,7 @@ SMALL_M, SMALL_CALLS = 6, 2000
 VERIFY_REPEATS = 5
 VERIFY_PAIRS = 10
 DUALITY_MAX_EDGES = (4, 5)
-COMMUTATION_MS, COMMUTATION_FUNCTIONS = (4, 6), 20
+COMMUTATION_MS, COMMUTATION_FUNCTIONS = (4, 6, 8, 10), 20
 WORKLOADS = ("bf-kernels", "dimap-sweep", "verify-e2e")
 END_TO_END = ("setup_s", "pass_s", "ops_per_s", "peak_rss_mb")
 HIGHER_IS_BETTER = ("ops_per_s",)

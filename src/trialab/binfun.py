@@ -59,7 +59,7 @@ class BinaryFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values.flags.writeable = False
+        self.values.setflags(write=False)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"BinaryFunction(m={self.m}, values={self.values!r})"
@@ -77,7 +77,7 @@ class RawVector:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values.flags.writeable = False
+        self.values.setflags(write=False)
 
 
 def as_values(x) -> tuple[int, np.ndarray]:
@@ -122,18 +122,32 @@ def _adopt(m: int, v: np.ndarray, tol: float) -> BinaryFunction:
     return BinaryFunction(m, v)
 
 
+def normalizable(c, tol: float = DEFAULT_TOL):
+    """The normalization rule, on one empty-set entry c or an array of them:
+    True where c normalizes, False where it is below tol in magnitude, as
+    the vector is then a binary function only projectively.
+
+    NonFiniteValue when an entry is NaN or infinite, since snapping it to 1
+    would hide that.
+    """
+    if isinstance(c, np.ndarray):
+        bad = c[~np.isfinite(c)]
+    else:  # one entry: cmath is a tenth of the cost of a numpy call
+        bad = () if cmath.isfinite(c) else (c,)
+    if len(bad):
+        raise NonFiniteValue(f"empty-set entry {bad[0]} is not finite; cannot normalize")
+    return abs(c) >= tol
+
+
 def normalize(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Divide a writable vector in place by its empty-set entry and set that
     entry to exactly 1, since c / c need not round to 1; returns v.
 
-    NonFiniteValue when the entry is NaN or infinite, since snapping it to 1
-    would hide that; NormalizationError when it is below tol in magnitude:
-    the vector is then a binary function only projectively.
+    Errors as in :func:`normalizable`, and NormalizationError when the
+    entry is below tol.
     """
     c = v[0]
-    if not cmath.isfinite(c):
-        raise NonFiniteValue(f"empty-set entry {c} is not finite; cannot normalize")
-    if abs(c) < tol:
+    if not normalizable(c, tol):
         raise NormalizationError(f"empty-set entry {c} below {tol}; cannot normalize")
     v /= c
     v[0] = 1.0

@@ -5,7 +5,9 @@ slices of the vector along that element with weight lambda(mu):
 
     g(G) = f(G : i <- 0) + lambda(mu) * f(G : i <- 1)
 
-then renormalizing so the empty-set entry is 1.  The weight
+then renormalizing so the empty-set entry is 1.  One kernel,
+:func:`raw_minors`, combines the slices for a whole stack of vectors at
+once; :func:`take_minor` is its one-vector case.  The weight
 
     lambda(mu) = (1 + mu) / (sqrt(2) + 1 - (sqrt(2) - 1) * mu)
 
@@ -24,7 +26,6 @@ ratio form is exercised in the test suite, not re-derived here.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,15 +34,17 @@ import numpy as np
 from .binfun import (
     BinaryFunction,
     DEFAULT_TOL,
-    allclose,
     as_values,
+    normalizable,
     normalize,
     proportional,
 )
-from .errors import IndexOutOfRange, NormalizationError, PoleError
+from .errors import IndexOutOfRange, PoleError
 from .transform import transform
 
 MU_POLE = 3.0 + 2.0 * math.sqrt(2.0)
+_SQRT2_PLUS_1 = math.sqrt(2.0) + 1.0
+_SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 POLE_TOL = 1e-12
 
 
@@ -58,36 +61,62 @@ def lambda_mu(mu: complex) -> complex:
     mu = complex(mu)
     if abs(mu - MU_POLE) <= POLE_TOL:
         raise PoleError(f"mu = {mu} is at the pole 3 + 2*sqrt(2) of lambda")
-    return (1.0 + mu) / (math.sqrt(2.0) + 1.0 - (math.sqrt(2.0) - 1.0) * mu)
+    return (1.0 + mu) / (_SQRT2_PLUS_1 - _SQRT2_MINUS_1 * mu)
 
 
-def _split_slices(values: np.ndarray, m: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slices of the vector along element i: (b=0 part, b=1 part)."""
+def _split_slices(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slices at element i of the vectors along the last axis of values:
+    (b=0 part, b=1 part), views of shape (rows * 2**i, 2**(m-1-i))."""
+    m = values.shape[-1].bit_length() - 1
     if not 0 <= i < m:
         raise IndexOutOfRange(f"element {i} outside 0..{m - 1}")
-    w = values.reshape(2**i, 2, -1)
-    return w[:, 0, :].reshape(-1), w[:, 1, :].reshape(-1)
+    w = values.reshape(-1, 2, 2 ** (m - 1 - i))
+    return w[:, 0], w[:, 1]
+
+
+def raw_minors(values: np.ndarray, i: int, mu) -> np.ndarray:
+    """Unnormalized minors at element i of the vectors along the last axis of
+    values, in one fresh array: the one minor kernel.
+
+    For one mu the result has the shape of values with its last axis halved.
+    For a 1-D array of q mus it has a leading axis of length q in addition,
+    one minor per mu.
+    """
+    s0, s1 = _split_slices(values, i)
+    shape = values.shape[:-1] + (-1,)
+    if isinstance(mu, np.ndarray):
+        lam = np.array([lambda_mu(x) for x in mu])[:, None, None]
+        shape = mu.shape + shape
+    else:
+        lam = lambda_mu(mu)
+    # lam * slice, not np.multiply(slice, lam): for complex lam the operand
+    # order changes the last bits of the product.
+    raw = lam * s1
+    raw += s0
+    return raw.reshape(shape)
 
 
 def take_minor_raw(f, i: int, mu: complex) -> np.ndarray:
     """Unnormalized minor vector of length 2**(m-1), in one fresh array."""
-    m, values = as_values(f)
-    if not 0 <= i < m:
-        raise IndexOutOfRange(f"element {i} outside 0..{m - 1}")
-    lam = lambda_mu(mu)
-    w = values.reshape(2**i, 2, -1)
-    # lam * slice, not np.multiply(slice, lam): for complex lam the operand
-    # order changes the last bits of the product.
-    raw = lam * w[:, 1, :]
-    raw += w[:, 0, :]
-    return raw.reshape(-1)
+    return raw_minors(as_values(f)[1], i, mu)
 
 
 def take_minor(f: BinaryFunction, spec: MinorSpec,
                tol: float = DEFAULT_TOL) -> BinaryFunction:
     """Normalized minor; NormalizationError when it exists only projectively,
     NonFiniteValue when its raw empty-set entry is NaN or infinite."""
-    return BinaryFunction(f.m - 1, normalize(take_minor_raw(f, spec.element, spec.mu), tol))
+    return BinaryFunction(f.m - 1, normalize(raw_minors(f.values, spec.element, spec.mu), tol))
+
+
+def _normalize_rows(raw: np.ndarray, tol: float, rows=True) -> np.ndarray:
+    """Normalize in place, as :func:`binfun.normalize` does, each vector along
+    the last axis of raw whose empty-set entry passes the rule; returns the
+    mask of those vectors.  Only the vectors where rows holds are examined."""
+    c = np.where(rows, raw[..., 0], 1.0)
+    ok = rows & normalizable(c, tol)
+    raw /= np.where(ok, c, 1.0)[..., None]
+    raw[..., 0] = 1.0
+    return ok
 
 
 def minors_commute_check(f: BinaryFunction, mus, tol: float = DEFAULT_TOL) -> tuple[int, int]:
@@ -96,30 +125,27 @@ def minors_commute_check(f: BinaryFunction, mus, tol: float = DEFAULT_TOL) -> tu
     (pairs compared, pairs differing beyond tol entrywise).
 
     Removing e_i first shifts e_j down to j - 1.  A pair is skipped when any
-    of its four minors raises NormalizationError.  Each first minor is taken
-    once and shared by every pair that starts with it.
+    of its four minors does not normalize.  The minors are taken as stacks:
+    all first minors in one array, then for each i the second minors of
+    first[i] at every j - 1 >= i and of every first[j > i] at i, so that all
+    pairs that start at i are compared at once.
     """
-    first = {}
-    for i in range(f.m):
-        for mu in mus:
-            try:
-                first[i, mu] = take_minor(f, MinorSpec(i, mu), tol=tol)
-            except NormalizationError:
-                first[i, mu] = None
+    if f.m == 0:
+        return 0, 0
+    mus = np.asarray(mus, dtype=complex)
+    first = np.stack([raw_minors(f.values, i, mus) for i in range(f.m)])
+    first_ok = _normalize_rows(first, tol)
     compared = differing = 0
-    for i, j in itertools.combinations(range(f.m), 2):
-        for mu1, mu2 in itertools.product(mus, repeat=2):
-            gi, gj = first[i, mu1], first[j, mu2]
-            if gi is None or gj is None:
-                continue
-            try:
-                ij = take_minor(gi, MinorSpec(j - 1, mu2), tol=tol)
-                ji = take_minor(gj, MinorSpec(i, mu1), tol=tol)
-            except NormalizationError:
-                continue
-            compared += 1
-            if not allclose(ij, ji, tol):
-                differing += 1
+    for i in range(f.m - 1):
+        # Axes (j - i - 1, mu2 index, mu1 index, entries) on both sides.
+        ij = np.stack([raw_minors(first[i], j - 1, mus) for j in range(i + 1, f.m)])
+        ji = raw_minors(first[i + 1:], i, mus).transpose(1, 2, 0, 3)
+        ok = (_normalize_rows(ij, tol, first_ok[i])
+              & _normalize_rows(ji, tol, first_ok[i + 1:, :, None]))
+        ij -= ji
+        worst = np.max(np.abs(ij), axis=-1)
+        compared += int(np.count_nonzero(ok))
+        differing += int(np.count_nonzero(ok & ~(worst <= tol)))
     return compared, differing
 
 
@@ -142,8 +168,8 @@ def is_degenerate(f: BinaryFunction, i: int, tol: float = 1e-8) -> bool:
     Exact {0,1}-valued indicators short-circuit to exact comparison;
     otherwise the tolerance is relative to the largest entry magnitude.
     """
-    a, b = _split_slices(f.values, f.m, i)
-    t = b[0]
+    a, b = _split_slices(f.values, i)
+    t = b[0, 0]
     residual = b - t * a
     exact = np.all((f.values == 0) | (f.values == 1))
     if exact:

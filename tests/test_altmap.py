@@ -249,6 +249,13 @@ def test_trial_cubed_is_labeled_identity_on_hand_maps():
         assert labeled_equal(trial_power(g, 3), g)
 
 
+def test_trial_cubed_is_labeled_identity_on_every_catalog_map():
+    maps = [g for k in range(6) for g in enumerate_dimaps(k, cap=k).maps]
+    assert len(maps) == 1 + 1 + 4 + 11 + 43 + 161
+    for g in maps:
+        assert labeled_equal(trial_power(g, 3), g)
+
+
 def test_trial_output_is_valid():
     for g in (C1, TWO_CW_LOOPS, DIGON, TORUS3):
         assert is_valid(trial(g)[0])

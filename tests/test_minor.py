@@ -6,7 +6,7 @@ import pytest
 
 from trialab import binfun, minor, verify
 from trialab.binfun import DEFAULT_TOL, allclose
-from trialab.errors import IndexOutOfRange, NormalizationError, PoleError
+from trialab.errors import IndexOutOfRange, NonFiniteValue, NormalizationError, PoleError
 from trialab.minor import (
     MU_POLE,
     MinorSpec,
@@ -14,6 +14,7 @@ from trialab.minor import (
     is_degenerate,
     lambda_mu,
     minors_commute_check,
+    raw_minors,
     take_minor,
     take_minor_raw,
     transform_minor_check,
@@ -171,23 +172,97 @@ def test_minors_commute_check_matches_per_pair_oracle():
     assert skipped > 0
 
 
-def perturb_element_zero(take_minor):
-    """take_minor, but minors that remove element 0 are off by 1e-6."""
-    def perturbed(f, spec, tol=DEFAULT_TOL):
-        g = take_minor(f, spec, tol=tol)
-        if spec.element != 0:
-            return g
-        v = g.values.copy()
-        v[1:] += 1e-6
-        return binfun.make(g.m, v)
+def test_stacked_minor_rows_equal_one_vector_minors_bit_for_bit():
+    rng = np.random.default_rng(42)
+    mus = np.array([1.0, -1.0, OMEGA, OMEGA2, 3.0, random_mu(rng)])
+    for m in range(1, 9):
+        fs = [random_bf(rng, m) for _ in range(3)]
+        stack = np.stack([f.values for f in fs])
+        for i in range(m):
+            rows = raw_minors(stack, i, mus)
+            assert rows.shape == (len(mus), len(fs), 2 ** (m - 1))
+            normalized = rows.copy()
+            ok = minor._normalize_rows(normalized, DEFAULT_TOL)
+            for a, mu in enumerate(mus):
+                one_mu = raw_minors(stack, i, complex(mu))
+                for r, f in enumerate(fs):
+                    raw = take_minor_raw(f, i, complex(mu))
+                    assert rows[a, r].tobytes() == one_mu[r].tobytes() == raw.tobytes()
+                    try:
+                        g = take_minor(f, MinorSpec(i, complex(mu)))
+                    except NormalizationError:
+                        assert not ok[a, r]
+                        continue
+                    assert ok[a, r]
+                    assert normalized[a, r].tobytes() == g.values.tobytes()
+
+
+def test_minors_commute_check_matches_per_pair_oracle_beyond_verify_sizes():
+    rng = np.random.default_rng(43)
+    mus = [1.0 + 0j, -1.0 + 0j, OMEGA, OMEGA2]
+    for m in (7, 8):
+        v = rng.standard_normal(2**m) + 1j * rng.standard_normal(2**m)
+        v[0] = 1.0
+        f = binfun.make(m, v)
+        assert minors_commute_check(f, mus) == _per_pair_counts(f, mus) == (m * (m - 1) // 2 * 16, 0)
+        # The mu = 1 minor at element 3 does not normalize.
+        v[_singleton(m, 3)] = -1.0
+        f = binfun.make(m, v)
+        expected = _per_pair_counts(f, mus)
+        assert minors_commute_check(f, mus) == expected
+        assert expected[0] < m * (m - 1) // 2 * 16
+
+
+def test_minors_commute_check_refuses_an_overflowed_first_minor():
+    # lambda(3) * 1e308 overflows the raw empty-set entry of the minor at the
+    # element, wherever that element sits.
+    for i in range(3):
+        v = np.ones(8)
+        v[_singleton(3, i)] = 1e308
+        f = binfun.make(3, v)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
+            minors_commute_check(f, [3.0])
+
+
+def test_minors_commute_check_refuses_an_overflowed_second_minor():
+    # Every first minor at mu = 3 has the finite empty-set entry 1 + lambda(3),
+    # but the entry at {e_i, e_j} overflows the second minors of each pair.
+    for i, j in itertools.combinations(range(3), 2):
+        v = np.ones(8)
+        v[_singleton(3, i) | _singleton(3, j)] = 1e308
+        f = binfun.make(3, v)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
+            minors_commute_check(f, [3.0])
+
+
+def test_minors_commute_check_skips_the_rows_of_a_skipped_first_minor():
+    # At mu = 1 the minor at e_0 has empty-set entry f(0) + f({e_0}) = 0, so
+    # it is skipped; its second minor at e_1 would have the overflowed
+    # empty-set entry f({e_1}) + f({e_0, e_1}), and is never examined.
+    v = np.ones(8)
+    v[_singleton(3, 0)] = -1.0
+    v[_singleton(3, 1)] = v[_singleton(3, 0) | _singleton(3, 1)] = 1e308
+    f = binfun.make(3, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert minors_commute_check(f, [1.0]) == _per_pair_counts(f, [1.0]) == (1, 0)
+
+
+def perturb_element_zero(kernel):
+    """The minor kernel, but raw minors that remove element 0 are off by
+    1e-6 past their empty-set entry."""
+    def perturbed(values, i, mu):
+        raw = kernel(values, i, mu)
+        if i == 0:
+            raw[..., 1:] += 1e-6
+        return raw
     return perturbed
 
 
 def test_minors_commute_check_matches_per_pair_oracle_on_a_faulty_minor(monkeypatch):
-    # A fault in the minors at element 0 shows whether or not the first
-    # minors are shared.  From m = 2 both orders end at dimension 0, where
-    # every function is the unit, so the sizes start at 3.
-    monkeypatch.setattr(minor, "take_minor", perturb_element_zero(take_minor))
+    # take_minor runs through the same kernel, so the per-pair oracle sees
+    # the fault as the stacked check does.  From m = 2 both orders end at
+    # dimension 0, where every function is the unit, so the sizes start at 3.
+    monkeypatch.setattr(minor, "raw_minors", perturb_element_zero(raw_minors))
     rng = np.random.default_rng(41)
     mus = [1.0 + 0j, -1.0 + 0j, OMEGA, OMEGA2]
     for m in range(3, 7):
@@ -205,7 +280,7 @@ def _commutation_counts(result):
 def test_verify_commutation_reports_failures_when_a_minor_is_off(monkeypatch):
     clean = verify.check_minor_commutation(np.random.default_rng(0))
     assert clean.passed
-    monkeypatch.setattr(minor, "take_minor", perturb_element_zero(take_minor))
+    monkeypatch.setattr(minor, "raw_minors", perturb_element_zero(raw_minors))
     result = verify.check_minor_commutation(np.random.default_rng(0))
     checks, failures = _commutation_counts(result)
     assert not result.passed
@@ -312,7 +387,7 @@ def degenerate_reduction_check(f, u, i, mu1, mu2, tol=DEFAULT_TOL):
     g2 = take_minor(f, MinorSpec(i, mu2), tol=tol)
     lhs = allclose(g1, g2, tol) and allclose(g1, u, tol) and allclose(g2, u, tol)
 
-    a, b = _split_slices(f.values, f.m, i)
+    a, b = (s.reshape(-1) for s in _split_slices(f.values, i))
     scale = max(1.0, float(np.max(np.abs(f.values)))) * max(1.0, float(np.max(np.abs(u.values))))
     rhs = (np.max(np.abs(a - a[0] * u.values), initial=0.0) <= tol * scale
            and np.max(np.abs(b - b[0] * u.values), initial=0.0) <= tol * scale)

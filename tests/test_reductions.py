@@ -98,11 +98,14 @@ def test_triality_minor_identity_trivial_at_mu_one():
 
 
 def test_triality_minor_identity_exhaustive_small():
-    for k in range(1, 4):
+    cases = 0
+    for k in range(1, 6):
         for g in enumerate_dimaps(k).maps:
             for lab in g.labels():
                 for mu, nu in itertools.product(ALL_KINDS, repeat=2):
                     assert trial_minor_check(g, lab, mu, nu)
+                    cases += 1
+    assert cases == 9171  # 7245 of them at five edges
 
 
 def test_degenerate_edges():
@@ -119,10 +122,13 @@ def test_degenerate_edges():
 
 
 def test_triloop_flag_matches_reduction_equality():
-    for k in range(1, 4):
+    edges = 0
+    for k in range(1, 6):
         for g in enumerate_dimaps(k).maps:
             for lab in g.labels():
                 assert classify_edge(g, lab).is_triloop == is_degenerate_edge(g, lab)
+                edges += 1
+    assert edges == 1019  # 805 of them at five edges
 
 
 def _apply_sequence(g, seq):
