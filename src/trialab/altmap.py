@@ -41,10 +41,13 @@ On-disk format (UTF-8 text)::
 
     adm <ndarts>
     edge <label> <tail_dart> <head_dart>
-    vertex <dart> <dart> ...        # clockwise rotation
+    vertex <dart> <dart> ...
 
-The header is exactly ``adm <ndarts>``.  Darts are non-negative integers;
-``#`` starts a comment.  Loading validates and rejects invalid files.
+A vertex line lists its darts in clockwise order.  The header is exactly
+``adm <ndarts>``.  Darts are non-negative integers.  Comments are whole
+lines: a line whose first non-blank character is ``#`` is a comment, and
+a line with a ``#`` note after its fields is malformed.  Loading
+validates and rejects invalid files.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .errors import (
     FileFormatError,
     InternalInvariantViolation,
     InvalidMap,
-    NonIntegerGenus,
     UnknownEdge,
 )
 
@@ -280,12 +282,6 @@ def _vertex_darts(nxt: list[int], first: int) -> list[int]:
     return darts
 
 
-def _genus_of(chi: int) -> int:
-    if chi % 2 != 0 or chi > 2:
-        raise NonIntegerGenus(f"Euler characteristic {chi} is not 2 - 2g with g >= 0")
-    return (2 - chi) // 2
-
-
 def _dart_problems(g: AlternatingDimap) -> list[str]:
     """Structural violations of a map given by darts; empty means alternating."""
     report = []
@@ -365,9 +361,10 @@ def components(g: AlternatingDimap) -> list[dict]:
 
 
 def genus(g: AlternatingDimap, component: dict) -> int:
-    """Genus from V - E + F = 2 - 2g for one component."""
+    """Genus from V - E + F = 2 - 2g for one component; a component of a
+    permutation pair has V - E + F even and at most 2."""
     view = _view(g)
-    return _genus_of(_euler(view)[_components(view)[min(component["edges"])]])
+    return (2 - _euler(view)[_components(view)[min(component["edges"])]]) // 2
 
 
 def trial(g: AlternatingDimap) -> tuple[AlternatingDimap, dict[str, str]]:

@@ -14,12 +14,15 @@ without that copy or scan.
 On-disk format (UTF-8 text)::
 
     bf <m>
-    <index> <re> <im>      # 2**m lines, index ascending from 0
+    <index> <re> <im>
 
-``#`` starts a comment line, and every value must be finite.  The writer
-emits 17 significant digits so round trips are lossless for doubles.  The
-container stores raw vectors: the empty-set constraint is not checked on
-load, and :func:`normalize` is the one way to restore it.
+with 2**m value lines, index ascending from 0.  Comments are whole lines:
+a line whose first non-blank character is ``#`` is a comment, and a line
+with a ``#`` note after its fields is malformed.  Every value must be
+finite.  The writer emits 17 significant digits so round trips are
+lossless for doubles.  The container stores raw vectors: the empty-set
+constraint is not checked on load, and :func:`normalize` is the one way
+to restore it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .errors import (
     DimensionMismatch,
     EmptySetNotOne,
     FileFormatError,
-    IndexOutOfRange,
     NonFiniteValue,
     NormalizationError,
     WrongLength,
@@ -60,9 +62,6 @@ class BinaryFunction:
 
     def __post_init__(self):
         self.values.setflags(write=False)
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"BinaryFunction(m={self.m}, values={self.values!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,19 +159,6 @@ def subset_index(bits: Iterable[int]) -> int:
     for b in bits:
         idx = (idx << 1) | (1 if b else 0)
     return idx
-
-
-def bits_of_index(index: int, m: int) -> tuple[int, ...]:
-    """Inverse of :func:`subset_index` for a ground set of size m."""
-    return tuple((index >> (m - 1 - i)) & 1 for i in range(m))
-
-
-def insert_bit(bits: Sequence[int], i: int, b: int) -> tuple[int, ...]:
-    """Insert bit b at position i, shifting the tail right."""
-    g = tuple(bits)
-    if not 0 <= i <= len(g):
-        raise IndexOutOfRange(f"position {i} outside 0..{len(g)}")
-    return g[:i] + (1 if b else 0,) + g[i:]
 
 
 def proportionality_residual(a, b) -> float:

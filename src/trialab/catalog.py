@@ -74,8 +74,8 @@ def _template(shape: tuple[int, ...]) -> tuple[list[int], tuple[tuple[int, ...],
 
 def enumerate_dimaps(k: int, cap: int = DEFAULT_CAP) -> Catalog:
     """Catalog of all k-edge alternating dimaps up to isomorphism."""
-    if k > cap:
-        raise CapExceeded(f"k = {k} above cap {cap}")
+    if not 0 <= k <= cap:
+        raise CapExceeded(f"k = {k} outside 0..{cap}")
     firsts = {}
     labels = tuple(f"e{i}" for i in range(k))
     for shape in _partitions(k):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import math
 import os
@@ -44,14 +45,6 @@ def parse_mu(token: str) -> complex:
     if not cmath.isfinite(mu):
         raise TrialabError(f"mu value {token!r} is not finite")
     return mu
-
-
-def format_mu(mu: complex) -> str:
-    """Inverse of parse_mu on canonical forms."""
-    for token, value in (("1", 1.0 + 0j), ("-1", -1.0 + 0j), ("w", OMEGA), ("w2", OMEGA2)):
-        if mu == value:
-            return token
-    return f"{mu.real:.17g}{mu.imag:+.17g}i"
 
 
 def tolerance() -> float:
@@ -132,11 +125,7 @@ def _cmd_dimap(args) -> int:
         labels = [args.edge] if args.edge else sorted(g.labels())
         for lab in labels:
             cls = classify_edge(g, lab)
-            flags = [name for name in (
-                "is_ultraloop", "is_1loop", "is_omega_loop", "is_omega2_loop",
-                "is_triloop", "is_proper_triloop", "is_1_semiloop",
-                "is_omega_semiloop", "is_omega2_semiloop", "is_proper_semiloop")
-                if getattr(cls, name)]
+            flags = [f.name for f in dataclasses.fields(cls) if getattr(cls, f.name)]
             print(f"{lab}: {' '.join(flags)}")
         return 0
     raise TrialabError(f"unknown dimap verb {args.verb!r}")

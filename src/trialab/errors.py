@@ -14,7 +14,7 @@ class EmptySetNotOne(TrialabError):
 
 
 class IndexOutOfRange(TrialabError):
-    """Bit insertion position outside 0..len."""
+    """Element position outside 0..m-1."""
 
 
 class DimensionMismatch(TrialabError):
@@ -41,16 +41,12 @@ class UnknownEdge(TrialabError):
     """Edge label not present in the dimap."""
 
 
-class NonIntegerGenus(TrialabError):
-    """Euler relation produced a non-integer genus; indicates a corrupted map."""
-
-
 class InternalInvariantViolation(TrialabError):
     """A reduction produced an invalid map; indicates a case-rule bug."""
 
 
 class CapExceeded(TrialabError):
-    """Requested enumeration size above the configured cap."""
+    """Requested enumeration size outside 0..cap."""
 
 
 class NotMinorClosed(TrialabError):

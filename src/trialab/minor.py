@@ -163,16 +163,10 @@ def transform_minor_check(f, mu: complex, nu: complex, i: int,
 
 
 def is_degenerate(f: BinaryFunction, i: int, tol: float = 1e-8) -> bool:
-    """Product-form degeneracy test for element i.
-
-    Exact {0,1}-valued indicators short-circuit to exact comparison;
-    otherwise the tolerance is relative to the largest entry magnitude.
-    """
+    """Product-form degeneracy test for element i, at a tolerance relative
+    to the largest entry magnitude."""
     a, b = _split_slices(f.values, i)
     t = b[0, 0]
     residual = b - t * a
-    exact = np.all((f.values == 0) | (f.values == 1))
-    if exact:
-        return bool(np.all(residual == 0))
     scale = float(np.max(np.abs(f.values))) * max(1.0, abs(t))
     return bool(np.max(np.abs(residual), initial=0.0) <= tol * scale)

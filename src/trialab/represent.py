@@ -18,7 +18,7 @@ abstract, so the choice of representative carries no meaning.
 
 The canonical family assigns to the i-fold ultraloop stack the i-th tensor
 power of (1, sqrt(2)-1), the fixed vector of the trinity generator, which
-`ultraloop_image` solves as an eigenvector.  The whole-claim sweeps built on
+`ultraloop_image` returns in closed form.  The whole-claim sweeps built on
 this checker live in `verify`.
 """
 
@@ -40,7 +40,7 @@ from .binfun import BinaryFunction, DEFAULT_TOL, proportional, tensor_power
 from .errors import NotMinorClosed
 from .minor import take_minor_raw
 from .reductions import ALL_KINDS, reduce_edge
-from .transform import OMEGA, ULOOP_RATIO, m_matrix, transform
+from .transform import OMEGA, ULOOP_RATIO, transform
 
 
 @dataclass(frozen=True)
@@ -52,42 +52,25 @@ class RepresentationCandidate:
 
 
 @dataclass
-class ConditionReport:
-    passed: bool = True
-    witnesses: list[str] = field(default_factory=list)
-
-    def fail(self, witness: str) -> None:
-        self.passed = False
-        self.witnesses.append(witness)
-
-
-@dataclass
 class CheckReport:
-    totality: ConditionReport
-    edge_bijections: ConditionReport
-    unit_phase: ConditionReport
-    triality: ConditionReport
-    minor_compat: ConditionReport
+    """Witnesses of each condition's failures; a condition holds when it has none."""
+
+    totality: list[str] = field(default_factory=list)
+    edge_bijections: list[str] = field(default_factory=list)
+    unit_phase: list[str] = field(default_factory=list)
+    triality: list[str] = field(default_factory=list)
+    minor_compat: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in (self.totality, self.edge_bijections,
-                                      self.unit_phase, self.triality,
-                                      self.minor_compat))
+        return not (self.totality or self.edge_bijections or self.unit_phase
+                    or self.triality or self.minor_compat)
 
 
 def ultraloop_image() -> BinaryFunction:
-    """The binary function forced on the ultraloop: the unique fixed vector.
-
-    Solved numerically from the trinity generator; the eigenvalue-1
-    eigenvector, scaled to empty-set entry 1, must be (1, sqrt(2)-1).
-    """
-    eigvals, eigvecs = np.linalg.eig(m_matrix(OMEGA).entries)
-    which = int(np.argmin(np.abs(eigvals - 1.0)))
-    v = eigvecs[:, which]
-    v = v / v[0]
-    assert np.max(np.abs(v - np.array([1.0, ULOOP_RATIO]))) <= 1e-12
-    return binfun.make(1, v)
+    """The binary function forced on the ultraloop: (1, sqrt(2)-1), the
+    fixed vector of every M(mu); ``transforms.eigenvector`` checks it at w."""
+    return binfun.make(1, [1.0, ULOOP_RATIO])
 
 
 def canonical_class(k: int, nu: complex = 1.0) -> RepresentationCandidate:
@@ -113,27 +96,26 @@ def _pullback(values: np.ndarray, m: int, position_map: dict[int, int]) -> np.nd
 
 def check_representation(candidate: RepresentationCandidate,
                          tol: float = DEFAULT_TOL) -> CheckReport:
-    report = CheckReport(ConditionReport(), ConditionReport(), ConditionReport(),
-                         ConditionReport(), ConditionReport())
+    report = CheckReport()
     members, images, edge_maps = candidate.members, candidate.images, candidate.edge_maps
 
     if not (len(members) == len(images) == len(edge_maps)):
-        report.totality.fail(
+        report.totality.append(
             f"{len(members)} members but {len(images)} images, {len(edge_maps)} edge maps")
         return report
     for idx, (g, f) in enumerate(zip(members, images)):
         if not isinstance(f, BinaryFunction):
-            report.totality.fail(f"member {idx} has no binary-function image")
+            report.totality.append(f"member {idx} has no binary-function image")
 
     for idx, (g, f, emap) in enumerate(zip(members, images, edge_maps)):
         labels = set(g.labels())
         if set(emap) != labels or sorted(emap.values()) != list(range(f.m)) \
                 or f.m != g.n_edges():
-            report.edge_bijections.fail(
+            report.edge_bijections.append(
                 f"member {idx}: edge map is not a bijection onto 0..{f.m - 1}")
 
     if abs(abs(candidate.nu) - 1.0) > tol:
-        report.unit_phase.fail(f"|nu| = {abs(candidate.nu)} differs from 1")
+        report.unit_phase.append(f"|nu| = {abs(candidate.nu)} differs from 1")
 
     if not report.passed:
         return report
@@ -146,11 +128,11 @@ def check_representation(candidate: RepresentationCandidate,
         trial_g, edge_map = trial(g)
         target = member_of.get(canonical_form(trial_g))
         if target is None:
-            report.triality.fail(f"member {idx}: trial image leaves the class")
+            report.triality.append(f"member {idx}: trial image leaves the class")
             continue
         positions = {edge_map[lab]: pos for lab, pos in emap.items()}
         if not _aligned(candidate, target, trial_g, transform(f, OMEGA), positions, tol):
-            report.triality.fail(
+            report.triality.append(
                 f"member {idx}: no isomorphism matches the trinity transform")
 
     for idx, (g, f, emap) in enumerate(zip(members, images, edge_maps)):
@@ -166,7 +148,7 @@ def check_representation(candidate: RepresentationCandidate,
                         f"member {idx}: reduction {kind.token} of {lab!r} leaves the class")
                 lhs = take_minor_raw(f, pos, candidate.nu * kind.complex_value)
                 if not _aligned(candidate, target, reduced, lhs, positions, tol):
-                    report.minor_compat.fail(
+                    report.minor_compat.append(
                         f"member {idx}: edge {lab!r}, reduction {kind.token} has no match")
     return report
 

@@ -25,7 +25,6 @@ enforces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,18 +54,8 @@ BLOCK = 4
 TILE = 2048
 
 
-@dataclass(frozen=True)
-class MuMatrix:
-    """The generator M(mu) together with its parameter."""
-
-    mu: complex
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.flags.writeable = False
-
-
-def m_matrix(mu: complex) -> MuMatrix:
+def m_matrix(mu: complex) -> np.ndarray:
+    """The generator M(mu) as a read-only 2x2 array."""
     mu = complex(mu)
     d = 2.0 * SQRT2
     # Algebraically equal to the displayed form; written as 1 + c*(mu - 1)
@@ -80,7 +69,8 @@ def m_matrix(mu: complex) -> MuMatrix:
         ],
         dtype=complex,
     )
-    return MuMatrix(mu, entries)
+    entries.flags.writeable = False
+    return entries
 
 
 @lru_cache(maxsize=64)
@@ -90,7 +80,7 @@ def _kron_power(mu: complex, b: int) -> np.ndarray:
     Cached because a few parameters (1, -1, w, w2) recur across many small
     transforms, where building the block costs more than applying it.
     """
-    e = m_matrix(mu).entries
+    e = m_matrix(mu)
     k = np.ones((1, 1), dtype=complex)
     for _ in range(b):
         n = 2 * len(k)

@@ -6,6 +6,7 @@ from trialab.altmap import (
     AlternatingDimap,
     Edge,
     _cycles,
+    _euler,
     _view,
     canonical_form,
     classify_edge,
@@ -127,7 +128,14 @@ def test_smallest_genus_one_map():
 
 
 def test_genus_is_nonnegative_integer_everywhere():
-    for g in (C1, TWO_CW_LOOPS, TWO_ACW_LOOPS, DIGON, TORUS3):
+    # Every component's V - E + F is even and at most 2, which genus()
+    # relies on when it returns (2 - chi) // 2.
+    rng = np.random.default_rng(6)
+    maps = [C1, TWO_CW_LOOPS, TWO_ACW_LOOPS, DIGON, TORUS3]
+    maps += [g for k in range(6) for g in enumerate_dimaps(k).maps]
+    maps += [random_dimap(k, rng) for k in range(1, 13) for _ in range(20)]
+    for g in maps:
+        assert all(chi % 2 == 0 and chi <= 2 for chi in _euler(_view(g)))
         for comp in components(g):
             assert genus(g, comp) >= 0
 
@@ -347,8 +355,18 @@ def test_dimap_file_header_is_exactly_adm_and_a_count(tmp_path):
         path.write_text(f"{header}\nedge e0 0 1\nvertex 0 1\n")
         with pytest.raises(FileFormatError):
             read_dimap(path)
-    path.write_text("# ultraloop\n  adm   2 \nedge e0 0 1\nvertex 0 1\n")
+    path.write_text("# ultraloop\n  adm   2 \n  # indented comment\nedge e0 0 1\nvertex 0 1\n")
     assert labeled_equal(read_dimap(path), C1)
+
+
+def test_dimap_file_rejects_a_trailing_comment(tmp_path):
+    # Comments are whole lines; a note after a line's fields is malformed.
+    path = tmp_path / "c1.adm"
+    for body, message in (("edge e0 0 1\nvertex 0 1   # loop\n", "bad vertex line"),
+                          ("edge e0 0 1   # loop\nvertex 0 1\n", "bad edge line")):
+        path.write_text("adm 2\n" + body)
+        with pytest.raises(FileFormatError, match=message):
+            read_dimap(path)
 
 
 def _shuffled_darts(g, rng):

@@ -9,7 +9,6 @@ from trialab.errors import (
     DimensionMismatch,
     EmptySetNotOne,
     FileFormatError,
-    IndexOutOfRange,
     NonFiniteValue,
     NormalizationError,
     WrongLength,
@@ -98,35 +97,14 @@ def test_subset_index_examples():
 
 @given(st.lists(st.integers(0, 1), max_size=10))
 def test_subset_index_roundtrip(bits):
-    idx = binfun.subset_index(bits)
-    assert binfun.bits_of_index(idx, len(bits)) == tuple(bits)
+    # e_0 is the most significant bit: the index is the bits read as a binary numeral.
+    assert binfun.subset_index(bits) == int("".join(map(str, bits)) or "0", 2)
 
 
 def test_subset_index_is_inverse_on_all_indices():
     for m in range(0, 6):
         for x in range(2**m):
-            assert binfun.subset_index(binfun.bits_of_index(x, m)) == x
-
-
-def test_insert_bit_examples():
-    assert binfun.insert_bit((1, 0), 1, 1) == (1, 1, 0)
-    assert binfun.insert_bit((), 0, 0) == (0,)
-    assert binfun.insert_bit((1, 1), 2, 0) == (1, 1, 0)
-
-
-def test_insert_bit_out_of_range():
-    with pytest.raises(IndexOutOfRange):
-        binfun.insert_bit((1, 0), 3, 1)
-
-
-@given(st.lists(st.integers(0, 1), max_size=8), st.integers(0, 8), st.integers(0, 1))
-def test_insert_bit_preserves_order(bits, i, b):
-    if i > len(bits):
-        return
-    out = binfun.insert_bit(bits, i, b)
-    assert len(out) == len(bits) + 1
-    assert out[i] == b
-    assert out[:i] == tuple(bits[:i]) and out[i + 1:] == tuple(bits[i:])
+            assert binfun.subset_index((x >> (m - 1 - i)) & 1 for i in range(m)) == x
 
 
 def test_proportional_scaling():
@@ -300,7 +278,7 @@ def test_file_roundtrip(tmp_path):
 
 def test_file_comments_and_errors(tmp_path):
     path = tmp_path / "c.bf"
-    path.write_text("# comment\nbf 1\n0 1 0\n1 0.5 0\n")
+    path.write_text("# comment\nbf 1\n  # indented comment\n0 1 0\n1 0.5 0\n")
     raw = binfun.read_vector(path)
     assert raw.m == 1 and raw.values[1] == 0.5
 
@@ -314,6 +292,16 @@ def test_file_comments_and_errors(tmp_path):
         non_finite.write_text(f"bf 1\n0 1 0\n{line}\n")
         with pytest.raises(FileFormatError):
             binfun.read_vector(non_finite)
+
+
+def test_read_vector_rejects_a_trailing_comment(tmp_path):
+    # Comments are whole lines; a note after a line's fields is malformed.
+    path = tmp_path / "c.bf"
+    for text in ("bf 1   # one element\n0 1 0\n1 0.5 0\n",
+                 "bf 1\n0 1 0\n1 0.5 0   # ultraloop ratio\n"):
+        path.write_text(text)
+        with pytest.raises(FileFormatError):
+            binfun.read_vector(path)
 
 
 def _per_line_write(path, m, v):

@@ -249,8 +249,9 @@ def test_genus_one_appears_at_three_edges():
 
 
 def test_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_dimaps(7)
+    for k in (7, -1):
+        with pytest.raises(CapExceeded, match="outside 0..6"):
+            enumerate_dimaps(k)
     assert len(enumerate_dimaps(2, cap=2).maps) == 4
 
 

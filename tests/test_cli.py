@@ -9,7 +9,7 @@ from trialab.altmap import (
     ultraloop_stack,
     write_dimap,
 )
-from trialab.cli import format_mu, main, parse_mu
+from trialab.cli import main, parse_mu
 from trialab.errors import TrialabError
 from trialab.minor import MinorSpec, take_minor
 from trialab.transform import OMEGA, OMEGA2, ULOOP_RATIO, transform
@@ -33,11 +33,9 @@ def test_parse_mu_rejects_non_finite():
 
 
 def test_mu_parse_print_roundtrip():
-    # Canonical tokens are fixed points of print(parse(.)).
-    for token in ("1", "-1", "w", "w2", "2.5+0i", "-0.125-3i"):
-        assert format_mu(parse_mu(token)) == token
-    z = parse_mu("0.5+0.25i")
-    assert parse_mu(format_mu(z)) == z
+    # 17 significant digits print any double exactly, so parsing them back is lossless.
+    for z in (0.5 + 0.25j, 0.1 - 0.2j, OMEGA, OMEGA2, complex(ULOOP_RATIO, -1e-300)):
+        assert parse_mu(f"{z.real:.17g}{z.imag:+.17g}i") == z
 
 
 def _write_c1(tmp_path):
@@ -234,6 +232,14 @@ def test_cli_dimap_catalog(tmp_path, capsys):
     assert sum(isomorphic(g, ultraloop_stack(1)) for g in maps) == 0
     stdout = capsys.readouterr().out
     assert "4 maps" in stdout
+
+
+def test_cli_dimap_catalog_rejects_a_negative_edge_count(tmp_path, capsys):
+    outdir = tmp_path / "atlas"
+    assert main(["dimap", "catalog", "--edges", "-1", "-o", str(outdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "outside 0..6" in err
+    assert not outdir.exists()
 
 
 def test_cli_dimap_catalog_genus_profiles_sorted(tmp_path, capsys):

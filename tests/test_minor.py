@@ -312,6 +312,13 @@ def test_transform_minor_interchange_random():
         assert transform_minor_check(f, mu, nu, i, 1e-8)
 
 
+def test_minor_element_out_of_range():
+    f = random_bf(np.random.default_rng(15), 3)
+    for i in (-1, 3):
+        with pytest.raises(IndexOutOfRange, match="outside 0..2"):
+            take_minor(f, MinorSpec(i, 1.0))
+
+
 def test_degenerate_examples():
     assert is_degenerate(binfun.make(1, [1.0, 1.0]), 0)
     assert is_degenerate(binfun.make(1, [1.0, 0.0]), 0)
@@ -333,13 +340,16 @@ def test_degeneracy_is_mu_independent():
             u = random_bf(rng, m - 1)
             factor = binfun.make(1, [1.0, complex(*rng.standard_normal(2))])
             g = binfun.tensor(factor, u)
-            perm = list(range(1, i + 1)) + [0] + list(range(i + 1, m))
+            # Move the factor's element to position i: entry x of f is the
+            # entry of g at x's bit for e_i followed by x's other bits.
+            low = m - 1 - i
             vals = np.empty(2**m, dtype=complex)
             for x in range(2**m):
-                bits = binfun.bits_of_index(x, m)
-                src = binfun.subset_index(tuple(bits[p] for p in perm))
+                src = (((x >> low) & 1) << (m - 1)) | ((x >> (low + 1)) << low) \
+                    | (x & ((1 << low) - 1))
                 vals[x] = g.values[src]
             f = binfun.make(m, vals)
+            assert is_degenerate(f, i)
         verdicts = []
         for _ in range(2):
             mu1, mu2 = random_mu(rng), random_mu(rng)

@@ -11,7 +11,7 @@ from trialab.represent import (
     check_representation,
     ultraloop_image,
 )
-from trialab.transform import ULOOP_RATIO, self_trial
+from trialab.transform import OMEGA, OMEGA2, ULOOP_RATIO, m_matrix, self_trial
 
 U = ULOOP_RATIO
 
@@ -40,7 +40,9 @@ def test_pullback_matches_bitwise_loop():
 
 def test_ultraloop_image_is_the_fixed_vector():
     f = ultraloop_image()
-    assert np.max(np.abs(f.values - np.array([1.0, U]))) <= 1e-12
+    assert f.values.tolist() == [1.0, U]
+    for mu in (OMEGA, OMEGA2, -1.0, 0.3 - 0.7j):
+        assert np.max(np.abs(m_matrix(mu) @ f.values - f.values)) <= 1e-15
 
 
 def test_canonical_class_shapes():
@@ -70,15 +72,14 @@ def test_non_self_trial_image_fails_triality():
         cand.edge_maps, 1.0)
     report = check_representation(broken)
     assert not report.passed
-    assert not report.triality.passed
-    assert report.triality.witnesses
+    assert report.triality
 
 
 def test_non_unit_phase_fails():
     cand = canonical_class(1)
     bad = RepresentationCandidate(cand.members, cand.images, cand.edge_maps, 2.0)
     report = check_representation(bad)
-    assert not report.unit_phase.passed
+    assert report.unit_phase and not report.passed
 
 
 def test_broken_edge_map_fails():
@@ -86,7 +87,7 @@ def test_broken_edge_map_fails():
     bad = RepresentationCandidate(
         cand.members, cand.images, (cand.edge_maps[0], {"e0": 1}), 1.0)
     report = check_representation(bad)
-    assert not report.edge_bijections.passed
+    assert report.edge_bijections and not report.passed
 
 
 def test_not_minor_closed_raises():

@@ -33,24 +33,25 @@ def test_omega_is_a_cube_root_of_unity():
 
 
 def test_m_matrix_identity_at_one():
-    assert np.array_equal(m_matrix(1.0).entries, np.eye(2))
+    assert np.array_equal(m_matrix(1.0), np.eye(2))
+    assert not m_matrix(1.0).flags.writeable
 
 
 def test_m_matrix_hadamard_at_minus_one():
     # Substituting mu = -1 into the generator gives (1/sqrt(2)) [[1,1],[1,-1]].
     expected = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-    assert np.allclose(m_matrix(-1.0).entries, expected, atol=1e-15)
+    assert np.allclose(m_matrix(-1.0), expected, atol=1e-15)
 
 
 def test_m_matrix_determinant_is_mu():
     rng = np.random.default_rng(0)
     for _ in range(100):
         mu = complex(*rng.standard_normal(2))
-        assert abs(np.linalg.det(m_matrix(mu).entries) - mu) < 1e-12
+        assert abs(np.linalg.det(m_matrix(mu)) - mu) < 1e-12
 
 
 def test_m_matrix_omega_eigenvalues():
-    eig = np.linalg.eigvals(m_matrix(OMEGA).entries)
+    eig = np.linalg.eigvals(m_matrix(OMEGA))
     assert min(abs(eig - 1.0)) < 1e-12
     assert min(abs(eig - OMEGA)) < 1e-12
 
@@ -93,7 +94,7 @@ def test_fast_matches_dense_kronecker():
         for mu in mus + [1.0, -1.0, OMEGA, OMEGA2]:
             f = random_bf(rng, m)
             fast = transform(f, mu).values
-            dense = dense_kronecker_power(m_matrix(mu).entries, m) @ f.values
+            dense = dense_kronecker_power(m_matrix(mu), m) @ f.values
             assert np.max(np.abs(fast - dense), initial=0.0) < 1e-10
 
 
@@ -112,7 +113,7 @@ def test_fast_matches_dense_rows_at_larger_m():
         f = random_bf(rng, m)
         for mu in (complex(*rng.standard_normal(2)), -1.0, OMEGA):
             fast = transform(f, mu).values
-            e = m_matrix(mu).entries
+            e = m_matrix(mu)
             for y in [0, 2**m - 1] + [int(y) for y in rng.integers(2**m, size=6)]:
                 row = dense_kronecker_row(e, m, y)
                 scale = np.sum(np.abs(row * f.values))
