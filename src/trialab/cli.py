@@ -88,12 +88,21 @@ def _cmd_minor(args) -> int:
 def _cmd_dimap(args) -> int:
     if args.verb == "catalog":
         catalog = enumerate_dimaps(args.edges)
+        names = [f"map{idx:03d}.adm" for idx in range(len(catalog.maps))]
+        # An atlas left by another run would mix with this one: refuse
+        # rather than delete the user's files.
+        if os.path.isdir(args.output):
+            stale = sorted({n for n in os.listdir(args.output) if n.endswith(".adm")}
+                           - set(names))
+            if stale:
+                raise TrialabError(f"{args.output} holds {len(stale)} .adm files that this "
+                                   f"catalog would not write, from {stale[0]}; "
+                                   f"use an empty directory")
         os.makedirs(args.output, exist_ok=True)
         self_trial_forms = {id(g) for g in self_trial_members(catalog)}
         print(f"catalog k={args.edges}: {len(catalog.maps)} maps")
         print("index components genus-profile self-trial file")
-        for idx, g in enumerate(catalog.maps):
-            name = f"map{idx:03d}.adm"
+        for idx, (g, name) in enumerate(zip(catalog.maps, names)):
             write_dimap(os.path.join(args.output, name), g)
             comps = components(g)
             profile = ",".join(map(str, sorted(genus(g, c) for c in comps))) or "-"

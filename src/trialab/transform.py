@@ -14,8 +14,13 @@ The m-th Kronecker power of M(mu) acts on a length 2**m vector in
 O(m * 2**m): the elements are split into blocks of at most BLOCK axes, and
 each block is applied by one matmul with M(mu)^{(x)b}, so a transform is
 ceil(m / BLOCK) matmuls.  Each matmul is shaped as a batch of small
-products of at most TILE vector entries, which BLAS runs on the calling
-thread.
+products of at most TILE vector entries, each too small for BLAS to split
+across its own threads.  From SPLIT_MIN entries on, each block's batch is
+cut into chunks that the calling thread and one helper thread per further
+CPU take from a shared iterator; the caller waits for the chunks, never for
+a helper that has not started one.  Every chunk makes the same BLAS calls
+on the same operands as the one-CPU path, so the output is bit-identical to
+it.
 The output is deterministic for a given numpy and BLAS build, mu = 1 is the
 exact identity on finite input, and the output agrees with the dense
 Kronecker power to 1e-10, which the ``transforms.fast-vs-dense`` check
@@ -25,6 +30,8 @@ enforces.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -46,12 +53,25 @@ ULOOP_RATIO = SQRT2 - 1.0
 BLOCK = 4
 
 # Entries of the vector operand in one small product of a batched matmul.
-# Kept below the size at which OpenBLAS splits a product across threads
-# (16 * 16 * 256 = 65536 multiply-adds), so the transform runs on the
-# calling thread.  A threaded call on a busy host waits for its second
-# thread to be scheduled, and the idle thread then spins, slowing whatever
-# runs next; on 2 CPUs a second thread did not make m = 16..22 faster.
+# Kept below the size at which OpenBLAS splits a product across its own
+# threads (16 * 16 * 256 = 65536 multiply-adds), so each product runs on the
+# thread that calls it.  A product that OpenBLAS threads waits for its second
+# thread to be scheduled, and on a busy host that made m = 16 up to 7 times
+# slower; the split below waits only for chunks that a thread has started.
 TILE = 2048
+
+# Vectors of at least this many entries split each block across the CPUs.
+# On a shared 2-CPU VM the split took about a quarter off m = 18..20 and 43%
+# off m = 22 when idle; beside one busy-loop process it cost 7-8% at m = 18
+# and saved 10-14% at m = 22, so it pays from here on.
+SPLIT_MIN = 2**18
+
+# Chunks per CPU: enough that a late or slow thread leaves little to wait for.
+CHUNKS_PER_CPU = 8
+
+_CPUS = len(os.sched_getaffinity(0))
+_queues = []  # one job queue per helper thread, started on the first split
+_start_lock = threading.Lock()
 
 
 def m_matrix(mu: complex) -> np.ndarray:
@@ -94,7 +114,9 @@ def transform(f, mu: complex) -> RawVector:
 
     Deterministic for a given numpy/BLAS build; exact at mu = 1 on finite
     input; within 1e-10 of the dense Kronecker power; O(m * 2**m), in
-    products small enough for BLAS to run them on the calling thread.
+    products too small for BLAS to thread.  From SPLIT_MIN entries on, the
+    products of each block are shared between the calling thread and a
+    helper per further CPU, with output bit-identical to one CPU's.
     """
     m, values = as_values(f)
     mu = complex(mu)
@@ -106,6 +128,8 @@ def transform(f, mu: complex) -> RawVector:
     # per block page-faults it in again each time, which at m = 22 made a
     # transform about a quarter slower and its time less steady.
     buffers = [np.empty(2**m, dtype=complex) for _ in range(min(len(widths), 2))]
+    # Below SPLIT_MIN, or on one CPU, each block is one np.matmul as it is.
+    matmul = _split_matmul if 2**m >= SPLIT_MIN and _CPUS > 1 else np.matmul
     axis = 0
     for i, b in enumerate(widths):
         k = _kron_power(mu, b)
@@ -115,17 +139,100 @@ def transform(f, mu: complex) -> RawVector:
         if rest > tile:
             # k times (w, tile) column tiles of each (w, rest) slab.
             shape = (n, w, rest // tile, tile)
-            np.matmul(k, v.reshape(shape).transpose(0, 2, 1, 3),
-                      out=out.reshape(shape).transpose(0, 2, 1, 3))
+            matmul(k, v.reshape(shape).transpose(0, 2, 1, 3),
+                   out=out.reshape(shape).transpose(0, 2, 1, 3))
         elif rest == 1 and n > tile:
             # The last axes: tiles of rows of w entries, times k.T.
             shape = (n // tile, tile, w)
-            np.matmul(v.reshape(shape), k.T, out=out.reshape(shape))
+            matmul(v.reshape(shape), k.T, out=out.reshape(shape))
         else:
-            np.matmul(k, v.reshape(n, w, rest), out=out.reshape(n, w, rest))
+            matmul(k, v.reshape(n, w, rest), out=out.reshape(n, w, rest))
         v = out
         axis += b
     return RawVector(m, v)
+
+
+def _split_matmul(a, b, out):
+    """np.matmul(a, b, out=out) in chunks of out's batch, run by the caller
+    and the helper threads.
+
+    The chunks cut the leading batch axis, or the second when the leading
+    one is too short, so each small product is the same BLAS call as in one
+    np.matmul.  The caller takes chunks until none is left, then waits only
+    for those a helper has taken: a helper that is never scheduled costs
+    nothing but its share of the speedup.
+    """
+    batch = out.shape[:-2]
+    chunks = CHUNKS_PER_CPU * _CPUS
+    axis = 1 if len(batch) > 1 and batch[0] < chunks else 0
+    size = batch[axis]
+    chunks = min(chunks, size)
+    lead = (slice(None),) * axis
+
+    def run(j):
+        part = lead + (slice(size * j // chunks, size * (j + 1) // chunks),)
+        np.matmul(a[part] if a.ndim > 2 else a, b[part] if b.ndim > 2 else b, out=out[part])
+
+    from queue import SimpleQueue
+
+    if not _queues:
+        _start_helpers()
+    done = SimpleQueue()
+    job = (iter(range(chunks)), run, done)
+    # Helpers run under the caller's np.errstate, which is per thread.
+    err = np.geterr()
+    for q in _queues:
+        q.put((job, err))
+    _take(job)
+    failures = [exc for exc in (done.get() for _ in range(chunks)) if exc is not None]
+    if failures:
+        raise failures[0]
+
+
+def _take(job):
+    """Run chunks from job's shared iterator, reporting each to its queue."""
+    chunks, run, done = job
+    for j in chunks:
+        try:
+            run(j)
+        except Exception as exc:
+            done.put(exc)
+        else:
+            done.put(None)
+
+
+def _helper(q):
+    while True:
+        job, err = q.get()
+        with np.errstate(**err):
+            _take(job)
+        # Drop the job before waiting: it holds views of the caller's buffers.
+        del job
+
+
+def _start_helpers():
+    from queue import SimpleQueue
+
+    with _start_lock:
+        for _ in range(_CPUS - 1 - len(_queues)):
+            q = SimpleQueue()
+            threading.Thread(target=_helper, args=(q,), daemon=True,
+                             name="trialab-transform").start()
+            _queues.append(q)
+
+
+def _forget_helpers():
+    """A forked child has none of its parent's helpers; it starts its own.
+
+    Jobs put on the parent's queues would wait there for good, holding the
+    child's buffers.
+    """
+    global _start_lock
+    _queues.clear()
+    _start_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def inverse_transform(f, mu: complex) -> RawVector:

@@ -234,6 +234,23 @@ def test_cli_dimap_catalog(tmp_path, capsys):
     assert "4 maps" in stdout
 
 
+def test_cli_dimap_catalog_refuses_a_directory_with_other_atlas_files(tmp_path, capsys):
+    outdir = tmp_path / "atlas"
+    assert main(["dimap", "catalog", "--edges", "3", "-o", str(outdir)]) == 0
+    (outdir / "notes.txt").write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    assert len(before) == 12
+    capsys.readouterr()
+    # The 4-map catalog would leave map004..map010 from the 11-map one.
+    assert main(["dimap", "catalog", "--edges", "2", "-o", str(outdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "7 .adm files" in err
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+    # A run that rewrites every .adm file there is not refused.
+    assert main(["dimap", "catalog", "--edges", "3", "-o", str(outdir)]) == 0
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+
 def test_cli_dimap_catalog_rejects_a_negative_edge_count(tmp_path, capsys):
     outdir = tmp_path / "atlas"
     assert main(["dimap", "catalog", "--edges", "-1", "-o", str(outdir)]) == 2

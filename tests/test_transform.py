@@ -1,7 +1,14 @@
+import os
+import queue
+import signal
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from trialab import binfun
+from trialab import transform as T
 from trialab.errors import SingularTransform
 from trialab.transform import (
     OMEGA,
@@ -106,10 +113,12 @@ def dense_kronecker_row(matrix, m, y):
 
 
 def test_fast_matches_dense_rows_at_larger_m():
-    # From m = 12 the first block is split into column tiles. The dense
-    # power is too large there, so sampled rows of it are checked instead.
+    # From m = 12 the first block is split into column tiles, and m = 18 and
+    # 20 run the split across CPUs. The dense power is too large there, so
+    # sampled rows of it are checked instead.
+    assert T.SPLIT_MIN <= 2**18
     rng = np.random.default_rng(5)
-    for m in (12, 13, 14):
+    for m in (12, 13, 14, 18, 20):
         f = random_bf(rng, m)
         for mu in (complex(*rng.standard_normal(2)), -1.0, OMEGA):
             fast = transform(f, mu).values
@@ -118,6 +127,101 @@ def test_fast_matches_dense_rows_at_larger_m():
                 row = dense_kronecker_row(e, m, y)
                 scale = np.sum(np.abs(row * f.values))
                 assert abs(fast[y] - row @ f.values) <= 1e-12 * scale
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Run the split path on at least two CPUs, even on a one-CPU host."""
+    monkeypatch.setattr(T, "_CPUS", max(T._CPUS, 2))
+    return monkeypatch
+
+
+def one_cpu(monkeypatch, f, mu):
+    with monkeypatch.context() as mp:
+        mp.setattr(T, "_CPUS", 1)
+        return transform(f, mu).values
+
+
+def bits(values):
+    return values.view(np.uint64)
+
+
+def test_split_is_bit_identical_to_one_cpu(split):
+    # m = 18..21 cover every place of the short block and each matmul shape.
+    rng = np.random.default_rng(9)
+    for m in (18, 19, 20, 21):
+        v = rng.standard_normal(2**m) + 1j * rng.standard_normal(2**m)
+        for mu in (OMEGA, -1.0, complex(*rng.standard_normal(2))):
+            expected = one_cpu(split, v, mu)
+            assert np.array_equal(bits(transform(v, mu).values), bits(expected))
+    assert T._queues
+
+
+def test_split_from_concurrent_callers(split):
+    rng = np.random.default_rng(10)
+    inputs = [rng.standard_normal(2**19) + 1j * rng.standard_normal(2**19) for _ in range(4)]
+    expected = [one_cpu(split, v, OMEGA) for v in inputs]
+    results = [None] * 4
+
+    def call(i):
+        for _ in range(3):
+            results[i] = transform(inputs[i], OMEGA).values
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected):
+        assert np.array_equal(bits(got), bits(want))
+
+
+def test_split_finishes_when_no_helper_takes_a_chunk(split):
+    # Queues that no thread reads stand for helpers that are never scheduled.
+    v = np.random.default_rng(11).standard_normal(2**18).astype(complex)
+    expected = one_cpu(split, v, OMEGA2)
+    idle = [queue.SimpleQueue(), queue.SimpleQueue()]
+    split.setattr(T, "_queues", idle)
+    assert np.array_equal(bits(transform(v, OMEGA2).values), bits(expected))
+    blocks = -(-18 // T.BLOCK)
+    assert all(q.qsize() == blocks for q in idle)  # one job per block, none taken
+
+
+def test_split_runs_helpers_under_the_callers_errstate(split):
+    # The blocks are finite at mu = 1e10; every product overflows. Whichever
+    # thread runs a chunk, its overflow is silenced (pytest turns a
+    # RuntimeWarning into an error) or raised in the caller, as asked.
+    v = np.full(2**18, 1e300, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(transform(v, 1e10).values).any()
+    with np.errstate(over="raise", invalid="ignore"), pytest.raises(FloatingPointError):
+        transform(v, 1e10)
+
+
+def test_split_in_a_forked_child(split):
+    v = np.random.default_rng(12).standard_normal(2**18).astype(complex)
+    expected = transform(v, OMEGA).values
+    assert T._queues
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports by its exit status
+        code = 1
+        try:
+            signal.alarm(60)
+            same = np.array_equal(bits(transform(v, OMEGA).values), bits(expected))
+            # The parent's helpers are gone; the child started its own.
+            helpers = [t for t in threading.enumerate() if t.name == "trialab-transform"]
+            if same and len(helpers) == len(T._queues) == T._CPUS - 1:
+                code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_composition_multiplies_parameters():
