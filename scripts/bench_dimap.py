@@ -23,7 +23,9 @@ Per checkout it measures
     dominated, at several sizes each: Hadamard duality over the multigraphs of
     at most 4 and at most 5 edges, and commutation over every pair at every
     (mu1, mu2) from {1, -1, w, w2} on 20 seeded functions of each of
-    m = 4, 6, 8, 10.
+    m = 4, 6, 8, 10;
+  * the best of five ``find_noncommuting_pair`` scans over every map of the
+    k = 4 and k = 5 catalogs, on fresh copies of the maps each time.
 
 ``--before``/``--after`` also alternates cold ``python -m trialab.cli
 verify --seed N`` runs of the two checkouts, ``VERIFY_PAIRS`` pairs, one
@@ -63,6 +65,7 @@ VERIFY_REPEATS = 5
 VERIFY_PAIRS = 10
 DUALITY_MAX_EDGES = (4, 5)
 COMMUTATION_MS, COMMUTATION_FUNCTIONS = (4, 6, 8, 10), 20
+NONCOMMUTATION_KS = (4, 5)
 WORKLOADS = ("bf-kernels", "dimap-sweep", "verify-e2e")
 END_TO_END = ("setup_s", "pass_s", "ops_per_s", "peak_rss_mb")
 HIGHER_IS_BETTER = ("ops_per_s",)
@@ -184,8 +187,11 @@ def measure_kernels() -> dict:
 
 def measure_verify() -> dict:
     import numpy as np
+    from trialab import altmap as A
     from trialab import binfun as B
+    from trialab import catalog as C
     from trialab import minor as M
+    from trialab import reductions as R
     from trialab import verify as V
     from trialab.transform import OMEGA, OMEGA2
 
@@ -234,6 +240,18 @@ def measure_verify() -> dict:
             v[0] = 1.0
             fs.append(B.make(m, v))
         out[f"commutation.m{m}"] = best(lambda: [M.minors_commute_check(f, mus, 1e-9) for f in fs])
+
+    for k in NONCOMMUTATION_KS:
+        catalog = C.enumerate_dimaps(k, cap=k).maps
+        runs = []
+        for _ in range(VERIFY_REPEATS):
+            # Fresh copies, so no map carries a view from an earlier scan.
+            maps = [A.AlternatingDimap(g.edges, g.rotations) for g in catalog]
+            start = perf_counter()
+            for g in maps:
+                R.find_noncommuting_pair(g)
+            runs.append(perf_counter() - start)
+        out[f"noncommutation-scan.k{k}"] = min(runs)
     return out
 
 

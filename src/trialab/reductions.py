@@ -120,12 +120,15 @@ def is_degenerate_edge(g: AlternatingDimap, label: str) -> bool:
 
 def find_noncommuting_pair(g: AlternatingDimap):
     """Smallest witness (label1, kind1, label2, kind2) whose two application
-    orders differ, or None.  Scans labels sorted, kinds in (1, w, w2) order."""
+    orders differ, or None.  Scans labels sorted, kinds in (1, w, w2) order.
+    Each of the 3k single reductions is computed once and shared by every
+    pair that starts with it."""
     labels = sorted(g.labels())
+    single = {(lab, kind): reduce_edge(g, lab, kind) for lab in labels for kind in ALL_KINDS}
     for l1, l2 in itertools.combinations(labels, 2):
         for k1, k2 in itertools.product(ALL_KINDS, repeat=2):
-            first = reduce_edge(reduce_edge(g, l1, k1), l2, k2)
-            second = reduce_edge(reduce_edge(g, l2, k2), l1, k1)
+            first = reduce_edge(single[l1, k1], l2, k2)
+            second = reduce_edge(single[l2, k2], l1, k1)
             if not labeled_equal(first, second):
                 return (l1, k1, l2, k2)
     return None

@@ -73,8 +73,8 @@ def ultraloop_image() -> BinaryFunction:
     return binfun.make(1, [1.0, ULOOP_RATIO])
 
 
-def canonical_class(k: int, nu: complex = 1.0) -> RepresentationCandidate:
-    """The stacks of up to k ultraloops with tensor-power images."""
+def canonical_class(k: int) -> RepresentationCandidate:
+    """The stacks of up to k ultraloops with tensor-power images, at nu = 1."""
     base = ultraloop_image()
     members = []
     images = []
@@ -85,7 +85,7 @@ def canonical_class(k: int, nu: complex = 1.0) -> RepresentationCandidate:
         images.append(tensor_power(base, i))
         edge_maps.append({lab: pos for pos, lab in enumerate(g.labels())})
     return RepresentationCandidate(tuple(members), tuple(images),
-                                   tuple(edge_maps), complex(nu))
+                                   tuple(edge_maps), 1.0 + 0j)
 
 
 def _pullback(values: np.ndarray, m: int, position_map: dict[int, int]) -> np.ndarray:

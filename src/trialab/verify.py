@@ -7,8 +7,9 @@ they judge: dense Kronecker products against the fast kernel, brute-force
 GF(2) complements against the transform, rank computations against the
 degeneracy test, and Burnside's closed-form counts against the catalogs.
 Of the 3002 multigraphs in the Hadamard-duality check only 210 have
-distinct cutset spaces, so the transform, the complement oracle and the
-residual run once per distinct space.  Every catalog a check reads comes
+distinct cutset spaces, so the indicator, the transform, the complement
+oracle and the residual run once per distinct space, keyed by the GF(2)
+span of the incidence rows.  Every catalog a check reads comes
 from the one cache in `_catalog`.
 """
 
@@ -162,27 +163,39 @@ def _gf2_complement_indicator(indicator: np.ndarray, m: int) -> np.ndarray:
     return (~_parity_table(m)[:, support].any(axis=1)).astype(float)
 
 
+def _incidence_masks(edges) -> list[int]:
+    """The four vertex rows of the GF(2) incidence matrix as subset masks:
+    edge j owns bit m-1-j, and a loop cancels at its one vertex."""
+    m = len(edges)
+    rows = [0, 0, 0, 0]
+    for j, (a, b) in enumerate(edges):
+        bit = 1 << (m - 1 - j)
+        rows[a] ^= bit
+        rows[b] ^= bit
+    return rows
+
+
 def check_hadamard_duality(rng, tol=1e-9) -> CheckResult:
     # Oracle: the circuit space is the brute-force GF(2) orthogonal
-    # complement of the cutset space.  Multigraphs with the same cutset
-    # space share one transform, one oracle and one residual.
-    residuals: dict[bytes, float] = {}
+    # complement of the cutset space.  Multigraphs are keyed by the span of
+    # their incidence rows, so each cutset space gets one indicator, one
+    # transform, one oracle and one residual.
+    residuals: dict[tuple, float] = {}
     count = 0
     for edges in _all_multigraphs():
         m = len(edges)
-        inc = np.zeros((4, m), dtype=int)
-        for j, (a, b) in enumerate(edges):
-            inc[a, j] ^= 1
-            inc[b, j] ^= 1
-        cutset = binfun.rowspace_indicator(inc)
-        key = cutset.values.tobytes()
+        rows = _incidence_masks(edges)
+        key = (m, tuple(sorted(binfun.gf2_span(binfun.gf2_basis(rows)))))
         if key not in residuals:
+            cutset = binfun.rowspace_indicator(
+                [[(r >> (m - 1 - j)) & 1 for j in range(m)] for r in rows])
             circuit = _gf2_complement_indicator(cutset.values, m)
             residuals[key] = binfun.proportionality_residual(transform(cutset, -1.0), circuit)
         count += 1
     worst = _worst(list(residuals.values()))
     return CheckResult("transforms", "hadamard-duality", worst <= tol,
-                       f"{count} multigraphs, worst residual {worst:.3e} (tol {tol:g})")
+                       f"{count} multigraphs, {len(residuals)} cutset spaces, "
+                       f"worst residual {worst:.3e} (tol {tol:g})")
 
 
 def check_eigenvector(rng, tol=1e-12) -> CheckResult:
@@ -510,19 +523,21 @@ def check_tensor_lift_uniqueness(rng, tol=1e-9) -> CheckResult:
     return CheckResult("claims", "tensor-lift-uniqueness", ok, "; ".join(details))
 
 
-# Random unit phases checked per ultraloop-stack class.
-N_PHASES = 10
-
-
 def check_main_theorem(rng, tol=1e-9) -> CheckResult:
     # The ultraloop-stack classes up to 5 edges admit strict representations
-    # at nu = 1 and at N_PHASES random unit phases each.  Conversely every
+    # at nu = 1, and so at every unit nu: every element of their images, the
+    # tensor powers of (1, r) with r = sqrt(2) - 1, is degenerate.  The minor
+    # of a degenerate element at mu is (1 + lambda(mu) r) times the next-lower
+    # power, and 1 + lambda(mu) r = 2 sqrt(2) / (sqrt(2) + 1 - r mu) never
+    # vanishes (its modulus is at least 1 on the unit circle), so condition
+    # (e) holds at nu * mu exactly when it holds at mu.  Conversely every
     # two-edge map other than the double stack is obstructed: its image is
     # forced to the self-trial tensor square while the map is not self-trial.
-    classes = all(check_representation(canonical_class(k), tol).passed for k in range(6))
-    phases = all(check_representation(canonical_class(k, np.exp(2j * np.pi * rng.random())),
-                                      tol).passed
-                 for k in range(6) for _ in range(N_PHASES))
+    candidates = [canonical_class(k) for k in range(6)]
+    classes = all(check_representation(c, tol).passed for c in candidates)
+    images = candidates[-1].images
+    elements = sum(f.m for f in images)
+    degenerate = sum(is_degenerate(f, i, tol) for f in images for i in range(f.m))
     obstructions = 0
     if self_trial(binfun.tensor_power(ultraloop_image(), 2), tol):
         double = ultraloop_stack(2)
@@ -530,8 +545,10 @@ def check_main_theorem(rng, tol=1e-9) -> CheckResult:
         obstructions = sum(not isomorphic(g, double) and all(g is not h for h in members)
                            for g in _catalog(2).maps)
     return CheckResult(
-        "main-theorem", "strict-representations", classes and phases and obstructions == 3,
-        f"classes 0..5 pass: {classes}; random phases pass: {phases}; "
+        "main-theorem", "strict-representations",
+        classes and degenerate == elements and obstructions == 3,
+        f"classes 0..5 pass: {classes}; stack images degenerate at "
+        f"{degenerate}/{elements} elements; "
         f"{obstructions} obstruction witnesses on two edges")
 
 

@@ -170,6 +170,27 @@ def test_noncommuting_pair_exists_within_cap():
     assert witnesses
 
 
+def _first_noncommuting_pair(g):
+    """The same scan as find_noncommuting_pair, reducing both orders from g each time."""
+    for l1, l2 in itertools.combinations(sorted(g.labels()), 2):
+        for k1, k2 in itertools.product(ALL_KINDS, repeat=2):
+            first = reduce_edge(reduce_edge(g, l1, k1), l2, k2)
+            second = reduce_edge(reduce_edge(g, l2, k2), l1, k1)
+            if not labeled_equal(first, second):
+                return (l1, k1, l2, k2)
+    return None
+
+
+def test_noncommuting_pair_matches_the_scan_from_scratch():
+    found = 0
+    for k in range(0, 6):
+        for g in enumerate_dimaps(k).maps:
+            witness = find_noncommuting_pair(g)
+            assert witness == _first_noncommuting_pair(g), (k, g)
+            found += witness is not None
+    assert found > 0
+
+
 def test_noncommuting_witness_is_order_dependent():
     for g in enumerate_dimaps(4).maps:
         w = find_noncommuting_pair(g)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from trialab import binfun
 from trialab.binfun import DEFAULT_TOL
 from trialab.errors import NotMinorClosed
+from trialab.minor import lambda_mu
 from trialab.represent import (
     RepresentationCandidate,
     _pullback,
@@ -61,7 +64,24 @@ def test_canonical_classes_pass_for_any_unit_phase():
     rng = np.random.default_rng(21)
     for _ in range(10):
         nu = np.exp(2j * np.pi * rng.random())
-        assert check_representation(canonical_class(3, nu)).passed
+        assert check_representation(dataclasses.replace(canonical_class(3), nu=nu)).passed
+
+
+def test_minor_compatibility_follows_the_phase():
+    # Element 0 of this two-stack image is not degenerate: its minor matches
+    # the one-stack image (1, r) at mu = 1 only.  So the reduction of e0
+    # that matches is the one whose kind times nu is 1, and a checker that
+    # ignored nu would match the 1-reduction at every phase.
+    cand = canonical_class(2)
+    f01 = U - lambda_mu(1.0) * (0.9 - 0.5 * U)
+    image = binfun.make(2, [1.0, f01, 0.5, 0.9])
+    cand = dataclasses.replace(cand, images=cand.images[:2] + (image,))
+    for nu, token in ((1.0, "1"), (OMEGA, "w2"), (OMEGA2, "w")):
+        report = check_representation(dataclasses.replace(cand, nu=nu))
+        unmatched = {kind for kind in ("1", "w", "w2")
+                     if f"member 2: edge 'e0', reduction {kind} has no match"
+                     in report.minor_compat}
+        assert unmatched == {"1", "w", "w2"} - {token}, (nu, report.minor_compat)
 
 
 def test_non_self_trial_image_fails_triality():
@@ -77,8 +97,7 @@ def test_non_self_trial_image_fails_triality():
 
 def test_non_unit_phase_fails():
     cand = canonical_class(1)
-    bad = RepresentationCandidate(cand.members, cand.images, cand.edge_maps, 2.0)
-    report = check_representation(bad)
+    report = check_representation(dataclasses.replace(cand, nu=2.0))
     assert report.unit_phase and not report.passed
 
 
@@ -109,9 +128,7 @@ def search_unit_phase(candidate, tol=DEFAULT_TOL, samples=720):
     """
     for j in range(samples):
         nu = np.exp(2j * np.pi * j / samples)
-        trial_candidate = RepresentationCandidate(
-            candidate.members, candidate.images, candidate.edge_maps, nu)
-        if check_representation(trial_candidate, tol).passed:
+        if check_representation(dataclasses.replace(candidate, nu=nu), tol).passed:
             return complex(nu)
     return None
 

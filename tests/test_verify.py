@@ -5,8 +5,10 @@ are in test_minor.py.  A NaN residual anywhere among the samples fails
 each transform check.  The claim checks' parts hold on their own: the
 tensor-power lift is unique and breaks under perturbation, the funnel
 finds 4 / 1 / 1 maps on 2 / 3 / 4 edges, and the main theorem fails when
-the forced image is not self-trial.  The mu-independence check's planted
-functions are degenerate at the element it tests."""
+the forced image is not self-trial or a stack element is not degenerate.
+The closed form that lets nu = 1 stand for every unit phase holds.  The
+mu-independence check's planted functions are degenerate at the element it
+tests."""
 
 import itertools
 
@@ -15,7 +17,9 @@ import pytest
 
 from trialab import binfun, verify
 from trialab.altmap import isomorphic, ultraloop_stack
-from trialab.minor import is_degenerate
+from trialab.minor import is_degenerate, lambda_mu, take_minor_raw
+from trialab.represent import ultraloop_image
+from trialab.transform import OMEGA, OMEGA2, ULOOP_RATIO
 
 
 def _pure_python_complement(values, m):
@@ -79,6 +83,9 @@ def test_hadamard_duality_scores_every_distinct_cutset_space(monkeypatch):
 
         monkeypatch.setattr(verify, "transform", off_on_one_space)
         assert not verify.check_hadamard_duality(np.random.default_rng(0)).passed
+    monkeypatch.setattr(verify, "transform", real)
+    result = verify.check_hadamard_duality(np.random.default_rng(0))
+    assert result.details.startswith("3002 multigraphs, 210 cutset spaces, ")
 
 
 def _nan_on_call(monkeypatch, module, name, n, poison):
@@ -174,6 +181,7 @@ def test_main_theorem_report():
     result = verify.check_main_theorem(np.random.default_rng(0))
     assert result.passed
     assert "classes 0..5 pass: True" in result.details
+    assert "stack images degenerate at 15/15 elements" in result.details
     assert "3 obstruction witnesses" in result.details
 
 
@@ -182,3 +190,35 @@ def test_main_theorem_fails_when_the_forced_image_is_not_self_trial(monkeypatch)
     result = verify.check_main_theorem(np.random.default_rng(0))
     assert not result.passed
     assert "0 obstruction witnesses" in result.details
+
+
+def test_main_theorem_fails_when_a_stack_element_is_not_degenerate(monkeypatch):
+    real = verify.is_degenerate
+
+    def all_but_one(f, i, tol=1e-8):
+        return real(f, i, tol) and not (f.m == 3 and i == 1)
+
+    monkeypatch.setattr(verify, "is_degenerate", all_but_one)
+    result = verify.check_main_theorem(np.random.default_rng(0))
+    assert not result.passed
+    assert "stack images degenerate at 14/15 elements" in result.details
+
+
+def test_degenerate_minor_factor_never_vanishes():
+    # 1 + lambda(mu) r = 2 sqrt(2) / (sqrt(2) + 1 - r mu) with r = sqrt(2) - 1:
+    # the factor by which each minor of a tensor power of (1, r) scales the
+    # next-lower power.  On the unit circle its modulus is at least 1.
+    r = ULOOP_RATIO
+    rng = np.random.default_rng(18)
+    sampled = [complex(np.exp(2j * np.pi * rng.random())) for _ in range(50)]
+    for mu in (1.0, -1.0, OMEGA, OMEGA2, 0.3 + 0.7j, *sampled):
+        factor = 1 + lambda_mu(mu) * r
+        assert abs(factor - 2 * np.sqrt(2) / (np.sqrt(2) + 1 - r * mu)) <= 1e-14
+        if abs(abs(mu) - 1.0) <= 1e-12:
+            assert abs(factor) >= 1 - 1e-12
+        for k in (1, 2, 4):
+            power = binfun.tensor_power(ultraloop_image(), k)
+            lower = binfun.tensor_power(ultraloop_image(), k - 1).values
+            for i in range(k):
+                minor = take_minor_raw(power, i, mu)
+                assert np.max(np.abs(minor - factor * lower)) <= 1e-14
