@@ -15,17 +15,24 @@ Per checkout it measures
     ``proportional`` (one proportional and one non-proportional pair) on
     seeded random binary functions at m = 16, 20, 22, and of
     ``write_vector`` / ``read_vector`` at m = 12, 16;
-  * the per-call time of ``take_minor`` and ``make`` at m = 6, the size of
-    the verify suites' many small calls: the best of five loops of 2000;
+  * the per-call time of ``take_minor``, ``make`` and the one-vector
+    ``transform`` (at w) at m = 6, the size of the verify suites' many small
+    calls and of the representation checks': the best of five loops of 2000;
+  * the per-row time of one stacked ``raw_transform`` call at m = 4 and 8,
+    with one random mu per row, on stacks of 1, 20 and 200 rows: the best of
+    five loops of 2000 rows;
   * the best of five in-process times of each of the 17 ``verify`` checks,
     run suite by suite from seed 0 as ``verify.run_suites`` runs them, with
     verify's own caches emptied before each run; and the two checks that
     dominated, at several sizes each: Hadamard duality over the multigraphs of
     at most 4 and at most 5 edges, and commutation over every pair at every
     (mu1, mu2) from {1, -1, w, w2} on 20 seeded functions of each of
-    m = 4, 6, 8, 10;
+    m = 4, 6, 8, 10, as one stacked call per m;
   * the best of five ``find_noncommuting_pair`` scans over every map of the
     k = 4 and k = 5 catalogs, on fresh copies of the maps each time.
+
+On a checkout whose kernels take no stacks, the stacked figures run the
+same rows through one-vector calls, as its verify checks do.
 
 ``--before``/``--after`` also alternates cold ``python -m trialab.cli
 verify --seed N`` runs of the two checkouts, ``VERIFY_PAIRS`` pairs, one
@@ -61,6 +68,7 @@ KERNEL_MS = (16, 20, 22)
 IO_MS = (12, 16)
 KERNEL_REPEATS = 7
 SMALL_M, SMALL_CALLS = 6, 2000
+STACK_MS, STACK_ROWS = (4, 8), (1, 20, 200)
 VERIFY_REPEATS = 5
 VERIFY_PAIRS = 10
 DUALITY_MAX_EDGES = (4, 5)
@@ -171,17 +179,38 @@ def measure_kernels() -> dict:
             out[f"write_vector.m{m}"] = p50(B.write_vector, path, m, v)
             out[f"read_vector.m{m}"] = p50(B.read_vector, path)
 
-    v = random_values(rng, SMALL_M)
-    f = B.make(SMALL_M, v)
-    spec = M.MinorSpec(SMALL_M // 2, T.OMEGA)
-    for name, fn, args in (("take_minor", M.take_minor, (f, spec)), ("make", B.make, (SMALL_M, v))):
+    def per_call(fn, *args, calls=SMALL_CALLS):
         loops = []
         for _ in range(5):
             start = perf_counter()
-            for _ in range(SMALL_CALLS):
+            for _ in range(calls):
                 fn(*args)
-            loops.append((perf_counter() - start) / SMALL_CALLS)
-        out[f"{name}.m{SMALL_M}"] = min(loops)
+            loops.append((perf_counter() - start) / calls)
+        return min(loops)
+
+    v = random_values(rng, SMALL_M)
+    f = B.make(SMALL_M, v)
+    spec = M.MinorSpec(SMALL_M // 2, T.OMEGA)
+    out[f"take_minor.m{SMALL_M}"] = per_call(M.take_minor, f, spec)
+    out[f"make.m{SMALL_M}"] = per_call(B.make, SMALL_M, v)
+    out[f"transform.m{SMALL_M}"] = per_call(T.transform, f, T.OMEGA)
+
+    stacked = getattr(T, "raw_transform", None)
+    for m in STACK_MS:
+        for rows in STACK_ROWS:
+            values = np.stack([random_values(rng, m) for _ in range(rows)])
+            # Fresh parameters for every call, as verify draws them, so that
+            # no cached block is reused.
+            calls = SMALL_CALLS // rows
+            draws = iter(rng.standard_normal((5 * calls, rows, 2)).view(complex)[..., 0])
+            if stacked is None:
+                def call():
+                    for row, mu in zip(values, next(draws)):
+                        T.transform(row, complex(mu))
+            else:
+                def call():
+                    stacked(values, next(draws))
+            out[f"stacked_transform.m{m}.rows{rows}"] = per_call(call, calls=calls) / rows
     return out
 
 
@@ -192,6 +221,7 @@ def measure_verify() -> dict:
     from trialab import catalog as C
     from trialab import minor as M
     from trialab import reductions as R
+    from trialab import transform as T
     from trialab import verify as V
     from trialab.transform import OMEGA, OMEGA2
 
@@ -233,13 +263,20 @@ def measure_verify() -> dict:
 
     mus = [1.0 + 0j, -1.0 + 0j, OMEGA, OMEGA2]
     rng = np.random.default_rng(9)
+    # A checkout whose check takes no stacks is given one function at a time.
+    takes_stacks = hasattr(T, "raw_transform")
     for m in COMMUTATION_MS:
         fs = []
         for _ in range(COMMUTATION_FUNCTIONS):
             v = rng.standard_normal(2 ** (m + 1)).view(complex)
             v[0] = 1.0
             fs.append(B.make(m, v))
-        out[f"commutation.m{m}"] = best(lambda: [M.minors_commute_check(f, mus, 1e-9) for f in fs])
+        if takes_stacks:
+            stack = np.stack([f.values for f in fs])
+            out[f"commutation.m{m}"] = best(lambda: M.minors_commute_check(stack, mus, 1e-9))
+        else:
+            out[f"commutation.m{m}"] = best(
+                lambda: [M.minors_commute_check(f, mus, 1e-9) for f in fs])
 
     for k in NONCOMMUTATION_KS:
         catalog = C.enumerate_dimaps(k, cap=k).maps

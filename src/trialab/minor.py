@@ -7,7 +7,12 @@ slices of the vector along that element with weight lambda(mu):
 
 then renormalizing so the empty-set entry is 1.  One kernel,
 :func:`raw_minors`, combines the slices for a whole stack of vectors at
-once; :func:`take_minor` is its one-vector case.  The weight
+once; :func:`take_minor` is its one-vector case.  It follows the stacking
+rule of :func:`transform.raw_transform`: the vectors lie along the last axis
+of an array, and mu is one parameter or an array broadcast against the
+leading axes, so an outer product over parameters is an explicit parameter
+axis.  The commutation, interchange and degeneracy checks take such stacks
+too, one verdict or count per vector.  The weight
 
     lambda(mu) = (1 + mu) / (sqrt(2) + 1 - (sqrt(2) - 1) * mu)
 
@@ -34,13 +39,14 @@ import numpy as np
 from .binfun import (
     BinaryFunction,
     DEFAULT_TOL,
+    RawVector,
     as_values,
     normalizable,
     normalize,
     proportional,
 )
 from .errors import IndexOutOfRange, PoleError
-from .transform import transform
+from .transform import raw_transform
 
 MU_POLE = 3.0 + 2.0 * math.sqrt(2.0)
 _SQRT2_PLUS_1 = math.sqrt(2.0) + 1.0
@@ -66,34 +72,40 @@ def lambda_mu(mu: complex) -> complex:
 
 def _split_slices(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Slices at element i of the vectors along the last axis of values:
-    (b=0 part, b=1 part), views of shape (rows * 2**i, 2**(m-1-i))."""
+    (b=0 part, b=1 part), views of shape values.shape[:-1] + (2**i, 2**(m-1-i))."""
     m = values.shape[-1].bit_length() - 1
     if not 0 <= i < m:
         raise IndexOutOfRange(f"element {i} outside 0..{m - 1}")
-    w = values.reshape(-1, 2, 2 ** (m - 1 - i))
-    return w[:, 0], w[:, 1]
+    w = values.reshape(values.shape[:-1] + (2**i, 2, 2 ** (m - 1 - i)))
+    return w[..., 0, :], w[..., 1, :]
+
+
+def _values(f) -> np.ndarray:
+    """The vector of a binary function or raw vector, or an array of vectors
+    along its last axis as it is."""
+    return f.values if isinstance(f, (BinaryFunction, RawVector)) else np.asarray(f, dtype=complex)
 
 
 def raw_minors(values: np.ndarray, i: int, mu) -> np.ndarray:
     """Unnormalized minors at element i of the vectors along the last axis of
     values, in one fresh array: the one minor kernel.
 
-    For one mu the result has the shape of values with its last axis halved.
-    For a 1-D array of q mus it has a leading axis of length q in addition,
-    one minor per mu.
+    mu is one parameter or an array broadcast against the leading axes of
+    values, as in :func:`raw_transform`; the result has the broadcast
+    leading axes and the last axis halved.
     """
     s0, s1 = _split_slices(values, i)
-    shape = values.shape[:-1] + (-1,)
     if isinstance(mu, np.ndarray):
-        lam = np.array([lambda_mu(x) for x in mu])[:, None, None]
-        shape = mu.shape + shape
+        # One Python lambda_mu per parameter: numpy's complex division
+        # rounds differently.
+        lam = np.array([lambda_mu(x) for x in mu.flat], dtype=complex).reshape(mu.shape + (1, 1))
     else:
         lam = lambda_mu(mu)
     # lam * slice, not np.multiply(slice, lam): for complex lam the operand
     # order changes the last bits of the product.
     raw = lam * s1
     raw += s0
-    return raw.reshape(shape)
+    return raw.reshape(raw.shape[:-2] + (-1,))
 
 
 def take_minor_raw(f, i: int, mu: complex) -> np.ndarray:
@@ -119,27 +131,33 @@ def _normalize_rows(raw: np.ndarray, tol: float, rows=True) -> np.ndarray:
     return ok
 
 
-def minors_commute_check(f: BinaryFunction, mus, tol: float = DEFAULT_TOL) -> tuple[int, int]:
+def minors_commute_check(f, mus, tol: float = DEFAULT_TOL) -> tuple[int, int]:
     """Compare both application orders of every pair of minors on distinct
     elements i < j, at every (mu1, mu2) drawn from mus; returns
-    (pairs compared, pairs differing beyond tol entrywise).
+    (pairs compared, pairs differing beyond tol entrywise), summed over the
+    functions when f is an array of them along its last axis.
 
     Removing e_i first shifts e_j down to j - 1.  A pair is skipped when any
-    of its four minors does not normalize.  The minors are taken as stacks:
-    all first minors in one array, then for each i the second minors of
-    first[i] at every j - 1 >= i and of every first[j > i] at i, so that all
-    pairs that start at i are compared at once.
+    of its four minors does not normalize.  The minors are taken as stacks,
+    with one axis per parameter in front of the functions: all first minors
+    in one array, then for each i the second minors of first[i] at every
+    j - 1 >= i and of every first[j > i] at i, so that all pairs that start
+    at i are compared at once.
     """
-    if f.m == 0:
+    values = _values(f)
+    m = values.shape[-1].bit_length() - 1
+    if m == 0:
         return 0, 0
-    mus = np.asarray(mus, dtype=complex)
-    first = np.stack([raw_minors(f.values, i, mus) for i in range(f.m)])
+    mus = np.asarray(mus, dtype=complex).reshape((-1,) + (1,) * (values.ndim - 1))
+    # Axes (i, mu1 index, functions..., entries).
+    first = np.stack([raw_minors(values, i, mus) for i in range(m)])
     first_ok = _normalize_rows(first, tol)
     compared = differing = 0
-    for i in range(f.m - 1):
-        # Axes (j - i - 1, mu2 index, mu1 index, entries) on both sides.
-        ij = np.stack([raw_minors(first[i], j - 1, mus) for j in range(i + 1, f.m)])
-        ji = raw_minors(first[i + 1:], i, mus).transpose(1, 2, 0, 3)
+    for i in range(m - 1):
+        # Axes (j - i - 1, mu2 index, mu1 index, functions..., entries) on
+        # both sides: e_i goes at mu1 and e_j at mu2.
+        ij = np.stack([raw_minors(first[i], j - 1, mus[:, None]) for j in range(i + 1, m)])
+        ji = raw_minors(first[i + 1:, :, None], i, mus)
         ok = (_normalize_rows(ij, tol, first_ok[i])
               & _normalize_rows(ji, tol, first_ok[i + 1:, :, None]))
         ij -= ji
@@ -149,24 +167,35 @@ def minors_commute_check(f: BinaryFunction, mus, tol: float = DEFAULT_TOL) -> tu
     return compared, differing
 
 
-def transform_minor_check(f, mu: complex, nu: complex, i: int,
-                          tol: float = DEFAULT_TOL) -> bool:
+def transform_minor_check(f, mu, nu, i: int, tol: float = DEFAULT_TOL):
     """Interchange identity: minor of the transform vs transform of the minor.
 
     Compares (L^[mu] f) minored at nu against L^[mu] (f minored at mu*nu)
-    projectively, as raw vectors.
+    projectively, as raw vectors.  f may be an array of vectors along its
+    last axis, with mu and nu broadcast against its leading axes; then there
+    is one verdict per vector.  Each mu*nu is Python's complex product:
+    numpy's fuses the parts and differs in the last bit for about 40% of
+    products.
     """
-    lhs = take_minor_raw(transform(f, mu), i, nu)
-    _, fv = as_values(f)
-    rhs = transform(take_minor_raw(fv, i, complex(mu) * complex(nu)), mu)
-    return proportional(lhs, rhs, tol)
+    mu, nu = np.broadcast_arrays(np.asarray(mu, dtype=complex), np.asarray(nu, dtype=complex))
+    munu = np.array([complex(a) * complex(b) for a, b in zip(mu.flat, nu.flat)]).reshape(mu.shape)
+    values = _values(f)
+    lhs = raw_minors(raw_transform(values, mu), i, nu)
+    rhs = raw_transform(raw_minors(values, i, munu), mu)
+    size = lhs.shape[-1]
+    verdicts = np.array([proportional(a, b, tol)
+                         for a, b in zip(lhs.reshape(-1, size), rhs.reshape(-1, size))])
+    return verdicts.reshape(lhs.shape[:-1]) if lhs.ndim > 1 else bool(verdicts[0])
 
 
-def is_degenerate(f: BinaryFunction, i: int, tol: float = 1e-8) -> bool:
+def is_degenerate(f, i: int, tol: float = 1e-8):
     """Product-form degeneracy test for element i, at a tolerance relative
-    to the largest entry magnitude."""
-    a, b = _split_slices(f.values, i)
-    t = b[0, 0]
+    to the largest entry magnitude; for an array of vectors along its last
+    axis, one verdict per vector."""
+    values = _values(f)
+    a, b = _split_slices(values, i)
+    t = b[..., :1, :1]
     residual = b - t * a
-    scale = float(np.max(np.abs(f.values))) * max(1.0, abs(t))
-    return bool(np.max(np.abs(residual), initial=0.0) <= tol * scale)
+    scale = np.max(np.abs(values), axis=-1) * np.maximum(1.0, np.abs(t[..., 0, 0]))
+    verdicts = np.max(np.abs(residual), axis=(-2, -1), initial=0.0) <= tol * scale
+    return verdicts if verdicts.ndim else bool(verdicts)

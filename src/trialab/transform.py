@@ -13,14 +13,19 @@ order-three trinity transform.
 The m-th Kronecker power of M(mu) acts on a length 2**m vector in
 O(m * 2**m): the elements are split into blocks of at most BLOCK axes, and
 each block is applied by one matmul with M(mu)^{(x)b}, so a transform is
-ceil(m / BLOCK) matmuls.  Each matmul is shaped as a batch of small
-products of at most TILE vector entries, each too small for BLAS to split
-across its own threads.  From SPLIT_MIN entries on, each block's batch is
-cut into chunks that the calling thread and one helper thread per further
-CPU take from a shared iterator; the caller waits for the chunks, never for
-a helper that has not started one.  Every chunk makes the same BLAS calls
-on the same operands as the one-CPU path, so the output is bit-identical to
-it.
+ceil(m / BLOCK) matmuls.  The one kernel, :func:`raw_transform`, takes the
+vectors along the last axis of an array, with mu one parameter or an array
+broadcast against the leading axes, and makes the same matmuls for the
+whole stack; :func:`transform` is its one-vector case.  Each row is
+bit-identical to a one-vector call.
+
+Each matmul is shaped as a batch of small products of at most TILE vector
+entries, each too small for BLAS to split across its own threads.  From
+SPLIT_MIN entries on, each block's batch is cut into chunks that the
+calling thread and one helper thread per further CPU take from a shared
+iterator; the caller waits for the chunks, never for a helper that has not
+started one.  Every chunk makes the same BLAS calls on the same operands as
+the one-CPU path, so the output is bit-identical to it.
 The output is deterministic for a given numpy and BLAS build, mu = 1 is the
 exact identity on finite input, and the output agrees with the dense
 Kronecker power to 1e-10, which the ``transforms.fast-vs-dense`` check
@@ -37,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .binfun import BinaryFunction, RawVector, as_values, proportional, DEFAULT_TOL
-from .errors import SingularTransform
+from .errors import SingularTransform, WrongLength
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,82 +79,130 @@ _queues = []  # one job queue per helper thread, started on the first split
 _start_lock = threading.Lock()
 
 
-def m_matrix(mu: complex) -> np.ndarray:
-    """The generator M(mu) as a read-only 2x2 array."""
-    mu = complex(mu)
+def m_matrix(mu) -> np.ndarray:
+    """The generator M(mu) as a read-only 2x2 array; for an array of mus, an
+    array of generators along two more trailing axes.
+
+    Each entry is built from the parts of mu as Python's complex arithmetic
+    builds it, so every generator of an array is bit-identical to the one of
+    its scalar mu.  (Numpy's complex-by-real division multiplies by the
+    reciprocal, which differs in the last bit for about a quarter of mus.)
+    """
+    if isinstance(mu, np.ndarray):
+        shape, mu = mu.shape, mu.reshape(-1)
+    else:
+        shape, mu = (), complex(mu)
     d = 2.0 * SQRT2
     # Algebraically equal to the displayed form; written as 1 + c*(mu - 1)
     # so that M(1) is the identity exactly, not just to one ulp.
     q = (SQRT2 - 1.0) / d
     p = (SQRT2 + 1.0) / d
-    entries = np.array(
-        [
-            [1.0 + q * (mu - 1.0), (1.0 - mu) / d],
-            [(1.0 - mu) / d, 1.0 + p * (mu - 1.0)],
-        ],
-        dtype=complex,
-    )
+    x, y = mu.real - 1.0, mu.imag
+    u, v = (1.0 - mu.real) / d, (0.0 - mu.imag) / d
+    parts = np.array([[1.0 + q * x, u, u, 1.0 + p * x],
+                      [0.0 + q * y, v, v, 0.0 + p * y]])
+    entries = parts.T.copy().view(complex).reshape(shape + (2, 2))
     entries.flags.writeable = False
     return entries
 
 
-@lru_cache(maxsize=64)
-def _kron_power(mu: complex, b: int) -> np.ndarray:
-    """M(mu)^{(x)b} as a read-only 2**b x 2**b matrix.
-
-    Cached because a few parameters (1, -1, w, w2) recur across many small
-    transforms, where building the block costs more than applying it.
-    """
+def _kron_power(mu, b: int) -> np.ndarray:
+    """M(mu)^{(x)b} as a read-only 2**b x 2**b matrix, or an array of them
+    for an array of mus."""
     e = m_matrix(mu)
-    k = np.ones((1, 1), dtype=complex)
-    for _ in range(b):
-        n = 2 * len(k)
-        k = (k[:, None, :, None] * e[None, :, None, :]).reshape(n, n)
+    lead = e.shape[:-2]
+    # Starting from M(mu) rather than 1 (x) M(mu) saves a product and no
+    # bits: times 1 is exact, and no entry of M(mu) is a negative zero.
+    k = e if b else np.ones(lead + (1, 1), dtype=complex)
+    for n in range(1, b):
+        k = (k[..., :, None, :, None] * e[..., None, :, None, :]).reshape(lead + (2**(n + 1),) * 2)
     k.flags.writeable = False
     return k
 
 
-def transform(f, mu: complex) -> RawVector:
-    """Apply the m-th Kronecker power of M(mu) in ceil(m / BLOCK) matmuls.
+# Cached for one mu because a few parameters (1, -1, w, w2) recur across
+# many small transforms, where building the block costs more than applying it.
+_cached_kron_power = lru_cache(maxsize=64)(_kron_power)
 
-    Deterministic for a given numpy/BLAS build; exact at mu = 1 on finite
-    input; within 1e-10 of the dense Kronecker power; O(m * 2**m), in
-    products too small for BLAS to thread.  From SPLIT_MIN entries on, the
-    products of each block are shared between the calling thread and a
-    helper per further CPU, with output bit-identical to one CPU's.
-    """
+
+def transform(f, mu: complex) -> RawVector:
+    """Apply the m-th Kronecker power of M(mu) to one vector: the one-vector
+    case of :func:`raw_transform`."""
     m, values = as_values(f)
-    mu = complex(mu)
+    return RawVector(m, _apply(values, m, mu))
+
+
+def raw_transform(values, mu) -> np.ndarray:
+    """Apply the m-th Kronecker power of M(mu) in ceil(m / BLOCK) matmuls to
+    the vectors along the last axis of values, in one fresh array: the one
+    transform kernel.
+
+    mu is one parameter or an array broadcast against the leading axes of
+    values; the result has the broadcast leading axes.  Each row is
+    bit-identical to its one-vector transform, and deterministic for a given
+    numpy/BLAS build; exact at mu = 1 on finite input; within 1e-10 of the
+    dense Kronecker power; O(m * 2**m) per row, in products too small for
+    BLAS to thread.  From SPLIT_MIN entries on, the products of each block
+    are shared between the calling thread and a helper per further CPU, with
+    output bit-identical to one CPU's.
+    """
+    values = np.asarray(values, dtype=complex)
+    size = values.shape[-1]
+    m = size.bit_length() - 1
+    if size != 2**m:
+        raise WrongLength(f"length {size} is not a power of two")
+    lead = values.shape[:-1]
+    if isinstance(mu, np.ndarray):
+        lead = np.broadcast_shapes(lead, mu.shape)
+        values = np.broadcast_to(values, lead + (size,))
+        mu = np.broadcast_to(mu, lead).reshape(-1)
+    return _apply(values, m, mu)
+
+
+def _apply(v, m: int, mu) -> np.ndarray:
+    """The blocks of :func:`raw_transform` on the rows of v, for one mu or
+    an array of one mu per row."""
+    rows = v.size >> m
     # The short block goes first; at m = 0 a single width-0 block still
     # copies the input.
     widths = [(m - 1) % BLOCK + 1] + [BLOCK] * ((m - 1) // BLOCK) if m else [0]
-    v = np.asarray(values, dtype=complex)
+    per_row = isinstance(mu, np.ndarray)
+    if per_row:
+        # One block per row, broadcast along a row axis in front of the batch.
+        blocks = {b: _kron_power(mu, b) for b in set(widths)}
+        pre, reps = (rows,), 1
+    else:
+        # One block for all rows, which join the leading batch axis.
+        mu = complex(mu)
+        pre, reps = (), rows
     # The blocks write into two buffers in turn: allocating a fresh output
     # per block page-faults it in again each time, which at m = 22 made a
     # transform about a quarter slower and its time less steady.
-    buffers = [np.empty(2**m, dtype=complex) for _ in range(min(len(widths), 2))]
+    buffers = [np.empty(v.shape, dtype=complex) for _ in range(min(len(widths), 2))]
     # Below SPLIT_MIN, or on one CPU, each block is one np.matmul as it is.
-    matmul = _split_matmul if 2**m >= SPLIT_MIN and _CPUS > 1 else np.matmul
+    matmul = _split_matmul if v.size >= SPLIT_MIN and _CPUS > 1 else np.matmul
     axis = 0
     for i, b in enumerate(widths):
-        k = _kron_power(mu, b)
+        k = blocks[b] if per_row else _cached_kron_power(mu, b)
         out = buffers[i % 2]
         n, w, rest = 2**axis, 2**b, 2 ** (m - axis - b)
         tile = TILE >> b
         if rest > tile:
             # k times (w, tile) column tiles of each (w, rest) slab.
-            shape = (n, w, rest // tile, tile)
-            matmul(k, v.reshape(shape).transpose(0, 2, 1, 3),
-                   out=out.reshape(shape).transpose(0, 2, 1, 3))
+            shape = pre + (reps * n, w, rest // tile, tile)
+            matmul(k[:, None, None] if per_row else k, v.reshape(shape).swapaxes(-3, -2),
+                   out=out.reshape(shape).swapaxes(-3, -2))
         elif rest == 1 and n > tile:
             # The last axes: tiles of rows of w entries, times k.T.
-            shape = (n // tile, tile, w)
-            matmul(v.reshape(shape), k.T, out=out.reshape(shape))
+            shape = pre + (reps * n // tile, tile, w)
+            matmul(v.reshape(shape), (k[:, None] if per_row else k).swapaxes(-1, -2),
+                   out=out.reshape(shape))
         else:
-            matmul(k, v.reshape(n, w, rest), out=out.reshape(n, w, rest))
+            shape = pre + (reps * n, w, rest)
+            matmul(k[:, None] if per_row else k, v.reshape(shape), out=out.reshape(shape))
         v = out
         axis += b
-    return RawVector(m, v)
+    return v
 
 
 def _split_matmul(a, b, out):
@@ -158,9 +211,10 @@ def _split_matmul(a, b, out):
 
     The chunks cut the leading batch axis, or the second when the leading
     one is too short, so each small product is the same BLAS call as in one
-    np.matmul.  The caller takes chunks until none is left, then waits only
-    for those a helper has taken: a helper that is never scheduled costs
-    nothing but its share of the speedup.
+    np.matmul; an operand broadcast along that axis is passed whole.  The
+    caller takes chunks until none is left, then waits only for those a
+    helper has taken: a helper that is never scheduled costs nothing but its
+    share of the speedup.
     """
     batch = out.shape[:-2]
     chunks = CHUNKS_PER_CPU * _CPUS
@@ -171,7 +225,8 @@ def _split_matmul(a, b, out):
 
     def run(j):
         part = lead + (slice(size * j // chunks, size * (j + 1) // chunks),)
-        np.matmul(a[part] if a.ndim > 2 else a, b[part] if b.ndim > 2 else b, out=out[part])
+        np.matmul(*(x[part] if x.ndim == out.ndim and x.shape[axis] > 1 else x for x in (a, b)),
+                  out=out[part])
 
     from queue import SimpleQueue
 

@@ -3,7 +3,8 @@
 ``render(workdir)`` runs the CLI in process and returns the text of each
 golden file by name:
 
-* ``verify_seed0.txt``: ``trialab verify --seed 0`` standard output;
+* ``verify_seed<s>.txt`` for s = 0..4: ``trialab verify --seed s``
+  standard output;
 * ``catalog_k<k>.txt`` for k = 0..4: ``catalog_text(k, atlas)``, the
   ``trialab dimap catalog --edges k`` standard output, then every atlas
   file under a ``== <name>`` line;
@@ -29,6 +30,7 @@ from trialab.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 CATALOG_KS = range(5)
+VERIFY_SEEDS = range(5)
 KINDS = ("1", "w", "w2")
 
 
@@ -60,7 +62,7 @@ def catalog_text(k: int, atlas) -> str:
 
 
 def render(workdir) -> dict[str, str]:
-    files = {"verify_seed0.txt": run_cli(["verify", "--seed", "0"])}
+    files = {f"verify_seed{s}.txt": run_cli(["verify", "--seed", str(s)]) for s in VERIFY_SEEDS}
     classify, trial, reduce = [], [], []
     out_path = os.path.join(workdir, "out.adm")
     for k in CATALOG_KS:

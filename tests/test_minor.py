@@ -179,7 +179,7 @@ def test_stacked_minor_rows_equal_one_vector_minors_bit_for_bit():
         fs = [random_bf(rng, m) for _ in range(3)]
         stack = np.stack([f.values for f in fs])
         for i in range(m):
-            rows = raw_minors(stack, i, mus)
+            rows = raw_minors(stack, i, mus[:, None])
             assert rows.shape == (len(mus), len(fs), 2 ** (m - 1))
             normalized = rows.copy()
             ok = minor._normalize_rows(normalized, DEFAULT_TOL)
@@ -245,6 +245,65 @@ def test_minors_commute_check_skips_the_rows_of_a_skipped_first_minor():
     f = binfun.make(3, v)
     with np.errstate(over="ignore", invalid="ignore"):
         assert minors_commute_check(f, [1.0]) == _per_pair_counts(f, [1.0]) == (1, 0)
+
+
+def test_stacked_commute_check_sums_the_per_function_counts():
+    # Random functions, functions whose minors are skipped at mu = 1, and
+    # the refusal of a stack with one overflowing function.
+    rng = np.random.default_rng(45)
+    mus = [1.0 + 0j, -1.0 + 0j, OMEGA, OMEGA2]
+    for m in range(2, 7):
+        fs = [random_bf(rng, m) for _ in range(4)]
+        v = fs[1].values.copy()
+        v[_singleton(m, 0)] = -1.0
+        fs[1] = binfun.make(m, v)
+        v = fs[2].values.copy()
+        v[_singleton(m, m - 1)] = -1.0
+        fs[2] = binfun.make(m, v)
+        counts = [minors_commute_check(f, mus) for f in fs]
+        assert counts[1][0] < counts[0][0] and counts[2][0] < counts[0][0]
+        stacked = minors_commute_check(np.stack([f.values for f in fs]), mus)
+        assert stacked == tuple(map(sum, zip(*counts)))
+        two_axes = np.stack([f.values for f in fs]).reshape(2, 2, -1)
+        assert minors_commute_check(two_axes, mus) == stacked
+    v = np.ones((3, 8))
+    v[1, _singleton(3, 1)] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
+        minors_commute_check(v, [3.0])
+    # Row 1 becomes the function whose skipped first minor at e_0 would
+    # overflow its second minor, which is never examined.
+    v[1, _singleton(3, 0)] = -1.0
+    v[1, _singleton(3, 0) | _singleton(3, 1)] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = [minors_commute_check(binfun.make(3, row), [1.0]) for row in v]
+        assert counts == [(3, 0), (1, 0), (3, 0)]
+        assert minors_commute_check(v, [1.0]) == (7, 0)
+
+
+def test_stacked_interchange_check_gives_each_functions_verdict(monkeypatch):
+    rng = np.random.default_rng(46)
+    real = minor.raw_transform
+
+    def off_in_row_one(values, mu):
+        out = real(values, mu)
+        out[1, -1] += 1e-3
+        return out
+
+    for m in range(1, 7):
+        for i in range(m):
+            fs = [random_bf(rng, m) for _ in range(4)]
+            mus = np.array([random_mu(rng) for _ in fs])
+            nus = np.array([random_mu(rng) for _ in fs])
+            values = np.stack([f.values for f in fs])
+            verdicts = transform_minor_check(values, mus, nus, i, 1e-8)
+            assert verdicts.tolist() == [transform_minor_check(f, complex(mu), complex(nu), i, 1e-8)
+                                         for f, mu, nu in zip(fs, mus, nus)] == [True] * 4
+            # A transform that is off in one row fails that row only; at
+            # m = 1 both sides are single entries, always proportional.
+            with monkeypatch.context() as mp:
+                mp.setattr(minor, "raw_transform", off_in_row_one)
+                wrong = transform_minor_check(values, mus, nus, i, 1e-8)
+            assert wrong.tolist() == [True, m == 1, True, True]
 
 
 def perturb_element_zero(kernel):
@@ -382,6 +441,29 @@ def test_degenerate_matches_loop_coloop_for_matroid_indicators():
             without = binfun.gf2_basis([v & ~bit for v in basis])
             coloop = len(without) == rank - 1
             assert is_degenerate(f, i) == (loop or coloop)
+
+
+def test_stacked_is_degenerate_equals_the_per_vector_loop():
+    # Every rowspace indicator on up to 5 columns, and functions with a
+    # planted degenerate element beside random ones.
+    stacks = {}
+    for c in range(1, 6):
+        stacks[c] = [binfun.rowspace_indicator(mat) for mat in verify._all_subspaces(c, c)]
+    assert sum(len(fs) for fs in stacks.values()) == 465 - 1  # all but GF(2)^0
+    rng = np.random.default_rng(44)
+    for m in range(1, 6):
+        for i in range(m):
+            if m > 1:
+                stacks[m] += [verify._plant_degenerate_element(rng, m, i) for _ in range(3)]
+            stacks[m] += [random_bf(rng, m) for _ in range(3)]
+    degenerate = 0
+    for m, fs in stacks.items():
+        values = np.stack([f.values for f in fs])
+        for i in range(m):
+            verdicts = is_degenerate(values, i)
+            assert verdicts.tolist() == [is_degenerate(f, i) for f in fs]
+            degenerate += int(np.count_nonzero(verdicts))
+    assert 0 < degenerate < sum(len(fs) * m for m, fs in stacks.items())
 
 
 def degenerate_reduction_check(f, u, i, mu1, mu2, tol=DEFAULT_TOL):

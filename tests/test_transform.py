@@ -9,13 +9,14 @@ import pytest
 
 from trialab import binfun
 from trialab import transform as T
-from trialab.errors import SingularTransform
+from trialab.errors import SingularTransform, WrongLength
 from trialab.transform import (
     OMEGA,
     OMEGA2,
     ULOOP_RATIO,
     inverse_transform,
     m_matrix,
+    raw_transform,
     self_trial,
     transform,
 )
@@ -222,6 +223,50 @@ def test_split_in_a_forked_child(split):
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_stacked_transform_rows_equal_one_vector_transforms_bit_for_bit():
+    # m = 12 and 13 reach the tiled branches; one mu for all rows or one per
+    # row, and a parameter axis broadcast against the rows.
+    rng = np.random.default_rng(19)
+    special = [1.0, -1.0, OMEGA, OMEGA2]
+    for m in range(14):
+        rows = rng.standard_normal((3, 2**m)) + 1j * rng.standard_normal((3, 2**m))
+        for mu in special + [complex(*rng.standard_normal(2))]:
+            out = raw_transform(rows, mu)
+            for r in range(3):
+                assert bits(out[r]).tolist() == bits(transform(rows[r], mu).values).tolist()
+        mus = np.array(special[1:] + [complex(*rng.standard_normal(2))] * 2)[:, None]
+        out = raw_transform(rows, mus)
+        assert out.shape == (5, 3, 2**m)
+        for a, r in np.ndindex(5, 3):
+            assert bits(out[a, r]).tolist() == bits(transform(rows[r], mus[a, 0]).values).tolist()
+
+
+def test_stacked_transform_on_the_split_path_is_bit_identical():
+    rng = np.random.default_rng(20)
+    rows = rng.standard_normal((2, 2**18)) + 1j * rng.standard_normal((2, 2**18))
+    assert rows.size >= T.SPLIT_MIN
+    for mu in (OMEGA, np.array([-1.0, complex(*rng.standard_normal(2))])):
+        out = raw_transform(rows, mu)
+        for r in range(2):
+            one = transform(rows[r], mu if np.ndim(mu) == 0 else mu[r]).values
+            assert np.array_equal(bits(out[r]), bits(one))
+
+
+def test_m_matrix_of_an_array_is_bit_identical_to_the_scalar_one():
+    rng = np.random.default_rng(21)
+    mus = np.concatenate([[1.0, -1.0, OMEGA, OMEGA2, 0.3 + 0.7j],
+                          rng.standard_normal(500) + 1j * rng.standard_normal(500)])
+    stacked = m_matrix(mus.reshape(5, -1))
+    assert stacked.shape == (5, 101, 2, 2) and not stacked.flags.writeable
+    for idx, mu in np.ndenumerate(mus.reshape(5, -1)):
+        assert stacked[idx].tobytes() == m_matrix(complex(mu)).tobytes()
+
+
+def test_raw_transform_rejects_a_length_that_is_not_a_power_of_two():
+    with pytest.raises(WrongLength):
+        raw_transform(np.ones((2, 6)), OMEGA)
 
 
 def test_composition_multiplies_parameters():

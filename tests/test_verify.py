@@ -17,9 +17,17 @@ import pytest
 
 from trialab import binfun, verify
 from trialab.altmap import isomorphic, ultraloop_stack
-from trialab.minor import is_degenerate, lambda_mu, take_minor_raw
+from trialab.errors import NormalizationError
+from trialab.minor import (
+    MU_POLE,
+    is_degenerate,
+    lambda_mu,
+    minors_commute_check,
+    take_minor_raw,
+    transform_minor_check,
+)
 from trialab.represent import ultraloop_image
-from trialab.transform import OMEGA, OMEGA2, ULOOP_RATIO
+from trialab.transform import OMEGA, OMEGA2, ULOOP_RATIO, m_matrix, transform
 
 
 def _pure_python_complement(values, m):
@@ -47,13 +55,13 @@ def test_parity_table_complement_matches_pure_python_on_every_rowspace():
 
 
 def test_hadamard_duality_fails_when_the_transform_is_off(monkeypatch):
-    real = verify.transform
+    real = verify.raw_transform
 
-    def off_by_a_little(f, mu):
-        return real(f, mu + 1e-6 if mu == -1.0 else mu)
+    def off_by_a_little(values, mu):
+        return real(values, mu + 1e-6 if mu == -1.0 else mu)
 
     assert verify.check_hadamard_duality(np.random.default_rng(0)).passed
-    monkeypatch.setattr(verify, "transform", off_by_a_little)
+    monkeypatch.setattr(verify, "raw_transform", off_by_a_little)
     result = verify.check_hadamard_duality(np.random.default_rng(0))
     assert not result.passed
     assert result.details.startswith("3002 multigraphs")
@@ -76,16 +84,25 @@ def test_hadamard_duality_scores_every_distinct_cutset_space(monkeypatch):
     # check, wherever that space falls in the order of first appearance.
     spaces = _distinct_cutset_spaces()
     assert len(spaces) == 210
-    real = verify.transform
+    real = verify.raw_transform
     for bad in (spaces[1], spaces[len(spaces) // 2], spaces[-1]):
-        def off_on_one_space(f, mu, bad=bad):
-            return real(f, mu + 1e-6 if f.values.tobytes() == bad else mu)
-
-        monkeypatch.setattr(verify, "transform", off_on_one_space)
+        monkeypatch.setattr(verify, "raw_transform", _off_on_rows(real, bad, "off"))
         assert not verify.check_hadamard_duality(np.random.default_rng(0)).passed
-    monkeypatch.setattr(verify, "transform", real)
+    monkeypatch.setattr(verify, "raw_transform", real)
     result = verify.check_hadamard_duality(np.random.default_rng(0))
     assert result.details.startswith("3002 multigraphs, 210 cutset spaces, ")
+
+
+def _off_on_rows(real, bad, how):
+    """The stacked transform, but each output row whose input row has the
+    bytes bad is NaN ("nan") or taken at mu + 1e-6 ("off")."""
+    def patched(values, mu):
+        out = real(values, mu)
+        for r, row in enumerate(values):
+            if row.tobytes() == bad:
+                out[r] = np.nan if how == "nan" else real(row, mu + 1e-6)
+        return out
+    return patched
 
 
 def _nan_on_call(monkeypatch, module, name, n, poison):
@@ -100,16 +117,27 @@ def _nan_on_call(monkeypatch, module, name, n, poison):
     monkeypatch.setattr(module, name, patched)
 
 
-def _nan_values(f):
-    return binfun.RawVector(f.m, np.full_like(f.values, np.nan))
+def _drawn_values(samples, lo, hi, mus):
+    """The values of each sample that a transform check draws from seed 0:
+    m from lo..hi-1, a random function and mus parameters per sample."""
+    rng = np.random.default_rng(0)
+    drawn = []
+    for _ in range(samples):
+        drawn.append(verify._random_bf(rng, int(rng.integers(lo, hi))).values)
+        for _ in range(mus):
+            verify._random_mu_disk(rng)
+    return drawn
 
 
-@pytest.mark.parametrize("check, calls", [
-    (verify.check_transform_composition, 600),  # 200 samples, three transforms each
-    (verify.check_fast_vs_dense, 50),
-])
-def test_a_nan_residual_in_the_middle_fails_the_transform_check(monkeypatch, check, calls):
-    _nan_on_call(monkeypatch, verify, "transform", calls // 2, _nan_values)
+@pytest.mark.parametrize("check, draws", [
+    (verify.check_transform_composition, (200, 1, 9, 2)),
+    (verify.check_fast_vs_dense, (50, 0, 7, 1)),
+], ids=["composition", "fast-vs-dense"])
+def test_a_nan_residual_in_the_middle_fails_the_transform_check(monkeypatch, check, draws):
+    drawn = _drawn_values(*draws)
+    middle = drawn[len(drawn) // 2].tobytes()
+    assert sum(v.tobytes() == middle for v in drawn) == 1
+    monkeypatch.setattr(verify, "raw_transform", _off_on_rows(verify.raw_transform, middle, "nan"))
     result = check(np.random.default_rng(0))
     assert not result.passed
     assert " nan " in result.details
@@ -126,11 +154,15 @@ def test_a_nan_residual_in_the_middle_fails_hadamard_duality(monkeypatch):
 
 def test_commutation_compares_no_two_element_function(monkeypatch):
     # At m = 2 both orders end at the dimension-0 unit; the function is
-    # still drawn, so the random stream is unchanged.
+    # still drawn, so the random stream is unchanged.  Each size is one
+    # stacked call.
     sizes = []
+    calls = []
 
-    def record(f, mus, tol):
-        sizes.append(f.m)
+    def record(fs, mus, tol):
+        m = fs.shape[-1].bit_length() - 1
+        calls.append(m)
+        sizes.extend([m] * len(fs))
         return 0, 0
 
     monkeypatch.setattr(verify, "minors_commute_check", record)
@@ -141,7 +173,8 @@ def test_commutation_compares_no_two_element_function(monkeypatch):
         drawn.append(int(rng.integers(2, 7)))
         verify._random_bf(rng, drawn[-1])
     assert 2 in drawn
-    assert sizes == [m for m in drawn if m > 2]
+    assert sorted(sizes) == sorted(m for m in drawn if m > 2)
+    assert sorted(calls) == sorted(set(sizes))
 
 
 def test_planted_element_is_degenerate_at_its_position():
@@ -222,3 +255,134 @@ def test_degenerate_minor_factor_never_vanishes():
             for i in range(k):
                 minor = take_minor_raw(power, i, mu)
                 assert np.max(np.abs(minor - factor * lower)) <= 1e-14
+
+
+# The six sampled checks as they were written before their kernel calls were
+# stacked: one call per sample, in draw order.  Each restructured check must
+# give the same result and leave the generator in the same state.
+
+def _loop_composition(rng, tol=1e-9):
+    residuals = []
+    for _ in range(200):
+        m = int(rng.integers(1, 9))
+        f = verify._random_bf(rng, m)
+        mu1 = verify._random_mu_disk(rng)
+        mu2 = verify._random_mu_disk(rng)
+        lhs = transform(transform(f, mu2), mu1).values
+        rhs = transform(f, mu1 * mu2).values
+        scale = float(np.max(np.abs(f.values)))
+        residuals.append(float(np.max(np.abs(lhs - rhs))) / scale)
+    worst = float(np.max(residuals))
+    return verify.CheckResult("transforms", "composition", worst <= tol,
+                              f"200 samples, worst residual {worst:.3e} (tol {tol:g})")
+
+
+def _loop_fast_vs_dense(rng, tol=1e-10):
+    deviations = []
+    for _ in range(50):
+        m = int(rng.integers(0, 7))
+        f = verify._random_bf(rng, m)
+        mu = verify._random_mu_disk(rng)
+        fast = transform(f, mu).values
+        dense = verify._dense_power(m_matrix(mu), m) @ f.values
+        deviations.append(float(np.max(np.abs(fast - dense))))
+    worst = float(np.max(deviations))
+    return verify.CheckResult("transforms", "fast-vs-dense", worst <= tol,
+                              f"50 samples m<=6, worst deviation {worst:.3e} (tol {tol:g})")
+
+
+def _loop_hadamard_duality(rng, tol=1e-9):
+    residuals = {}
+    count = 0
+    for edges in verify._all_multigraphs():
+        m = len(edges)
+        rows = verify._incidence_masks(edges)
+        key = (m, tuple(sorted(binfun.gf2_span(binfun.gf2_basis(rows)))))
+        if key not in residuals:
+            cutset = binfun.rowspace_indicator(
+                [[(r >> (m - 1 - j)) & 1 for j in range(m)] for r in rows])
+            circuit = verify._gf2_complement_indicator(cutset.values, m)
+            residuals[key] = binfun.proportionality_residual(transform(cutset, -1.0), circuit)
+        count += 1
+    worst = float(np.max(list(residuals.values())))
+    return verify.CheckResult("transforms", "hadamard-duality", worst <= tol,
+                              f"{count} multigraphs, {len(residuals)} cutset spaces, "
+                              f"worst residual {worst:.3e} (tol {tol:g})")
+
+
+def _loop_transform_minor_interchange(rng, tol=1e-8):
+    done = 0
+    resamples = 0
+    failures = 0
+    while done < 200:
+        m = int(rng.integers(1, 7))
+        f = verify._random_bf(rng, m)
+        mu, nu = verify._random_mu(rng), verify._random_mu(rng)
+        if abs(mu * nu - MU_POLE) < 0.5:
+            continue
+        i = int(rng.integers(0, m))
+        try:
+            if not transform_minor_check(f, mu, nu, i, tol):
+                failures += 1
+        except NormalizationError:
+            resamples += 1
+            continue
+        done += 1
+    rate = resamples / (done + resamples)
+    ok = failures == 0 and rate <= 0.05
+    return verify.CheckResult("minors", "transform-minor-interchange", ok,
+                              f"200 samples, {failures} failures, resample rate {rate:.1%}")
+
+
+def _loop_minor_commutation(rng, tol=1e-9):
+    mus = [1.0 + 0j, -1.0 + 0j, OMEGA, OMEGA2]
+    failures = 0
+    checks = 0
+    for _ in range(100):
+        m = int(rng.integers(2, 7))
+        f = verify._random_bf(rng, m)
+        if m == 2:
+            continue
+        compared, differing = minors_commute_check(f, mus, tol)
+        checks += compared
+        failures += differing
+    return verify.CheckResult("minors", "commutation", failures == 0,
+                              f"{checks} ordered pairs, {failures} failures (tol {tol:g})")
+
+
+def _loop_degeneracy_matroid(rng, tol=1e-8):
+    mismatches = 0
+    total = 0
+    for c in range(1, 6):
+        for mat in verify._all_subspaces(c, 4):
+            f = binfun.rowspace_indicator(mat)
+            masks = [binfun.subset_index(mat[r]) for r in range(mat.shape[0])]
+            basis = binfun.gf2_basis(masks)
+            rank = len(basis)
+            for i in range(c):
+                bit = 1 << (c - 1 - i)
+                loop = all(not (v & bit) for v in basis)
+                coloop = len(binfun.gf2_basis([v & ~bit for v in basis])) == rank - 1
+                total += 1
+                if is_degenerate(f, i, tol) != (loop or coloop):
+                    mismatches += 1
+    return verify.CheckResult("degeneracy", "matroid-loops-coloops", mismatches == 0,
+                              f"{total} element checks over all rowspaces, "
+                              f"{mismatches} mismatches")
+
+
+@pytest.mark.parametrize("check, oracle", [
+    (verify.check_transform_composition, _loop_composition),
+    (verify.check_fast_vs_dense, _loop_fast_vs_dense),
+    (verify.check_hadamard_duality, _loop_hadamard_duality),
+    (verify.check_transform_minor_interchange, _loop_transform_minor_interchange),
+    (verify.check_minor_commutation, _loop_minor_commutation),
+    (verify.check_degeneracy_matroid, _loop_degeneracy_matroid),
+])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_stacked_check_matches_its_per_sample_loop(check, oracle, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    # A draw before the check, so that it does not start from a fresh state.
+    rng.random(), oracle_rng.random()
+    assert check(rng) == oracle(oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
