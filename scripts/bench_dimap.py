@@ -11,10 +11,16 @@ Per checkout it measures
     read every output's darts, so darts a change stops building inside the
     timed calls but the checks then render still show in the wall time;
   * the best of three ``enumerate_dimaps(k, cap=k)`` calls at k = 4, 5, 6;
-  * the per-call p50 of ``transform`` (at w), ``take_minor`` (at w) and
-    ``proportional`` (one proportional and one non-proportional pair) on
-    seeded random binary functions at m = 16, 20, 22, and of
-    ``write_vector`` / ``read_vector`` at m = 12, 16;
+  * the per-call p50 of ``transform`` (at w) and of ``proportional`` on a
+    proportional pair (true verdict: the whole residual) and on a
+    non-proportional one (false verdict, which may stop early), on seeded
+    random binary functions at m = 16, 20, 22; and of ``take_minor`` (at w)
+    and ``normalize`` at m = 18, 20, 22: ``normalize`` splits across the
+    CPUs from m = 18 on, and the minor kernel from m = 19;
+  * the time of one ``write_vector`` and one ``read_vector`` call at
+    m = 16 and 20, each in a fresh child process that also reports its peak
+    RSS; ``--before``/``--after`` adds m = 22 (a 200 MB file), alternating
+    the two checkouts;
   * the per-call time of ``take_minor``, ``make`` and the one-vector
     ``transform`` (at w) at m = 6, the size of the verify suites' many small
     calls and of the representation checks': the best of five loops of 2000;
@@ -65,7 +71,8 @@ from time import perf_counter
 FUNCTIONS = ("reduce_edge", "classify_edge", "canonical_form", "trial")
 CATALOG_KS = (4, 5, 6)
 KERNEL_MS = (16, 20, 22)
-IO_MS = (12, 16)
+MINOR_MS = (18, 20, 22)
+IO_MS, IO_COMPARE_MS = (16, 20), (22,)
 KERNEL_REPEATS = 7
 SMALL_M, SMALL_CALLS = 6, 2000
 STACK_MS, STACK_ROWS = (4, 8), (1, 20, 200)
@@ -136,12 +143,11 @@ def measure(root: Path, passes: int) -> dict:
             "sweep_pass_timed_s": statistics.median(timed_sums),
             "catalog_s": catalog_s,
             "kernels_s": measure_kernels(),
+            "io": measure_io(root, IO_MS),
             "verify_s": measure_verify()}
 
 
 def measure_kernels() -> dict:
-    import tempfile
-
     import numpy as np
     from trialab import binfun as B
     from trialab import minor as M
@@ -164,20 +170,20 @@ def measure_kernels() -> dict:
     out = {}
     for m in KERNEL_MS:
         f = B.make(m, random_values(rng, m))
-        spec = M.MinorSpec(m // 2, T.OMEGA)
         out[f"transform.m{m}"] = p50(T.transform, f, T.OMEGA)
-        out[f"take_minor.m{m}"] = p50(M.take_minor, f, spec)
         g = T.transform(f, T.OMEGA)
         scaled = complex(*rng.standard_normal(2)) * g.values
-        out[f"proportional.m{m}"] = statistics.median(
-            [p50(B.proportional, g, scaled), p50(B.proportional, g, f)])
+        out[f"proportional_true.m{m}"] = p50(B.proportional, g, scaled)
+        out[f"proportional_false.m{m}"] = p50(B.proportional, g, f)
         del f, g, scaled
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "v.bf"
-        for m in IO_MS:
-            v = random_values(rng, m)
-            out[f"write_vector.m{m}"] = p50(B.write_vector, path, m, v)
-            out[f"read_vector.m{m}"] = p50(B.read_vector, path)
+    for m in MINOR_MS:
+        f = B.make(m, random_values(rng, m))
+        out[f"take_minor.m{m}"] = p50(M.take_minor, f, M.MinorSpec(m // 2, T.OMEGA))
+        # Each call divides by the empty-set entry the last call left, 1 from
+        # the second call on, which costs as much as any other divisor.
+        v = complex(*rng.standard_normal(2)) * f.values
+        out[f"normalize.m{m}"] = p50(B.normalize, v)
+        del f, v
 
     def per_call(fn, *args, calls=SMALL_CALLS):
         loops = []
@@ -211,6 +217,50 @@ def measure_kernels() -> dict:
                 def call():
                     stacked(values, next(draws))
             out[f"stacked_transform.m{m}.rows{rows}"] = per_call(call, calls=calls) / rows
+    return out
+
+
+# Times one write_vector or read_vector call in a fresh process, and
+# reports that process's peak RSS: argv is src, m, path, "write" or "read".
+# The peak is Linux's VmHWM, which starts afresh at exec; ru_maxrss keeps
+# the forking parent's peak.
+_IO_CHILD = """
+import json, sys
+from time import perf_counter
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from trialab import binfun as B
+m, path, what = int(sys.argv[2]), sys.argv[3], sys.argv[4]
+if what == "write":
+    v = np.random.default_rng(m).standard_normal(2 ** (m + 1)).view(complex)
+    start = perf_counter()
+    B.write_vector(path, m, v)
+else:
+    start = perf_counter()
+    B.read_vector(path)
+seconds = perf_counter() - start
+with open("/proc/self/status") as fh:
+    rss = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")) / 1024
+print(json.dumps({"s": seconds, "peak_rss_mib": rss}))
+"""
+
+
+def measure_io(root: Path, ms) -> dict:
+    """One write_vector and one read_vector call at each m, each in a fresh
+    child, with the child's peak RSS."""
+    import tempfile
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "v.bf")
+        for m in ms:
+            for what in ("write", "read"):
+                child = subprocess.run(
+                    [sys.executable, "-c", _IO_CHILD, str(root / "src"), str(m), path, what],
+                    check=True, capture_output=True, text=True).stdout
+                figures = json.loads(child)
+                out[f"{what}_vector.m{m}.s"] = figures["s"]
+                out[f"{what}_vector.m{m}.peak_rss_mib"] = figures["peak_rss_mib"]
     return out
 
 
@@ -332,7 +382,8 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
         for side in order:
             runs[side].append(_child(before if side == "before" else after, passes))
-    out = {"primitives": {}, "sweep_pass": {}, "catalog_s": {}, "kernels_s": {}, "verify_s": {}}
+    out = {"primitives": {}, "sweep_pass": {}, "catalog_s": {}, "kernels_s": {}, "io": {},
+           "verify_s": {}}
     for side, results in runs.items():
         out["primitives"][side] = {
             group: {name: statistics.median(r["call_p50_us"][group][name] for r in results)
@@ -341,10 +392,18 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         out["sweep_pass"][side] = {
             key: statistics.median(r[key] for r in results)
             for key in ("sweep_pass_wall_s", "sweep_pass_timed_s")}
-        for section in ("catalog_s", "kernels_s", "verify_s"):
+        for section in ("catalog_s", "kernels_s", "io", "verify_s"):
             out[section][side] = {
                 key: statistics.median(r[section][key] for r in results)
                 for key in results[0][section]}
+    large = {"before": [], "after": []}
+    for r in range(rounds):
+        order = ("before", "after") if r % 2 == 0 else ("after", "before")
+        for side in order:
+            large[side].append(measure_io(before if side == "before" else after, IO_COMPARE_MS))
+    out["io_large"] = {side: {key: statistics.median(r[key] for r in results)
+                              for key in results[0]}
+                       for side, results in large.items()}
     walls = {"before": [], "after": []}
     for seed in range(VERIFY_PAIRS):
         order = ("before", "after") if seed % 2 == 0 else ("after", "before")

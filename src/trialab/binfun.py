@@ -20,9 +20,17 @@ with 2**m value lines, index ascending from 0.  Comments are whole lines:
 a line whose first non-blank character is ``#`` is a comment, and a line
 with a ``#`` note after its fields is malformed.  Every value must be
 finite.  The writer emits 17 significant digits so round trips are
-lossless for doubles.  The container stores raw vectors: the empty-set
-constraint is not checked on load, and :func:`normalize` is the one way
-to restore it.
+lossless for doubles.  The reader parses the value lines in bulk with
+numpy's C parser and checks their count and index order on the arrays; a
+file that parse cannot take (comments, a token such as ``1_0`` that only
+Python's int and float accept, or any fault) is read again line by line,
+which accepts the same files as ever and names the first bad line.  The
+container stores raw vectors: the empty-set constraint is not checked on
+load, and :func:`normalize` is the one way to restore it.
+
+From :data:`pool.SPLIT_MIN` entries on, :func:`normalize` and both passes
+of the proportionality residual are shared across the CPUs, with results
+bit-identical to one CPU's.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import pool
 from .errors import (
     DimensionMismatch,
     EmptySetNotOne,
@@ -143,12 +152,12 @@ def normalize(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     entry to exactly 1, since c / c need not round to 1; returns v.
 
     Errors as in :func:`normalizable`, and NormalizationError when the
-    entry is below tol.
+    entry is below tol.  A long vector is divided in chunks across the CPUs.
     """
     c = v[0]
     if not normalizable(c, tol):
         raise NormalizationError(f"empty-set entry {c} below {tol}; cannot normalize")
-    v /= c
+    pool.chunked(np.divide, v, c, out=v)
     v[0] = 1.0
     return v
 
@@ -168,20 +177,42 @@ def proportionality_residual(a, b) -> float:
     when the fitted c is zero): zero vectors are proportional only to zero
     vectors.
     """
+    return _residual(a, b, None)
+
+
+def proportional(a, b, tol: float = DEFAULT_TOL) -> bool:
+    """True iff a = c*b entrywise within tol for some nonzero constant c:
+    proportionality_residual(a, b) <= tol, with the residual's last pass
+    stopped at the first slice whose residual exceeds tol * max|a|."""
+    return _residual(a, b, tol) <= tol
+
+
+def _residual(a, b, tol) -> float:
+    """proportionality_residual(a, b); with a tol, inf as soon as a slice
+    shows that the residual exceeds it."""
     ma, va = as_values(a)
     mb, vb = as_values(b)
     if ma != mb:
         raise DimensionMismatch(f"dimensions differ: {ma} vs {mb}")
-    # Norms and dot products in one pass over DOT_CHUNK slices.  np.maximum
-    # rather than max() so that a NaN propagates as it does through np.max.
+    slices = -(-va.size // DOT_CHUNK)
+    # Each slice's norms and dot products are stored, then folded in slice
+    # order, so that the sums are the same whichever thread took which slice.
+    # np.maximum rather than max() so that a NaN propagates as np.max does.
+    parts = [None] * slices
+
+    def fit(lo, hi):
+        for s in range(lo, hi):
+            sa, sb = va[s * DOT_CHUNK:(s + 1) * DOT_CHUNK], vb[s * DOT_CHUNK:(s + 1) * DOT_CHUNK]
+            parts[s] = np.abs(sa).max(), np.abs(sb).max(), np.vdot(sb, sa), np.vdot(sb, sb)
+
+    pool.run(fit, slices, va.size)
     na = nb = 0.0
     ba = bb = 0
-    for lo in range(0, va.size, DOT_CHUNK):
-        sa, sb = va[lo:lo + DOT_CHUNK], vb[lo:lo + DOT_CHUNK]
-        na = np.maximum(na, np.abs(sa).max())
-        nb = np.maximum(nb, np.abs(sb).max())
-        ba += np.vdot(sb, sa)
-        bb += np.vdot(sb, sb)
+    for xa, xb, da, db in parts:
+        na = np.maximum(na, xa)
+        nb = np.maximum(nb, xb)
+        ba += da
+        bb += db
     if na == 0.0 and nb == 0.0:
         return 0.0
     if na == 0.0 or nb == 0.0:
@@ -189,15 +220,27 @@ def proportionality_residual(a, b) -> float:
     c = ba / bb
     if abs(c) == 0.0:
         return float("inf")
+    deviations = [0.0] * slices
+    over = []  # the slices found over tol, which stop every thread
+
+    def deviate(lo, hi):
+        for s in range(lo, hi):
+            if over:
+                return
+            deviations[s] = x = np.abs(va[s * DOT_CHUNK:(s + 1) * DOT_CHUNK]
+                                       - c * vb[s * DOT_CHUNK:(s + 1) * DOT_CHUNK]).max()
+            # Division rounds monotonically, so x / na is at most the residual
+            # and stopping here never changes the verdict.
+            if tol is not None and x / na > tol:
+                over.append(s)
+
+    pool.run(deviate, slices, va.size)
+    if over:
+        return float("inf")
     worst = 0.0
-    for lo in range(0, va.size, DOT_CHUNK):
-        worst = np.maximum(worst, np.abs(va[lo:lo + DOT_CHUNK] - c * vb[lo:lo + DOT_CHUNK]).max())
+    for x in deviations:
+        worst = np.maximum(worst, x)
     return float(worst / na)
-
-
-def proportional(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """True iff a = c*b entrywise within tol for some nonzero constant c."""
-    return proportionality_residual(a, b) <= tol
 
 
 def allclose(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -283,6 +326,59 @@ def write_vector(path, m: int, values) -> None:
 
 
 def read_vector(path) -> RawVector:
+    """Read a .bf file: in bulk when it can, else line by line, which names
+    the first bad line of a malformed file."""
+    raw = _read_bulk(path)
+    return _read_lines(path) if raw is None else raw
+
+
+# The value lines as numpy's C parser reads them.
+_ROW = np.dtype([("index", np.int64), ("re", np.float64), ("im", np.float64)])
+
+
+def _read_bulk(path) -> RawVector | None:
+    """The vector of a well-formed .bf file without comments, parsed by
+    np.loadtxt; None for any other file.
+
+    Python's int and float accept every token that the C parser does, with
+    the same value, and more besides (``1_0``, non-ASCII digits), so None
+    leaves each file to :func:`_read_lines`, which accepts exactly the files
+    it always has.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        head = _next_line(fh).split()
+        if len(head) != 2 or head[0] != "bf" or not head[1].isdecimal() or int(head[1]) >= 64:
+            return None
+        m = int(head[1])
+        # np.loadtxt warns on a body without rows; such a file is the loop's.
+        start = fh.tell()
+        if not _next_line(fh):
+            return None
+        fh.seek(start)
+        try:
+            rows = np.loadtxt(fh, dtype=_ROW, comments=None, ndmin=1)
+        except ValueError:
+            return None
+    if rows.size != 2**m or not np.array_equal(rows["index"], np.arange(2**m)):
+        return None
+    values = np.empty(2**m, dtype=complex)
+    values.real = rows["re"]
+    values.imag = rows["im"]
+    if not np.isfinite(values).all():
+        return None
+    return RawVector(m, values)
+
+
+def _next_line(fh) -> str:
+    """The next line of fh that is not blank, stripped; "" at the end."""
+    for line in iter(fh.readline, ""):
+        if line.strip():
+            return line.strip()
+    return ""
+
+
+def _read_lines(path) -> RawVector:
+    """Read a .bf file line by line, raising on its first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]

@@ -12,7 +12,10 @@ rule of :func:`transform.raw_transform`: the vectors lie along the last axis
 of an array, and mu is one parameter or an array broadcast against the
 leading axes, so an outer product over parameters is an explicit parameter
 axis.  The commutation, interchange and degeneracy checks take such stacks
-too, one verdict or count per vector.  The weight
+too, one verdict or count per vector.  :func:`raw_minors` and the
+normalisation in :func:`take_minor` are shared across the CPUs from
+:data:`pool.SPLIT_MIN` minor entries on (from m = 19 for one vector), with
+output bit-identical to one CPU's.  The weight
 
     lambda(mu) = (1 + mu) / (sqrt(2) + 1 - (sqrt(2) - 1) * mu)
 
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .binfun import (
     BinaryFunction,
     DEFAULT_TOL,
@@ -92,7 +96,9 @@ def raw_minors(values: np.ndarray, i: int, mu) -> np.ndarray:
 
     mu is one parameter or an array broadcast against the leading axes of
     values, as in :func:`raw_transform`; the result has the broadcast
-    leading axes and the last axis halved.
+    leading axes and the last axis halved.  When the slices hold
+    pool.SPLIT_MIN entries or more, its chunks are shared across the CPUs:
+    at m = 18 a split minor was about a tenth slower than one thread's.
     """
     s0, s1 = _split_slices(values, i)
     if isinstance(mu, np.ndarray):
@@ -101,11 +107,16 @@ def raw_minors(values: np.ndarray, i: int, mu) -> np.ndarray:
         lam = np.array([lambda_mu(x) for x in mu.flat], dtype=complex).reshape(mu.shape + (1, 1))
     else:
         lam = lambda_mu(mu)
+    raw = pool.chunked(_combine, lam, s1, s0, entries=s1.size)
+    return raw.reshape(raw.shape[:-2] + (-1,))
+
+
+def _combine(lam, s1, s0, out=None):
     # lam * slice, not np.multiply(slice, lam): for complex lam the operand
     # order changes the last bits of the product.
-    raw = lam * s1
-    raw += s0
-    return raw.reshape(raw.shape[:-2] + (-1,))
+    out = np.multiply(lam, s1, out=out)
+    out += s0
+    return out
 
 
 def take_minor_raw(f, i: int, mu: complex) -> np.ndarray:

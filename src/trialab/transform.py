@@ -21,11 +21,10 @@ bit-identical to a one-vector call.
 
 Each matmul is shaped as a batch of small products of at most TILE vector
 entries, each too small for BLAS to split across its own threads.  From
-SPLIT_MIN entries on, each block's batch is cut into chunks that the
-calling thread and one helper thread per further CPU take from a shared
-iterator; the caller waits for the chunks, never for a helper that has not
-started one.  Every chunk makes the same BLAS calls on the same operands as
-the one-CPU path, so the output is bit-identical to it.
+pool.SPLIT_MIN entries on, :mod:`trialab.pool` cuts each block's batch into
+chunks that the calling thread and one helper thread per further CPU share;
+every chunk makes the same BLAS calls on the same operands as the one-CPU
+path, so the output is bit-identical to it.
 The output is deterministic for a given numpy and BLAS build, mu = 1 is the
 exact identity on finite input, and the output agrees with the dense
 Kronecker power to 1e-10, which the ``transforms.fast-vs-dense`` check
@@ -35,12 +34,11 @@ enforces.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from . import pool
 from .binfun import BinaryFunction, RawVector, as_values, proportional, DEFAULT_TOL
 from .errors import SingularTransform, WrongLength
 
@@ -62,21 +60,8 @@ BLOCK = 4
 # threads (16 * 16 * 256 = 65536 multiply-adds), so each product runs on the
 # thread that calls it.  A product that OpenBLAS threads waits for its second
 # thread to be scheduled, and on a busy host that made m = 16 up to 7 times
-# slower; the split below waits only for chunks that a thread has started.
+# slower; the pool's split waits only for chunks that a thread has started.
 TILE = 2048
-
-# Vectors of at least this many entries split each block across the CPUs.
-# On a shared 2-CPU VM the split took about a quarter off m = 18..20 and 43%
-# off m = 22 when idle; beside one busy-loop process it cost 7-8% at m = 18
-# and saved 10-14% at m = 22, so it pays from here on.
-SPLIT_MIN = 2**18
-
-# Chunks per CPU: enough that a late or slow thread leaves little to wait for.
-CHUNKS_PER_CPU = 8
-
-_CPUS = len(os.sched_getaffinity(0))
-_queues = []  # one job queue per helper thread, started on the first split
-_start_lock = threading.Lock()
 
 
 def m_matrix(mu) -> np.ndarray:
@@ -142,9 +127,9 @@ def raw_transform(values, mu) -> np.ndarray:
     bit-identical to its one-vector transform, and deterministic for a given
     numpy/BLAS build; exact at mu = 1 on finite input; within 1e-10 of the
     dense Kronecker power; O(m * 2**m) per row, in products too small for
-    BLAS to thread.  From SPLIT_MIN entries on, the products of each block
-    are shared between the calling thread and a helper per further CPU, with
-    output bit-identical to one CPU's.
+    BLAS to thread.  From pool.SPLIT_MIN entries on, the products of each
+    block are shared between the calling thread and a helper per further
+    CPU, with output bit-identical to one CPU's.
     """
     values = np.asarray(values, dtype=complex)
     size = values.shape[-1]
@@ -180,7 +165,7 @@ def _apply(v, m: int, mu) -> np.ndarray:
     # transform about a quarter slower and its time less steady.
     buffers = [np.empty(v.shape, dtype=complex) for _ in range(min(len(widths), 2))]
     # Below SPLIT_MIN, or on one CPU, each block is one np.matmul as it is.
-    matmul = _split_matmul if v.size >= SPLIT_MIN and _CPUS > 1 else np.matmul
+    matmul = partial(pool.chunked, np.matmul, core=2) if pool.splits(v.size) else np.matmul
     axis = 0
     for i, b in enumerate(widths):
         k = blocks[b] if per_row else _cached_kron_power(mu, b)
@@ -203,91 +188,6 @@ def _apply(v, m: int, mu) -> np.ndarray:
         v = out
         axis += b
     return v
-
-
-def _split_matmul(a, b, out):
-    """np.matmul(a, b, out=out) in chunks of out's batch, run by the caller
-    and the helper threads.
-
-    The chunks cut the leading batch axis, or the second when the leading
-    one is too short, so each small product is the same BLAS call as in one
-    np.matmul; an operand broadcast along that axis is passed whole.  The
-    caller takes chunks until none is left, then waits only for those a
-    helper has taken: a helper that is never scheduled costs nothing but its
-    share of the speedup.
-    """
-    batch = out.shape[:-2]
-    chunks = CHUNKS_PER_CPU * _CPUS
-    axis = 1 if len(batch) > 1 and batch[0] < chunks else 0
-    size = batch[axis]
-    chunks = min(chunks, size)
-    lead = (slice(None),) * axis
-
-    def run(j):
-        part = lead + (slice(size * j // chunks, size * (j + 1) // chunks),)
-        np.matmul(*(x[part] if x.ndim == out.ndim and x.shape[axis] > 1 else x for x in (a, b)),
-                  out=out[part])
-
-    from queue import SimpleQueue
-
-    if not _queues:
-        _start_helpers()
-    done = SimpleQueue()
-    job = (iter(range(chunks)), run, done)
-    # Helpers run under the caller's np.errstate, which is per thread.
-    err = np.geterr()
-    for q in _queues:
-        q.put((job, err))
-    _take(job)
-    failures = [exc for exc in (done.get() for _ in range(chunks)) if exc is not None]
-    if failures:
-        raise failures[0]
-
-
-def _take(job):
-    """Run chunks from job's shared iterator, reporting each to its queue."""
-    chunks, run, done = job
-    for j in chunks:
-        try:
-            run(j)
-        except Exception as exc:
-            done.put(exc)
-        else:
-            done.put(None)
-
-
-def _helper(q):
-    while True:
-        job, err = q.get()
-        with np.errstate(**err):
-            _take(job)
-        # Drop the job before waiting: it holds views of the caller's buffers.
-        del job
-
-
-def _start_helpers():
-    from queue import SimpleQueue
-
-    with _start_lock:
-        for _ in range(_CPUS - 1 - len(_queues)):
-            q = SimpleQueue()
-            threading.Thread(target=_helper, args=(q,), daemon=True,
-                             name="trialab-transform").start()
-            _queues.append(q)
-
-
-def _forget_helpers():
-    """A forked child has none of its parent's helpers; it starts its own.
-
-    Jobs put on the parent's queues would wait there for good, holding the
-    child's buffers.
-    """
-    global _start_lock
-    _queues.clear()
-    _start_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def inverse_transform(f, mu: complex) -> RawVector:

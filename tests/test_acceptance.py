@@ -43,8 +43,8 @@ def test_c03_hadamard_duality():
 
 
 def test_c04_transform_minor_interchange():
-    # 200 random (f, mu, nu, i) with m <= 6, proportional within 1e-8;
-    # normalization failures resampled at a recorded rate <= 5%.
+    # 200 random (f, mu, nu, i) with m <= 6, proportional within 1e-8; the
+    # identity compares raw vectors, so no sample is redrawn.
     _report(4, verify.check_transform_minor_interchange(_rng(), tol=1e-8))
 
 

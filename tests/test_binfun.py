@@ -375,3 +375,149 @@ def test_file_fuzz_raises_only_format_errors(tmp_path, vector, edits):
         return
     assert raw.values.shape == (2**raw.m,)
     assert np.isfinite(raw.values).all()
+
+
+def _per_line_read(path):
+    """read_vector as a loop over the lines: the reader before the bulk parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise FileFormatError(f"{path}: empty file")
+    head = lines[0].split()
+    if len(head) != 2 or head[0] != "bf":
+        raise FileFormatError(f"{path}: first line must be 'bf <m>'")
+    try:
+        m = int(head[1])
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad dimension {head[1]!r}") from exc
+    if m < 0:
+        raise FileFormatError(f"{path}: negative dimension")
+    body = lines[1:]
+    if m >= 64 or len(body) != 2**m:
+        raise FileFormatError(f"{path}: expected 2**{m} value lines, found {len(body)}")
+    real, imag = [], []
+    for pos, ln in enumerate(body):
+        parts = ln.split()
+        if len(parts) != 3:
+            raise FileFormatError(f"{path}: bad value line {ln!r}")
+        try:
+            idx, re, im = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: bad value line {ln!r}") from exc
+        if idx != pos:
+            raise FileFormatError(f"{path}: index {idx} out of order (expected {pos})")
+        real.append(re)
+        imag.append(im)
+    values = np.empty(2**m, dtype=complex)
+    values.real = real
+    values.imag = imag
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FileFormatError(f"{path}: non-finite value at index {bad[0]}")
+    return binfun.RawVector(m, values)
+
+
+def _outcome(read, path):
+    """The bits of what read returns, or its error's type and message."""
+    try:
+        raw = read(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return raw.m, raw.values.tobytes()
+
+
+_GAP = st.text(" \t", min_size=1, max_size=3)
+
+
+@st.composite
+def _valid_files(draw):
+    """A valid .bf file's text, with free layout: blank lines, runs of spaces
+    and tabs, CRLF endings and whole-line comments."""
+    m, v = draw(_finite_vectors())
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    pad = st.text(" \t", max_size=2)
+    extras = st.lists(st.sampled_from(["", "  ", "\t", "# note", "  #", "#0 1 2"]), max_size=2)
+    lines = [*draw(extras), f"{draw(pad)}bf{draw(_GAP)}{m}{draw(pad)}"]
+    for i, z in enumerate(v.tolist()):
+        fmt = draw(st.sampled_from(["{!r}", "{:.17g}", "{:.17e}"]))
+        fields = [str(i), fmt.format(z.real), fmt.format(z.imag)]
+        lines += draw(extras)
+        lines.append(draw(pad) + "".join(f + draw(_GAP) for f in fields[:2]) + fields[2] + draw(pad))
+    lines += draw(extras)
+    return m, v, newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@_FILE_TESTS
+@given(_valid_files())
+def test_bulk_reader_matches_the_per_line_reader(tmp_path, case):
+    m, v, text = case
+    path = tmp_path / "v.bf"
+    path.write_bytes(text.encode("utf-8"))
+    raw = binfun.read_vector(path)
+    assert _outcome(binfun.read_vector, path) == _outcome(_per_line_read, path)
+    assert raw.m == m and raw.values.tobytes() == v.tobytes()
+
+
+@_FILE_TESTS
+@given(_finite_vectors(),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3),
+                          st.text(" \t\r\n#-+._0123456789bfeEijnaNI٣", max_size=6)
+                          | st.text(max_size=3)),
+                min_size=1, max_size=4))
+def test_bulk_reader_matches_the_per_line_reader_on_edited_files(tmp_path, vector, edits):
+    # Whatever the edit, both readers accept the same values or raise the
+    # same message.
+    m, v = vector
+    path = tmp_path / "v.bf"
+    binfun.write_vector(path, m, v)
+    text = path.read_text(encoding="utf-8")
+    for at, cut, insert in edits:
+        at %= len(text) + 1
+        text = text[:at] + insert + text[at + cut:]
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(binfun.read_vector, path) == _outcome(_per_line_read, path)
+
+
+def test_tokens_only_python_parses_still_load(tmp_path):
+    # numpy's parser rejects these; the per-line loop reads them with
+    # Python's int and float.
+    path = tmp_path / "v.bf"
+    path.write_text("bf 1\n0 1_0 0\n١ 1_0.5 ٣\n", encoding="utf-8")
+    raw = binfun.read_vector(path)
+    assert raw.values.tolist() == [10.0, complex(10.5, 3.0)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body, message", [
+    ("", "expected 2**1 value lines, found 0"),
+    ("\n  \n\t\n", "expected 2**1 value lines, found 0"),
+    ("0 1 0\n", "expected 2**1 value lines, found 1"),
+    ("0 1 0\n1 2 0\n2 3 0\n", "expected 2**1 value lines, found 3"),
+    ("1 1 0\n0 2 0\n", "index 1 out of order (expected 0)"),
+    ("0 1 0\n1 2 0 4\n", "bad value line '1 2 0 4'"),
+    ("0 1 0\n1 2 0 # note\n", "bad value line '1 2 0 # note'"),
+    ("0 1 0\n1 nan 0\n", "non-finite value at index 1"),
+    ("0 1 0\n1 2 inf\n", "non-finite value at index 1"),
+])
+def test_malformed_value_lines_keep_their_messages(tmp_path, body, message):
+    path = tmp_path / "v.bf"
+    path.write_text("bf 1\n" + body)
+    with pytest.raises(FileFormatError) as err:
+        binfun.read_vector(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("head, message", [
+    ("bf\n", "first line must be 'bf <m>'"),
+    ("bx 1\n", "first line must be 'bf <m>'"),
+    ("bf one\n", "bad dimension 'one'"),
+    ("bf -1\n", "negative dimension"),
+    ("bf 64\n", "expected 2**64 value lines, found 2"),
+])
+def test_bad_headers_keep_their_messages(tmp_path, head, message):
+    path = tmp_path / "v.bf"
+    path.write_text(head + "0 1 0\n1 2 0\n")
+    with pytest.raises(FileFormatError) as err:
+        binfun.read_vector(path)
+    assert str(err.value) == f"{path}: {message}"

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from trialab import binfun
+from trialab import binfun, pool
 from trialab import transform as T
 from trialab.errors import SingularTransform, WrongLength
 from trialab.transform import (
@@ -117,7 +117,7 @@ def test_fast_matches_dense_rows_at_larger_m():
     # From m = 12 the first block is split into column tiles, and m = 18 and
     # 20 run the split across CPUs. The dense power is too large there, so
     # sampled rows of it are checked instead.
-    assert T.SPLIT_MIN <= 2**18
+    assert pool.SPLIT_MIN <= 2**18
     rng = np.random.default_rng(5)
     for m in (12, 13, 14, 18, 20):
         f = random_bf(rng, m)
@@ -133,13 +133,13 @@ def test_fast_matches_dense_rows_at_larger_m():
 @pytest.fixture
 def split(monkeypatch):
     """Run the split path on at least two CPUs, even on a one-CPU host."""
-    monkeypatch.setattr(T, "_CPUS", max(T._CPUS, 2))
+    monkeypatch.setattr(pool, "_CPUS", max(pool._CPUS, 2))
     return monkeypatch
 
 
 def one_cpu(monkeypatch, f, mu):
     with monkeypatch.context() as mp:
-        mp.setattr(T, "_CPUS", 1)
+        mp.setattr(pool, "_CPUS", 1)
         return transform(f, mu).values
 
 
@@ -155,7 +155,7 @@ def test_split_is_bit_identical_to_one_cpu(split):
         for mu in (OMEGA, -1.0, complex(*rng.standard_normal(2))):
             expected = one_cpu(split, v, mu)
             assert np.array_equal(bits(transform(v, mu).values), bits(expected))
-    assert T._queues
+    assert pool._queues
 
 
 def test_split_from_concurrent_callers(split):
@@ -188,7 +188,7 @@ def test_split_finishes_when_no_helper_takes_a_chunk(split):
     v = np.random.default_rng(11).standard_normal(2**18).astype(complex)
     expected = one_cpu(split, v, OMEGA2)
     idle = [queue.SimpleQueue(), queue.SimpleQueue()]
-    split.setattr(T, "_queues", idle)
+    split.setattr(pool, "_queues", idle)
     assert np.array_equal(bits(transform(v, OMEGA2).values), bits(expected))
     blocks = -(-18 // T.BLOCK)
     assert all(q.qsize() == blocks for q in idle)  # one job per block, none taken
@@ -208,7 +208,7 @@ def test_split_runs_helpers_under_the_callers_errstate(split):
 def test_split_in_a_forked_child(split):
     v = np.random.default_rng(12).standard_normal(2**18).astype(complex)
     expected = transform(v, OMEGA).values
-    assert T._queues
+    assert pool._queues
     pid = os.fork()
     if pid == 0:  # pragma: no cover - the child reports by its exit status
         code = 1
@@ -216,8 +216,8 @@ def test_split_in_a_forked_child(split):
             signal.alarm(60)
             same = np.array_equal(bits(transform(v, OMEGA).values), bits(expected))
             # The parent's helpers are gone; the child started its own.
-            helpers = [t for t in threading.enumerate() if t.name == "trialab-transform"]
-            if same and len(helpers) == len(T._queues) == T._CPUS - 1:
+            helpers = [t for t in threading.enumerate() if t.name == "trialab-pool"]
+            if same and len(helpers) == len(pool._queues) == pool._CPUS - 1:
                 code = 0
         finally:
             os._exit(code)
@@ -246,7 +246,7 @@ def test_stacked_transform_rows_equal_one_vector_transforms_bit_for_bit():
 def test_stacked_transform_on_the_split_path_is_bit_identical():
     rng = np.random.default_rng(20)
     rows = rng.standard_normal((2, 2**18)) + 1j * rng.standard_normal((2, 2**18))
-    assert rows.size >= T.SPLIT_MIN
+    assert rows.size >= pool.SPLIT_MIN
     for mu in (OMEGA, np.array([-1.0, complex(*rng.standard_normal(2))])):
         out = raw_transform(rows, mu)
         for r in range(2):

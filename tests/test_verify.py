@@ -17,7 +17,6 @@ import pytest
 
 from trialab import binfun, verify
 from trialab.altmap import isomorphic, ultraloop_stack
-from trialab.errors import NormalizationError
 from trialab.minor import (
     MU_POLE,
     is_degenerate,
@@ -312,7 +311,6 @@ def _loop_hadamard_duality(rng, tol=1e-9):
 
 def _loop_transform_minor_interchange(rng, tol=1e-8):
     done = 0
-    resamples = 0
     failures = 0
     while done < 200:
         m = int(rng.integers(1, 7))
@@ -321,17 +319,11 @@ def _loop_transform_minor_interchange(rng, tol=1e-8):
         if abs(mu * nu - MU_POLE) < 0.5:
             continue
         i = int(rng.integers(0, m))
-        try:
-            if not transform_minor_check(f, mu, nu, i, tol):
-                failures += 1
-        except NormalizationError:
-            resamples += 1
-            continue
+        if not transform_minor_check(f, mu, nu, i, tol):
+            failures += 1
         done += 1
-    rate = resamples / (done + resamples)
-    ok = failures == 0 and rate <= 0.05
-    return verify.CheckResult("minors", "transform-minor-interchange", ok,
-                              f"200 samples, {failures} failures, resample rate {rate:.1%}")
+    return verify.CheckResult("minors", "transform-minor-interchange", failures == 0,
+                              f"200 samples, {failures} failures")
 
 
 def _loop_minor_commutation(rng, tol=1e-9):
