@@ -11,12 +11,12 @@ Per checkout it measures
     read every output's darts, so darts a change stops building inside the
     timed calls but the checks then render still show in the wall time;
   * the best of three ``enumerate_dimaps(k, cap=k)`` calls at k = 4, 5, 6;
-  * the per-call p50 of ``transform`` (at w) and of ``proportional`` on a
+  * the per-call p50 of ``transform`` (at w), of ``proportional`` on a
     proportional pair (true verdict: the whole residual) and on a
-    non-proportional one (false verdict, which may stop early), on seeded
-    random binary functions at m = 16, 20, 22; and of ``take_minor`` (at w)
-    and ``normalize`` at m = 18, 20, 22: ``normalize`` splits across the
-    CPUs from m = 18 on, and the minor kernel from m = 19;
+    non-proportional one (false verdict, which may stop early), of
+    ``take_minor`` (at w) and of ``normalize``, on seeded random binary
+    functions at m = 18, 20, 22, where each splits across the CPUs (the
+    minor kernel from m = 19);
   * the time of one ``write_vector`` and one ``read_vector`` call at
     m = 16 and 20, each in a fresh child process that also reports its peak
     RSS; ``--before``/``--after`` adds m = 22 (a 200 MB file), alternating
@@ -36,9 +36,6 @@ Per checkout it measures
     m = 4, 6, 8, 10, as one stacked call per m;
   * the best of five ``find_noncommuting_pair`` scans over every map of the
     k = 4 and k = 5 catalogs, on fresh copies of the maps each time.
-
-On a checkout whose kernels take no stacks, the stacked figures run the
-same rows through one-vector calls, as its verify checks do.
 
 ``--before``/``--after`` also alternates cold ``python -m trialab.cli
 verify --seed N`` runs of the two checkouts, ``VERIFY_PAIRS`` pairs, one
@@ -70,8 +67,7 @@ from time import perf_counter
 
 FUNCTIONS = ("reduce_edge", "classify_edge", "canonical_form", "trial")
 CATALOG_KS = (4, 5, 6)
-KERNEL_MS = (16, 20, 22)
-MINOR_MS = (18, 20, 22)
+KERNEL_MS = (18, 20, 22)
 IO_MS, IO_COMPARE_MS = (16, 20), (22,)
 KERNEL_REPEATS = 7
 SMALL_M, SMALL_CALLS = 6, 2000
@@ -175,9 +171,7 @@ def measure_kernels() -> dict:
         scaled = complex(*rng.standard_normal(2)) * g.values
         out[f"proportional_true.m{m}"] = p50(B.proportional, g, scaled)
         out[f"proportional_false.m{m}"] = p50(B.proportional, g, f)
-        del f, g, scaled
-    for m in MINOR_MS:
-        f = B.make(m, random_values(rng, m))
+        del g, scaled
         out[f"take_minor.m{m}"] = p50(M.take_minor, f, M.MinorSpec(m // 2, T.OMEGA))
         # Each call divides by the empty-set entry the last call left, 1 from
         # the second call on, which costs as much as any other divisor.
@@ -201,7 +195,6 @@ def measure_kernels() -> dict:
     out[f"make.m{SMALL_M}"] = per_call(B.make, SMALL_M, v)
     out[f"transform.m{SMALL_M}"] = per_call(T.transform, f, T.OMEGA)
 
-    stacked = getattr(T, "raw_transform", None)
     for m in STACK_MS:
         for rows in STACK_ROWS:
             values = np.stack([random_values(rng, m) for _ in range(rows)])
@@ -209,13 +202,9 @@ def measure_kernels() -> dict:
             # no cached block is reused.
             calls = SMALL_CALLS // rows
             draws = iter(rng.standard_normal((5 * calls, rows, 2)).view(complex)[..., 0])
-            if stacked is None:
-                def call():
-                    for row, mu in zip(values, next(draws)):
-                        T.transform(row, complex(mu))
-            else:
-                def call():
-                    stacked(values, next(draws))
+
+            def call():
+                T.raw_transform(values, next(draws))
             out[f"stacked_transform.m{m}.rows{rows}"] = per_call(call, calls=calls) / rows
     return out
 
@@ -271,7 +260,6 @@ def measure_verify() -> dict:
     from trialab import catalog as C
     from trialab import minor as M
     from trialab import reductions as R
-    from trialab import transform as T
     from trialab import verify as V
     from trialab.transform import OMEGA, OMEGA2
 
@@ -313,20 +301,14 @@ def measure_verify() -> dict:
 
     mus = [1.0 + 0j, -1.0 + 0j, OMEGA, OMEGA2]
     rng = np.random.default_rng(9)
-    # A checkout whose check takes no stacks is given one function at a time.
-    takes_stacks = hasattr(T, "raw_transform")
     for m in COMMUTATION_MS:
         fs = []
         for _ in range(COMMUTATION_FUNCTIONS):
             v = rng.standard_normal(2 ** (m + 1)).view(complex)
             v[0] = 1.0
             fs.append(B.make(m, v))
-        if takes_stacks:
-            stack = np.stack([f.values for f in fs])
-            out[f"commutation.m{m}"] = best(lambda: M.minors_commute_check(stack, mus, 1e-9))
-        else:
-            out[f"commutation.m{m}"] = best(
-                lambda: [M.minors_commute_check(f, mus, 1e-9) for f in fs])
+        stack = np.stack([f.values for f in fs])
+        out[f"commutation.m{m}"] = best(lambda: M.minors_commute_check(stack, mus, 1e-9))
 
     for k in NONCOMMUTATION_KS:
         catalog = C.enumerate_dimaps(k, cap=k).maps

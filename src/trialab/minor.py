@@ -6,12 +6,12 @@ slices of the vector along that element with weight lambda(mu):
     g(G) = f(G : i <- 0) + lambda(mu) * f(G : i <- 1)
 
 then renormalizing so the empty-set entry is 1.  One kernel,
-:func:`raw_minors`, combines the slices for a whole stack of vectors at
-once; :func:`take_minor` is its one-vector case.  It follows the stacking
-rule of :func:`transform.raw_transform`: the vectors lie along the last axis
-of an array, and mu is one parameter or an array broadcast against the
-leading axes, so an outer product over parameters is an explicit parameter
-axis.  The commutation, interchange and degeneracy checks take such stacks
+:func:`raw_minors`, combines the slices for one vector or a whole stack of
+them at once; :func:`take_minor` is its normalized one-vector case.  It
+follows the stacking rule of :func:`transform.raw_transform`: the vectors
+lie along the last axis of an array, and mu is one parameter or an array
+broadcast against the leading axes, so an outer product over parameters is
+an explicit parameter axis.  The commutation, interchange and degeneracy checks take such stacks
 too, one verdict or count per vector.  :func:`raw_minors` and the
 normalisation in :func:`take_minor` are shared across the CPUs from
 :data:`pool.SPLIT_MIN` minor entries on (from m = 19 for one vector), with
@@ -44,7 +44,6 @@ from .binfun import (
     BinaryFunction,
     DEFAULT_TOL,
     RawVector,
-    as_values,
     normalizable,
     normalize,
     proportional,
@@ -96,9 +95,10 @@ def raw_minors(values: np.ndarray, i: int, mu) -> np.ndarray:
 
     mu is one parameter or an array broadcast against the leading axes of
     values, as in :func:`raw_transform`; the result has the broadcast
-    leading axes and the last axis halved.  When the slices hold
-    pool.SPLIT_MIN entries or more, its chunks are shared across the CPUs:
-    at m = 18 a split minor was about a tenth slower than one thread's.
+    leading axes and the last axis halved.  Callers that want a binary
+    function normalize it, as :func:`take_minor` does.  When the result
+    holds pool.SPLIT_MIN entries or more, its chunks are shared across the
+    CPUs: at m = 18 a split minor was about a tenth slower than one thread's.
     """
     s0, s1 = _split_slices(values, i)
     if isinstance(mu, np.ndarray):
@@ -107,21 +107,17 @@ def raw_minors(values: np.ndarray, i: int, mu) -> np.ndarray:
         lam = np.array([lambda_mu(x) for x in mu.flat], dtype=complex).reshape(mu.shape + (1, 1))
     else:
         lam = lambda_mu(mu)
-    raw = pool.chunked(_combine, lam, s1, s0, entries=s1.size)
+    raw = np.empty(np.broadcast(lam, s1).shape, dtype=complex)
+    pool.chunked(_combine, lam, s1, s0, out=raw)
     return raw.reshape(raw.shape[:-2] + (-1,))
 
 
-def _combine(lam, s1, s0, out=None):
+def _combine(lam, s1, s0, out):
     # lam * slice, not np.multiply(slice, lam): for complex lam the operand
     # order changes the last bits of the product.
-    out = np.multiply(lam, s1, out=out)
+    np.multiply(lam, s1, out=out)
     out += s0
     return out
-
-
-def take_minor_raw(f, i: int, mu: complex) -> np.ndarray:
-    """Unnormalized minor vector of length 2**(m-1), in one fresh array."""
-    return raw_minors(as_values(f)[1], i, mu)
 
 
 def take_minor(f: BinaryFunction, spec: MinorSpec,

@@ -1,25 +1,21 @@
-"""The helper threads that share one large pass over a vector between CPUs.
+"""One large pass over a vector, shared between the CPUs.
 
 A pass over at least SPLIT_MIN entries is cut into chunks that the calling
-thread and one helper thread per further CPU take from a shared iterator.
-The caller takes chunks until none is left, then waits only for those a
-helper has taken: a helper that is never scheduled costs nothing but its
-share of the speedup.  Helpers run each chunk under the caller's
-np.errstate, which is per thread, and the first error a chunk raises is
-raised in the caller.  A forked child has none of its parent's helpers and
-starts its own.
-
-Every chunk makes the same numpy calls on the same operands as the one-CPU
-pass, so a pass that writes each output entry once, or stores what it
-reduces in order, gives output bit-identical to one CPU's.  Below
-SPLIT_MIN, or on one CPU, a pass is one call on the calling thread and no
-helper starts.
+thread and one task per further CPU, on a ThreadPoolExecutor made on the
+first split, take from a shared iterator under the caller's np.errstate.
+Once the chunks are all taken, the caller cancels every task that has not
+started and waits only for the rest, so a worker that is never scheduled
+costs only its share of the speedup; then it raises the first chunk error.
+A forked child makes its own executor.  Every chunk makes the same numpy
+calls on the same operands as the one-CPU pass, so a pass that writes each
+output entry once, or stores what it reduces in order, gives output
+bit-identical to one CPU's.  Below SPLIT_MIN, or on one CPU, a pass is one
+call on the calling thread, and no thread starts.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 
@@ -33,8 +29,7 @@ SPLIT_MIN = 2**18
 CHUNKS_PER_CPU = 8
 
 _CPUS = len(os.sched_getaffinity(0))
-_queues = []  # one job queue per helper thread, started on the first split
-_start_lock = threading.Lock()
+_executor = None  # the worker threads, made on the first split
 
 
 def splits(entries: int) -> bool:
@@ -43,50 +38,50 @@ def splits(entries: int) -> bool:
 
 
 def run(job, n: int, entries: int) -> None:
-    """Call job(lo, hi) on consecutive ranges that cover range(n).
-
-    When a pass over `entries` entries splits, the ranges are at most
-    CHUNKS_PER_CPU per CPU and are shared between the calling thread and
-    the helpers; otherwise job(0, n) runs on the calling thread.
-    """
+    """Call job(lo, hi) on consecutive ranges that cover range(n): at most
+    CHUNKS_PER_CPU per CPU, shared with the workers, when a pass over
+    `entries` entries splits, else job(0, n) on the calling thread."""
+    global _executor
     chunks = min(n, CHUNKS_PER_CPU * _CPUS)
     if chunks < 2 or not splits(entries):
         job(0, n)
         return
-    # Imported here, not at the top: a pass that never splits, as in every
-    # short `trialab verify` run, then never pays for the import.
-    from queue import SimpleQueue
+    if _executor is None:
+        # Imported here: a process that never splits, as a short `trialab
+        # verify` run, skips the import.  Two first callers may each make an
+        # executor; the one dropped lets its workers exit when they are done.
+        from concurrent.futures import ThreadPoolExecutor
 
-    if not _queues:
-        _start_helpers()
-    done = SimpleQueue()
-    work = (iter(range(chunks)), lambda j: job(n * j // chunks, n * (j + 1) // chunks), done)
+        _executor = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="trialab-pool")
+    parts = iter(range(chunks))
+    errors = []
+
+    def take(err):
+        with np.errstate(**err):
+            for j in parts:
+                try:
+                    job(n * j // chunks, n * (j + 1) // chunks)
+                except Exception as exc:
+                    errors.append(exc)
+
     err = np.geterr()
-    for q in _queues:
-        q.put((work, err))
-    _take(work)
-    failures = [exc for exc in (done.get() for _ in range(chunks)) if exc is not None]
-    if failures:
-        raise failures[0]
+    tasks = [_executor.submit(take, err) for _ in range(_CPUS - 1)]
+    take(err)
+    for t in tasks:
+        if not t.cancel():
+            t.result()
+    if errors:
+        raise errors[0]
 
 
-def chunked(fn, *operands, out=None, core: int = 0, entries: int | None = None):
-    """fn(*operands, out=out) through :func:`run`, returning out.
-
-    The chunks cut one of out's axes before its last `core` ones (the first
-    long enough to give every chunk some rows, else the longest), so each
-    chunk is the same call on a slice; an operand broadcast along that axis
-    is passed whole.  The pass reads `entries` entries, out.size by
-    default; without out, give entries: fn then allocates out on the one-CPU
-    path, and the split path fills a fresh complex array of the operands'
-    broadcast shape.
-    """
-    if entries is None:
-        entries = out.size
-    if not splits(entries):
+def chunked(fn, *operands, out, core: int = 0):
+    """fn(*operands, out=out) through :func:`run`, returning out; it splits
+    from SPLIT_MIN entries of out.  The chunks cut one of out's axes before
+    its last `core` ones (the first long enough to give every chunk some
+    rows, else the longest), so each chunk is the same call on a slice; an
+    operand broadcast along that axis is passed whole."""
+    if not splits(out.size):
         return fn(*operands, out=out)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(*(np.shape(x) for x in operands)), dtype=complex)
     lead = out.shape[:out.ndim - core]
     long = [a for a, size in enumerate(lead) if size >= CHUNKS_PER_CPU * _CPUS]
     axis = (long[0] if long else int(np.argmax(lead))) - out.ndim
@@ -97,50 +92,14 @@ def chunked(fn, *operands, out=None, core: int = 0, entries: int | None = None):
         return x[(Ellipsis, slice(lo, hi)) + (slice(None),) * (-axis - 1)]
 
     run(lambda lo, hi: fn(*(part(x, lo, hi) for x in operands), out=part(out, lo, hi)),
-        out.shape[axis], entries)
+        out.shape[axis], out.size)
     return out
 
 
-def _take(work):
-    """Run chunks from work's shared iterator, reporting each to its queue."""
-    chunks, run_chunk, done = work
-    for j in chunks:
-        try:
-            run_chunk(j)
-        except Exception as exc:
-            done.put(exc)
-        else:
-            done.put(None)
+def _forget_executor():
+    """A forked child has none of its parent's workers; it makes its own."""
+    global _executor
+    _executor = None
 
 
-def _helper(q):
-    while True:
-        work, err = q.get()
-        with np.errstate(**err):
-            _take(work)
-        # Drop the job before waiting: it holds views of the caller's buffers.
-        del work
-
-
-def _start_helpers():
-    from queue import SimpleQueue
-
-    with _start_lock:
-        for _ in range(_CPUS - 1 - len(_queues)):
-            q = SimpleQueue()
-            threading.Thread(target=_helper, args=(q,), daemon=True, name="trialab-pool").start()
-            _queues.append(q)
-
-
-def _forget_helpers():
-    """A forked child has none of its parent's helpers; it starts its own.
-
-    Jobs put on the parent's queues would wait there for good, holding the
-    child's buffers.
-    """
-    global _start_lock
-    _queues.clear()
-    _start_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_helpers)
+os.register_at_fork(after_in_child=_forget_executor)

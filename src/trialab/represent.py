@@ -38,7 +38,7 @@ from .altmap import (
 )
 from .binfun import BinaryFunction, DEFAULT_TOL, proportional, tensor_power
 from .errors import NotMinorClosed
-from .minor import take_minor_raw
+from .minor import raw_minors
 from .reductions import ALL_KINDS, reduce_edge
 from .transform import OMEGA, ULOOP_RATIO, transform
 
@@ -146,7 +146,7 @@ def check_representation(candidate: RepresentationCandidate,
                 if target is None:
                     raise NotMinorClosed(
                         f"member {idx}: reduction {kind.token} of {lab!r} leaves the class")
-                lhs = take_minor_raw(f, pos, candidate.nu * kind.complex_value)
+                lhs = raw_minors(f.values, pos, candidate.nu * kind.complex_value)
                 if not _aligned(candidate, target, reduced, lhs, positions, tol):
                     report.minor_compat.append(
                         f"member {idx}: edge {lab!r}, reduction {kind.token} has no match")

@@ -22,9 +22,10 @@ bit-identical to a one-vector call.
 Each matmul is shaped as a batch of small products of at most TILE vector
 entries, each too small for BLAS to split across its own threads.  From
 pool.SPLIT_MIN entries on, :mod:`trialab.pool` cuts each block's batch into
-chunks that the calling thread and one helper thread per further CPU share;
-every chunk makes the same BLAS calls on the same operands as the one-CPU
-path, so the output is bit-identical to it.
+chunks that the calling thread and one worker thread per further CPU share;
+below that each block is one np.matmul on the calling thread.  Every chunk
+makes the same BLAS calls on the same operands as the one-CPU path, so the
+output is bit-identical to it.
 The output is deterministic for a given numpy and BLAS build, mu = 1 is the
 exact identity on finite input, and the output agrees with the dense
 Kronecker power to 1e-10, which the ``transforms.fast-vs-dense`` check
@@ -128,7 +129,7 @@ def raw_transform(values, mu) -> np.ndarray:
     numpy/BLAS build; exact at mu = 1 on finite input; within 1e-10 of the
     dense Kronecker power; O(m * 2**m) per row, in products too small for
     BLAS to thread.  From pool.SPLIT_MIN entries on, the products of each
-    block are shared between the calling thread and a helper per further
+    block are shared between the calling thread and a worker per further
     CPU, with output bit-identical to one CPU's.
     """
     values = np.asarray(values, dtype=complex)
@@ -164,8 +165,7 @@ def _apply(v, m: int, mu) -> np.ndarray:
     # per block page-faults it in again each time, which at m = 22 made a
     # transform about a quarter slower and its time less steady.
     buffers = [np.empty(v.shape, dtype=complex) for _ in range(min(len(widths), 2))]
-    # Below SPLIT_MIN, or on one CPU, each block is one np.matmul as it is.
-    matmul = partial(pool.chunked, np.matmul, core=2) if pool.splits(v.size) else np.matmul
+    matmul = partial(pool.chunked, np.matmul, core=2)
     axis = 0
     for i, b in enumerate(widths):
         k = blocks[b] if per_row else _cached_kron_power(mu, b)

@@ -16,7 +16,6 @@ from trialab.minor import (
     minors_commute_check,
     raw_minors,
     take_minor,
-    take_minor_raw,
     transform_minor_check,
 )
 from trialab.transform import OMEGA, OMEGA2, ULOOP_RATIO
@@ -186,7 +185,7 @@ def test_stacked_minor_rows_equal_one_vector_minors_bit_for_bit():
             for a, mu in enumerate(mus):
                 one_mu = raw_minors(stack, i, complex(mu))
                 for r, f in enumerate(fs):
-                    raw = take_minor_raw(f, i, complex(mu))
+                    raw = raw_minors(f.values, i, complex(mu))
                     assert rows[a, r].tobytes() == one_mu[r].tobytes() == raw.tobytes()
                     try:
                         g = take_minor(f, MinorSpec(i, complex(mu)))
@@ -549,7 +548,7 @@ def test_minor_weights_reduce_to_deletion_and_restriction():
         assert np.allclose(take_minor(f, MinorSpec(i, -1.0)).values, restriction, atol=1e-12)
 
 
-def test_take_minor_raw_matches_dense_operator():
+def test_raw_minors_matches_dense_operator():
     # Row operator (1 lambda) acting on the i-th tensor slot, cross-checked
     # against an explicit Kronecker build.
     rng = np.random.default_rng(15)
@@ -563,11 +562,11 @@ def test_take_minor_raw_matches_dense_operator():
         for pos in range(m):
             block = np.array([[1.0, lam]]) if pos == i else np.eye(2)
             op = np.kron(op, block)
-        assert np.allclose(op @ f.values, take_minor_raw(f, i, mu))
+        assert np.allclose(op @ f.values, raw_minors(f.values, i, mu))
 
 
 def _slice_copy_minor(f, i, mu):
-    """take_minor_raw and take_minor as computed with both slices copied out:
+    """raw_minors and take_minor as computed with both slices copied out:
     a + lam*b, then divided by its empty-set entry and passed through make."""
     w = f.values.reshape(2**i, 2, -1)
     a, b = w[:, 0, :].reshape(-1), w[:, 1, :].reshape(-1)
@@ -584,7 +583,7 @@ def test_take_minor_is_bit_identical_to_slice_copy_oracle():
         for i in range(m):
             for mu in mus:
                 raw, g = _slice_copy_minor(f, i, mu)
-                assert take_minor_raw(f, i, mu).tobytes() == raw.tobytes()
+                assert raw_minors(f.values, i, mu).tobytes() == raw.tobytes()
                 out = take_minor(f, MinorSpec(i, mu))
                 assert out.values.tobytes() == g.values.tobytes()
                 assert out.m == m - 1

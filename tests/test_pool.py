@@ -2,10 +2,13 @@
 the minor kernel, normalisation and the proportionality residual.
 
 Each is compared bit for bit with the pool forced to one CPU, and with the
-one-CPU code it replaced, kept here as an oracle."""
+one-CPU code it replaced, kept here as an oracle.  The pool's own contract
+is checked too: chunk errors reach the caller, forked children make their
+own workers, and verify neither splits a pass nor imports the executor."""
 
 import os
 import signal
+import subprocess
 import sys
 import threading
 
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 
 from trialab import binfun, pool
-from trialab.minor import MinorSpec, lambda_mu, raw_minors, take_minor, take_minor_raw
+from trialab.minor import MinorSpec, lambda_mu, raw_minors, take_minor
 from trialab.transform import OMEGA, OMEGA2
 
 MUS = (1.0, OMEGA, OMEGA2, complex(0.3, -1.7))
@@ -95,8 +98,8 @@ def test_split_minors_and_normalize_are_bit_identical_to_one_cpu(split):
         f = binfun.make(m, v)
         for mu in MUS:
             for i in (0, m // 2, m - 1):
-                raw = take_minor_raw(f, i, mu)
-                assert np.array_equal(bits(raw), bits(one_cpu(split, take_minor_raw, f, i, mu)))
+                raw = raw_minors(f.values, i, mu)
+                assert np.array_equal(bits(raw), bits(one_cpu(split, raw_minors, f.values, i, mu)))
                 w = v.reshape(2**i, 2, -1)
                 whole = (lambda_mu(mu) * w[:, 1]).reshape(-1) + w[:, 0].reshape(-1)
                 assert np.array_equal(bits(raw), bits(whole))
@@ -111,16 +114,16 @@ def test_split_minors_and_normalize_are_bit_identical_to_one_cpu(split):
         whole[0] = 1.0
         assert np.array_equal(bits(got), bits(whole))
     assert all(split.passes) and len(split.passes) > 0
-    assert pool._queues
+    assert pool._executor is not None
 
 
 def test_a_minor_splits_from_split_min_minor_entries(split):
     # At m = 18 a split minor was slower than one thread's; its slices of
     # 2**17 entries stay on the calling thread.
     rng = np.random.default_rng(47)
-    take_minor_raw(random_vector(rng, 18), 9, OMEGA)
+    raw_minors(random_vector(rng, 18), 9, OMEGA)
     assert split.passes == []
-    take_minor_raw(random_vector(rng, 19), 9, OMEGA)
+    raw_minors(random_vector(rng, 19), 9, OMEGA)
     assert split.passes == [True]
 
 
@@ -132,7 +135,7 @@ def test_stacked_minors_on_the_split_path_are_bit_identical(split):
         out = raw_minors(rows, i, mus)
         assert out.shape == (3, 3, 2**17)
         for a, r in np.ndindex(3, 3):
-            assert np.array_equal(bits(out[a, r]), bits(take_minor_raw(rows[r], i, mus[a, 0])))
+            assert np.array_equal(bits(out[a, r]), bits(raw_minors(rows[r], i, mus[a, 0])))
     assert all(split.passes) and len(split.passes) == 3
 
 
@@ -188,7 +191,7 @@ def test_split_passes_from_concurrent_callers(split):
     cs = [complex(*rng.standard_normal(2)) for _ in range(4)]
 
     def work(v, c):
-        return (take_minor_raw(np.concatenate([v, v]), 9, OMEGA), binfun.proportionality_residual(c * v, v),
+        return (raw_minors(np.concatenate([v, v]), 9, OMEGA), binfun.proportionality_residual(c * v, v),
                 binfun.proportional(c * v, v), binfun.proportional(v, v[::-1]))
 
     expected = [one_cpu(split, work, v, c) for v, c in zip(vectors, cs)]
@@ -221,9 +224,9 @@ def test_an_overflow_in_a_split_minor_follows_the_callers_errstate(split):
     # error) or raised in the caller, as asked.
     v = np.full(2**19, 1e308, dtype=complex)
     with np.errstate(over="ignore"):
-        assert np.isinf(take_minor_raw(v, 9, 1.0).real).all()
+        assert np.isinf(raw_minors(v, 9, 1.0).real).all()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        take_minor_raw(v, 9, 1.0)
+        raw_minors(v, 9, 1.0)
     assert all(split.passes)
 
 
@@ -231,16 +234,17 @@ def test_split_minor_in_a_forked_child(split):
     v = random_vector(np.random.default_rng(45), 19)
     f = binfun.make(19, v)
     expected = take_minor(f, MinorSpec(9, OMEGA)).values
-    assert pool._queues
+    parent = pool._executor
+    assert parent is not None
     pid = os.fork()
     if pid == 0:  # pragma: no cover - the child reports by its exit status
         code = 1
         try:
             signal.alarm(60)
             same = np.array_equal(bits(take_minor(f, MinorSpec(9, OMEGA)).values), bits(expected))
-            # The parent's helpers are gone; the child started its own.
-            helpers = [t for t in threading.enumerate() if t.name == "trialab-pool"]
-            if same and len(helpers) == len(pool._queues) == pool._CPUS - 1:
+            # The parent's workers are gone; the child made its own.
+            workers = [t for t in threading.enumerate() if t.name.startswith("trialab-pool")]
+            if same and pool._executor is not parent and 0 < len(workers) <= pool._CPUS - 1:
                 code = 0
         finally:
             os._exit(code)
@@ -248,15 +252,48 @@ def test_split_minor_in_a_forked_child(split):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
+class Refusing:
+    """An executor stand-in that fails the test when a pass submits a task."""
+
+    def submit(self, fn, *args):
+        raise AssertionError("a pass split across CPUs")
+
+
 def test_verify_starts_no_helper(monkeypatch):
     # verify's kernels work on stacks far below SPLIT_MIN: no pass splits.
     from trialab import verify
 
     monkeypatch.setattr(pool, "_CPUS", 2)
-    monkeypatch.setattr(pool, "_queues", [])
-
-    def refuse():
-        raise AssertionError("a verify check started a helper thread")
-
-    monkeypatch.setattr(pool, "_start_helpers", refuse)
+    monkeypatch.setattr(pool, "_executor", Refusing())
     assert all(r.passed for r in verify.run_suites(seed=0))
+
+
+def test_verify_imports_no_thread_pool():
+    # A cold `trialab verify` splits no pass, so it never pays for importing
+    # the executor or a queue.
+    child = """
+import sys
+from trialab import cli
+assert cli.main(["verify", "--seed", "0"]) == 0
+print(sorted(name for name in ("concurrent.futures", "queue") if name in sys.modules))
+"""
+    src = os.path.dirname(os.path.dirname(pool.__file__))
+    out = subprocess.run([sys.executable, "-c", child], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_a_chunk_error_is_raised_after_every_other_chunk_ran(split):
+    # One chunk of sixteen raises; whichever thread takes it, the caller
+    # raises that error only once every chunk has run.
+    ran = []
+
+    def job(lo, hi):
+        ran.append((lo, hi))
+        if lo <= 5 < hi:
+            raise ValueError("chunk 5")
+
+    n = pool.CHUNKS_PER_CPU * pool._CPUS
+    with pytest.raises(ValueError, match="chunk 5"):
+        pool.run(job, n, pool.SPLIT_MIN)
+    assert sorted(ran) == [(j, j + 1) for j in range(n)]

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from trialab import binfun
+from trialab.altmap import isomorphisms, ultraloop_stack
 from trialab.binfun import DEFAULT_TOL
 from trialab.errors import NotMinorClosed
 from trialab.minor import lambda_mu
 from trialab.represent import (
     RepresentationCandidate,
+    _aligned,
     _pullback,
     canonical_class,
     check_representation,
@@ -39,6 +41,23 @@ def test_pullback_matches_bitwise_loop():
             position_map = dict(enumerate(int(q) for q in rng.permutation(m)))
             assert np.array_equal(_pullback(values, m, position_map),
                                   _pullback_loop(values, m, position_map))
+
+
+def test_aligned_tries_every_isomorphism():
+    # The double stack's one non-trivial automorphism swaps its edges, and
+    # this image is not symmetric under the swap; lhs is the image pulled back
+    # along the swap, which isomorphisms() yields after the identity.
+    g = ultraloop_stack(2)
+    f = binfun.make(2, [1.0, 0.3, 0.7, 0.2])
+    emap = {lab: pos for pos, lab in enumerate(g.labels())}
+    candidate = RepresentationCandidate((g,), (f,), (emap,), 1.0 + 0j)
+    first, swap = isomorphisms(g, g)
+    assert all(first[lab] == lab for lab in emap) and all(swap[lab] != lab for lab in emap)
+    lhs = 2.0 * _pullback(f.values, 2, {emap[lab]: emap[swap[lab]] for lab in emap})
+    assert not binfun.proportional(lhs, f.values)
+    assert _aligned(candidate, 0, g, lhs, emap, DEFAULT_TOL)
+    assert _aligned(candidate, 0, g, f.values, emap, DEFAULT_TOL)
+    assert not _aligned(candidate, 0, g, lhs + np.array([0, 0, 0, 0.1]), emap, DEFAULT_TOL)
 
 
 def test_ultraloop_image_is_the_fixed_vector():

@@ -1,8 +1,8 @@
 import os
-import queue
 import signal
 import sys
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -155,7 +155,7 @@ def test_split_is_bit_identical_to_one_cpu(split):
         for mu in (OMEGA, -1.0, complex(*rng.standard_normal(2))):
             expected = one_cpu(split, v, mu)
             assert np.array_equal(bits(transform(v, mu).values), bits(expected))
-    assert pool._queues
+    assert pool._executor is not None
 
 
 def test_split_from_concurrent_callers(split):
@@ -183,15 +183,35 @@ def test_split_from_concurrent_callers(split):
         assert np.array_equal(bits(got), bits(want))
 
 
+class Unstarted(Future):
+    """A task that no worker ever starts: waiting for it would never end."""
+
+    def result(self, timeout=None):
+        raise AssertionError("the caller waited for a task that never started")
+
+
+class Idle:
+    """An executor stand-in whose tasks never start, as for workers that are
+    never scheduled."""
+
+    def __init__(self):
+        self.futures = []
+
+    def submit(self, fn, *args):
+        self.futures.append(Unstarted())
+        return self.futures[-1]
+
+
 def test_split_finishes_when_no_helper_takes_a_chunk(split):
-    # Queues that no thread reads stand for helpers that are never scheduled.
     v = np.random.default_rng(11).standard_normal(2**18).astype(complex)
     expected = one_cpu(split, v, OMEGA2)
-    idle = [queue.SimpleQueue(), queue.SimpleQueue()]
-    split.setattr(pool, "_queues", idle)
+    idle = Idle()
+    split.setattr(pool, "_executor", idle)
     assert np.array_equal(bits(transform(v, OMEGA2).values), bits(expected))
     blocks = -(-18 // T.BLOCK)
-    assert all(q.qsize() == blocks for q in idle)  # one job per block, none taken
+    # One task per worker and block, each cancelled unstarted.
+    assert len(idle.futures) == blocks * (pool._CPUS - 1)
+    assert all(f.cancelled() for f in idle.futures)
 
 
 def test_split_runs_helpers_under_the_callers_errstate(split):
@@ -208,16 +228,17 @@ def test_split_runs_helpers_under_the_callers_errstate(split):
 def test_split_in_a_forked_child(split):
     v = np.random.default_rng(12).standard_normal(2**18).astype(complex)
     expected = transform(v, OMEGA).values
-    assert pool._queues
+    parent = pool._executor
+    assert parent is not None
     pid = os.fork()
     if pid == 0:  # pragma: no cover - the child reports by its exit status
         code = 1
         try:
             signal.alarm(60)
             same = np.array_equal(bits(transform(v, OMEGA).values), bits(expected))
-            # The parent's helpers are gone; the child started its own.
-            helpers = [t for t in threading.enumerate() if t.name == "trialab-pool"]
-            if same and len(helpers) == len(pool._queues) == pool._CPUS - 1:
+            # The parent's workers are gone; the child made its own.
+            workers = [t for t in threading.enumerate() if t.name.startswith("trialab-pool")]
+            if same and pool._executor is not parent and 0 < len(workers) <= pool._CPUS - 1:
                 code = 0
         finally:
             os._exit(code)

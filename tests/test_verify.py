@@ -5,11 +5,13 @@ are in test_minor.py.  A NaN residual anywhere among the samples fails
 each transform check.  The claim checks' parts hold on their own: the
 tensor-power lift is unique and breaks under perturbation, the funnel
 finds 4 / 1 / 1 maps on 2 / 3 / 4 edges, and the main theorem fails when
-the forced image is not self-trial or a stack element is not degenerate.
+the forced image is not self-trial, a stack element is not degenerate or
+any one stack image is corrupted.
 The closed form that lets nu = 1 stand for every unit phase holds.  The
 mu-independence check's planted functions are degenerate at the element it
 tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -22,7 +24,7 @@ from trialab.minor import (
     is_degenerate,
     lambda_mu,
     minors_commute_check,
-    take_minor_raw,
+    raw_minors,
     transform_minor_check,
 )
 from trialab.represent import ultraloop_image
@@ -236,6 +238,26 @@ def test_main_theorem_fails_when_a_stack_element_is_not_degenerate(monkeypatch):
     assert "stack images degenerate at 14/15 elements" in result.details
 
 
+@pytest.mark.parametrize("j", range(6))
+def test_main_theorem_fails_when_any_one_stack_image_is_corrupted(monkeypatch, j):
+    # The one class checked holds every stack of 0..5 ultraloops; a fault in
+    # any one member's image fails it.  The image of the empty stack is the
+    # constant 1, so only its dimension can be wrong.
+    real = verify.canonical_class(5)
+    images = list(real.images)
+    if j == 0:
+        images[0] = binfun.tensor_power(ultraloop_image(), 1)
+    else:
+        values = images[j].values.copy()
+        values[-1] *= 1.5
+        images[j] = binfun.make(j, values)
+    corrupted = dataclasses.replace(real, images=tuple(images))
+    monkeypatch.setattr(verify, "canonical_class", lambda k: corrupted)
+    result = verify.check_main_theorem(np.random.default_rng(0))
+    assert not result.passed
+    assert "classes 0..5 pass: False" in result.details
+
+
 def test_degenerate_minor_factor_never_vanishes():
     # 1 + lambda(mu) r = 2 sqrt(2) / (sqrt(2) + 1 - r mu) with r = sqrt(2) - 1:
     # the factor by which each minor of a tensor power of (1, r) scales the
@@ -252,7 +274,7 @@ def test_degenerate_minor_factor_never_vanishes():
             power = binfun.tensor_power(ultraloop_image(), k)
             lower = binfun.tensor_power(ultraloop_image(), k - 1).values
             for i in range(k):
-                minor = take_minor_raw(power, i, mu)
+                minor = raw_minors(power.values, i, mu)
                 assert np.max(np.abs(minor - factor * lower)) <= 1e-14
 
 
