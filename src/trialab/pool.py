@@ -37,6 +37,12 @@ def splits(entries: int) -> bool:
     return entries >= SPLIT_MIN and _CPUS > 1
 
 
+def threads(entries: int) -> int:
+    """How many threads at most run the jobs of a pass over this many
+    entries at once: the caller and one per further CPU, or the caller."""
+    return _CPUS if splits(entries) else 1
+
+
 def run(job, n: int, entries: int) -> None:
     """Call job(lo, hi) on consecutive ranges that cover range(n): at most
     CHUNKS_PER_CPU per CPU, shared with the workers, when a pass over

@@ -18,8 +18,11 @@ abstract, so the choice of representative carries no meaning.
 
 The canonical family assigns to the i-fold ultraloop stack the i-th tensor
 power of (1, sqrt(2)-1), the fixed vector of the trinity generator, which
-`ultraloop_image` returns in closed form.  The whole-claim sweeps built on
-this checker live in `verify`.
+`ultraloop_image` returns in closed form.  Condition (d) asks only for
+proportionality, so the one-edge image is fixed only up to the choice of an
+eigenline of M(w): the tensor powers of (1, -(sqrt(2)+1)), the eigenvector
+for the eigenvalue w, pass the checker as well.  The whole-claim sweeps
+built on this checker live in `verify`, and check the first family.
 """
 
 from __future__ import annotations
@@ -68,8 +71,14 @@ class CheckReport:
 
 
 def ultraloop_image() -> BinaryFunction:
-    """The binary function forced on the ultraloop: (1, sqrt(2)-1), the
-    fixed vector of every M(mu); ``transforms.eigenvector`` checks it at w."""
+    """The ultraloop's image (1, sqrt(2)-1): the fixed vector of every
+    M(mu), which ``transforms.eigenvector`` checks at w.
+
+    It is forced only up to the choice of an eigenline of M(w).  Triality
+    asks for proportionality alone, so (1, -(sqrt(2)+1)), the eigenvector
+    for the eigenvalue w, serves as well: its tensor powers also pass
+    :func:`check_representation`.  This function returns the first choice.
+    """
     return binfun.make(1, [1.0, ULOOP_RATIO])
 
 
@@ -106,6 +115,8 @@ def check_representation(candidate: RepresentationCandidate,
     for idx, (g, f) in enumerate(zip(members, images)):
         if not isinstance(f, BinaryFunction):
             report.totality.append(f"member {idx} has no binary-function image")
+    if report.totality:
+        return report
 
     for idx, (g, f, emap) in enumerate(zip(members, images, edge_maps)):
         labels = set(g.labels())

@@ -12,20 +12,30 @@ order-three trinity transform.
 
 The m-th Kronecker power of M(mu) acts on a length 2**m vector in
 O(m * 2**m): the elements are split into blocks of at most BLOCK axes, and
-each block is applied by one matmul with M(mu)^{(x)b}, so a transform is
-ceil(m / BLOCK) matmuls.  The one kernel, :func:`raw_transform`, takes the
-vectors along the last axis of an array, with mu one parameter or an array
-broadcast against the leading axes, and makes the same matmuls for the
-whole stack; :func:`transform` is its one-vector case.  Each row is
-bit-identical to a one-vector call.
+each block is applied by matmuls with M(mu)^{(x)b}, ceil(m / BLOCK) blocks
+in all.  The one kernel, :func:`raw_transform`, takes the vectors along the
+last axis of an array, with mu one parameter or an array broadcast against
+the leading axes, and makes the same products for the whole stack;
+:func:`transform` is its one-vector case.  Each row is bit-identical to a
+one-vector call.
 
-Each matmul is shaped as a batch of small products of at most TILE vector
-entries, each too small for BLAS to split across its own threads.  From
-pool.SPLIT_MIN entries on, :mod:`trialab.pool` cuts each block's batch into
-chunks that the calling thread and one worker thread per further CPU share;
-below that each block is one np.matmul on the calling thread.  Every chunk
-makes the same BLAS calls on the same operands as the one-CPU path, so the
-output is bit-identical to it.
+Each block's products are small, of at most TILE vector entries, too small
+for BLAS to split across its own threads.  Consecutive blocks are grouped
+from the low axes up so that a group's tile holds at most GROUP_TILE
+entries, 512 KiB, which stays in a core's L2 cache: the lowest group's
+tiles are whole sub-vectors over its axes, a higher group's column slabs.
+From m = 16 on, where the vector no longer fits, a group of two or three
+blocks runs tile by tile, each tile through all of its blocks, so the
+vector is read once per group rather than once per block; from
+pool.SPLIT_MIN entries :mod:`trialab.pool` shares the tiles between the
+calling thread and one worker thread per further CPU.  The only group (at
+m <= 15) and a group of one block (the short block at m = 16, 21, 22) make
+one batched np.matmul per block over all rows, whose batch pool.chunked
+cuts into chunks from pool.SPLIT_MIN entries.  Every group writes into the
+one output array, so beyond it a large transform holds only a few tiles.
+Every product keeps the shape, operands and order of one pass per block,
+and each writes its own entries, so the output is bit-identical to that
+and to one CPU's.
 The output is deterministic for a given numpy and BLAS build, mu = 1 is the
 exact identity on finite input, and the output agrees with the dense
 Kronecker power to 1e-10, which the ``transforms.fast-vs-dense`` check
@@ -119,7 +129,7 @@ def transform(f, mu: complex) -> RawVector:
 
 
 def raw_transform(values, mu) -> np.ndarray:
-    """Apply the m-th Kronecker power of M(mu) in ceil(m / BLOCK) matmuls to
+    """Apply the m-th Kronecker power of M(mu) in ceil(m / BLOCK) blocks to
     the vectors along the last axis of values, in one fresh array: the one
     transform kernel.
 
@@ -128,9 +138,10 @@ def raw_transform(values, mu) -> np.ndarray:
     bit-identical to its one-vector transform, and deterministic for a given
     numpy/BLAS build; exact at mu = 1 on finite input; within 1e-10 of the
     dense Kronecker power; O(m * 2**m) per row, in products too small for
-    BLAS to thread.  From pool.SPLIT_MIN entries on, the products of each
-    block are shared between the calling thread and a worker per further
-    CPU, with output bit-identical to one CPU's.
+    BLAS to thread, run on cache-sized tiles from m = 16.  From
+    pool.SPLIT_MIN entries on, the tiles or products are shared between the
+    calling thread and a worker per further CPU, with output bit-identical
+    to one CPU's.
     """
     values = np.asarray(values, dtype=complex)
     size = values.shape[-1]
@@ -145,49 +156,156 @@ def raw_transform(values, mu) -> np.ndarray:
     return _apply(values, m, mu)
 
 
+# Entries of the tile that a group of consecutive blocks works on (512 KiB):
+# small enough to stay in a core's L2 cache across the group's blocks.
+GROUP_TILE = 2**15
+
+# How a block's products are laid out: k times (w, tile) column tiles, rows of
+# w entries times k.T, or k times whole (w, rest) slabs.
+COLS, ROWS, SLABS = range(3)
+
+
+@lru_cache(maxsize=None)
+def _plan(m: int) -> tuple:
+    """The blocks of an m-element transform in the order they apply, the
+    short block first, packed from the low axes up into groups whose tile
+    holds at most GROUP_TILE entries; and the set of block widths.
+
+    Each group is (tiled, shape, blocks).  A group that runs whole, in one
+    batched matmul per block over all rows, is the only group or one of a
+    single block; its shape is (2**axes, 2**below), the group's axes and
+    those after it.  Any other is tiled: a row is viewed as (runs, t,
+    2**axes, slabs, width), and a tile is one (t, 2**axes, width) slice.
+    The lowest group's tiles are t whole sub-vectors over its axes, a higher
+    group's a column slab as wide as its widest TILE >> b.  Each block is
+    (b, layout, shape after the leading axis, destination), and makes the
+    products of the one-pass-per-block kernel whatever the tile.
+    """
+    # At m = 0 a single width-0 block still copies the input.
+    widths = [(m - 1) % BLOCK + 1] + [BLOCK] * ((m - 1) // BLOCK) if m else [0]
+    packed = []
+    for b in reversed(widths):
+        grown = [b] + packed[-1] if packed else []
+        if grown and 2**sum(grown) * (TILE >> min(grown) if len(packed) > 1 else 1) <= GROUP_TILE:
+            packed[-1] = grown
+        else:
+            packed.append([b])
+    plan, above = [], 0
+    for group in reversed(packed):
+        axes = sum(group)
+        below = m - above - axes
+        tiled = len(packed) > 1 and len(group) > 1
+        if tiled:
+            width = TILE >> min(group) if below else 1
+            t = min(2**above, GROUP_TILE // (2**axes * width))
+            shape = (2**above // t, t, 2**axes, 2**below // width, width)
+        else:
+            width = 2**below
+            shape = (2**axes, width)
+        blocks, p = [], 0
+        for i, b in enumerate(group):
+            w, inner, tile = 2**b, 2 ** (axes - p - b), TILE >> b
+            # The destination 0 is the output.  A whole group alternates it
+            # with scratch 1 so as to end there; a tiled one goes through
+            # its scratch 1 and 2 first.
+            last = len(group) - 1 - i
+            dest = (i + 1 if last else 0) if tiled else last % 2
+            if inner << below > tile:
+                slabs = max(width // tile, 1)
+                tail = (2**p, w, inner * width // (slabs * tile), slabs, tile)
+                blocks.append((b, COLS, tail, dest))
+            elif inner << below == 1 and 2 ** (above + p) > tile:
+                blocks.append((b, ROWS, (2**p // tile, tile, w), dest))
+            else:
+                blocks.append((b, SLABS, (2**p, w, inner * width), dest))
+            p += b
+        plan.append((tiled, shape, tuple(blocks)))
+        above += axes
+    return tuple(plan), frozenset(widths)
+
+
+# One batched matmul of a whole group's block, split across CPUs from
+# pool.SPLIT_MIN entries; the cut keeps each product whole.
+_whole_matmul = partial(pool.chunked, np.matmul, core=2)
+
+
 def _apply(v, m: int, mu) -> np.ndarray:
     """The blocks of :func:`raw_transform` on the rows of v, for one mu or
-    an array of one mu per row."""
+    an array of one mu per row, into one fresh output.
+
+    A group that runs whole ping-pongs between the output and one scratch
+    array of the same size, so that its last block lands in the output.
+    A tiled group hands its tiles to pool.run: each job takes consecutive
+    tiles through the group's blocks in up to two tile-sized scratch arrays
+    lent to it, and the last block writes each tile back into the output.
+    """
     rows = v.size >> m
-    # The short block goes first; at m = 0 a single width-0 block still
-    # copies the input.
-    widths = [(m - 1) % BLOCK + 1] + [BLOCK] * ((m - 1) // BLOCK) if m else [0]
-    per_row = isinstance(mu, np.ndarray)
-    if per_row:
-        # One block per row, broadcast along a row axis in front of the batch.
-        blocks = {b: _kron_power(mu, b) for b in set(widths)}
-        pre, reps = (rows,), 1
+    plan, widths = _plan(m)
+    if isinstance(mu, np.ndarray):
+        # One block per row, along the leading (row) axis of every matmul.
+        kron = {b: _kron_power(mu, b) for b in widths}
     else:
-        # One block for all rows, which join the leading batch axis.
-        mu = complex(mu)
-        pre, reps = (), rows
-    # The blocks write into two buffers in turn: allocating a fresh output
-    # per block page-faults it in again each time, which at m = 22 made a
-    # transform about a quarter slower and its time less steady.
-    buffers = [np.empty(v.shape, dtype=complex) for _ in range(min(len(widths), 2))]
-    matmul = partial(pool.chunked, np.matmul, core=2)
-    axis = 0
-    for i, b in enumerate(widths):
-        k = blocks[b] if per_row else _cached_kron_power(mu, b)
-        out = buffers[i % 2]
-        n, w, rest = 2**axis, 2**b, 2 ** (m - axis - b)
-        tile = TILE >> b
-        if rest > tile:
-            # k times (w, tile) column tiles of each (w, rest) slab.
-            shape = pre + (reps * n, w, rest // tile, tile)
-            matmul(k[:, None, None] if per_row else k, v.reshape(shape).swapaxes(-3, -2),
-                   out=out.reshape(shape).swapaxes(-3, -2))
-        elif rest == 1 and n > tile:
-            # The last axes: tiles of rows of w entries, times k.T.
-            shape = pre + (reps * n // tile, tile, w)
-            matmul(v.reshape(shape), (k[:, None] if per_row else k).swapaxes(-1, -2),
-                   out=out.reshape(shape))
+        kron = {b: _cached_kron_power(complex(mu), b) for b in widths}
+    out = np.empty(v.shape, dtype=complex)
+    src = v
+    for tiled, shape, group in plan:
+        shape = (rows,) + shape
+        if tiled:
+            _tiled(kron, src, out, shape, group)
         else:
-            shape = pre + (reps * n, w, rest)
-            matmul(k[:, None] if per_row else k, v.reshape(shape), out=out.reshape(shape))
-        v = out
-        axis += b
-    return v
+            scratch = np.empty(shape, dtype=complex) if len(group) > 1 else None
+            _blocks(_whole_matmul, kron, src.reshape(shape), (out.reshape(shape), scratch), group)
+        src = out
+    return out
+
+
+def _tiled(kron, src, out, shape, group) -> None:
+    """One group's blocks on the (t, size, width) tiles of src viewed as
+    `shape`, shared by pool.run; the last block writes each tile into out,
+    which may be src."""
+    rows, runs, t, size, slabs, width = shape
+    x, y = src.reshape(shape), out.reshape(shape)
+    per_row = next(iter(kron.values())).ndim > 2
+
+    # One set of scratch arrays per thread that may run a job, made here and
+    # lent to each job while it runs: a worker thread that allocated its own
+    # would keep them resident in its malloc arena after the call.  A
+    # lowest group has at most three blocks, a higher one two.
+    free = [tuple(np.empty((t, size, width), dtype=complex) for _ in group[1:])
+            for _ in range(pool.threads(out.size))]
+
+    def job(lo, hi):
+        scratch = free.pop()
+        try:
+            for j in range(lo, hi):
+                r, i, s = j // (runs * slabs), j // slabs % runs, j % slabs
+                ks = {b: k[r] for b, k in kron.items()} if per_row else kron
+                _blocks(np.matmul, ks, x[r, i, :, :, s], (y[r, i, :, :, s],) + scratch, group)
+        finally:
+            free.append(scratch)
+
+    pool.run(job, rows * runs * slabs, out.size)
+
+
+def _blocks(matmul, kron, x, bufs, group) -> None:
+    """A group's blocks in turn on x, whose leading axis they share: each
+    writes into bufs[destination] and the next reads it there."""
+    for b, layout, tail, dest in group:
+        k, y = kron[b], bufs[dest]
+        shape = x.shape[:1] + tail
+        if k.ndim > 2:
+            # One block per row, broadcast along the batch axes after it.
+            k = k[:, None] if len(tail) == 3 else k[:, None, None, None]
+        if layout == COLS:
+            # k times (w, tile) column tiles of each (w, rest) slab.
+            matmul(k, x.reshape(shape).transpose(0, 1, 3, 4, 2, 5),
+                   out=y.reshape(shape).transpose(0, 1, 3, 4, 2, 5))
+        elif layout == ROWS:
+            # The last axes: tiles of rows of w entries, times k.T.
+            matmul(x.reshape(shape), k.swapaxes(-1, -2), out=y.reshape(shape))
+        else:
+            matmul(k, x.reshape(shape), out=y.reshape(shape))
+        x = y
 
 
 def inverse_transform(f, mu: complex) -> RawVector:

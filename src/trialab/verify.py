@@ -553,7 +553,8 @@ def check_main_theorem(rng, tol=1e-9) -> CheckResult:
     # vanishes (its modulus is at least 1 on the unit circle), so condition
     # (e) holds at nu * mu exactly when it holds at mu.  Conversely every
     # two-edge map other than the double stack is obstructed: its image is
-    # forced to the self-trial tensor square while the map is not self-trial.
+    # forced, for the chosen eigenline of M(w), to the self-trial tensor
+    # square while the map is not self-trial.
     # Classes 0..4 are prefixes of class 5 with the same images; every
     # condition is checked per member, and a stack's trial and reductions
     # stay within its prefix, so class 5 passes exactly when all six do.

@@ -508,6 +508,23 @@ def test_malformed_value_lines_keep_their_messages(tmp_path, body, message):
     assert str(err.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("pos", [binfun._ORDER_SLICE + 5, 2**17 - 1])
+def test_an_index_out_of_order_past_the_first_order_slice_is_found(tmp_path, pos):
+    # The bulk reader checks the index order one slice at a time; a bad
+    # index in a later slice, or in the last line, still sends the file to
+    # the per-line reader and its message.
+    assert 2**17 > binfun._ORDER_SLICE
+    path = tmp_path / "v.bf"
+    binfun.write_vector(path, 17, np.ones(2**17, dtype=complex))
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[1 + pos].startswith(f"{pos} ")
+    lines[1 + pos] = f"{pos + 1}" + lines[1 + pos][len(str(pos)):]
+    path.write_text("".join(lines))
+    with pytest.raises(FileFormatError) as err:
+        binfun.read_vector(path)
+    assert str(err.value) == f"{path}: index {pos + 1} out of order (expected {pos})"
+
+
 @pytest.mark.parametrize("head, message", [
     ("bf\n", "first line must be 'bf <m>'"),
     ("bx 1\n", "first line must be 'bf <m>'"),

@@ -387,6 +387,15 @@ def test_degenerate_examples():
     assert not binfun.allclose(dele, cont, 1e-9)
 
 
+def test_degeneracy_tolerance_scales_with_the_slice_ratio():
+    # Element 0 splits these into the slices (1, 1) and (3, 3 + r): ratio
+    # t = 3, largest entry 3, so the bound is tol * 3 * max(1, |t|) = 9 tol.
+    # A residual of 5 tol passes only because the bound scales with |t|.
+    tol = 1e-8
+    assert is_degenerate(binfun.make(2, [1.0, 1.0, 3.0, 3.0 + 5 * tol]), 0, tol)
+    assert not is_degenerate(binfun.make(2, [1.0, 1.0, 3.0, 3.0 + 10 * tol]), 0, tol)
+
+
 def test_degeneracy_is_mu_independent():
     rng = np.random.default_rng(13)
     for trial in range(40):

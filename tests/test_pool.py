@@ -259,6 +259,11 @@ class Refusing:
         raise AssertionError("a pass split across CPUs")
 
 
+def test_split_threads_are_the_caller_and_one_per_further_cpu(split):
+    assert pool.threads(pool.SPLIT_MIN) == 2
+    assert pool.threads(pool.SPLIT_MIN - 1) == 1
+
+
 def test_verify_starts_no_helper(monkeypatch):
     # verify's kernels work on stacks far below SPLIT_MIN: no pass splits.
     from trialab import verify

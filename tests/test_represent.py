@@ -16,7 +16,7 @@ from trialab.represent import (
     check_representation,
     ultraloop_image,
 )
-from trialab.transform import OMEGA, OMEGA2, ULOOP_RATIO, m_matrix, self_trial
+from trialab.transform import OMEGA, OMEGA2, SQRT2, ULOOP_RATIO, m_matrix, self_trial
 
 U = ULOOP_RATIO
 
@@ -65,6 +65,19 @@ def test_ultraloop_image_is_the_fixed_vector():
     assert f.values.tolist() == [1.0, U]
     for mu in (OMEGA, OMEGA2, -1.0, 0.3 - 0.7j):
         assert np.max(np.abs(m_matrix(mu) @ f.values - f.values)) <= 1e-15
+
+
+def test_the_other_eigenline_of_m_omega_also_represents_the_stacks():
+    # The ultraloop image is forced only up to a choice of eigenline of
+    # M(w): the tensor powers of the eigenvector for the eigenvalue w pass
+    # the checker too, at nu = 1 and -1, for the stacks of up to 4 edges.
+    mirror = binfun.make(1, [1.0, -(SQRT2 + 1.0)])
+    assert np.max(np.abs(m_matrix(OMEGA) @ mirror.values - OMEGA * mirror.values)) <= 1e-15
+    for k in range(5):
+        cand = canonical_class(k)
+        images = tuple(binfun.tensor_power(mirror, i) for i in range(k + 1))
+        for nu in (1.0, -1.0):
+            assert check_representation(dataclasses.replace(cand, images=images, nu=nu)).passed
 
 
 def test_canonical_class_shapes():
@@ -126,6 +139,15 @@ def test_broken_edge_map_fails():
         cand.members, cand.images, (cand.edge_maps[0], {"e0": 1}), 1.0)
     report = check_representation(bad)
     assert report.edge_bijections and not report.passed
+
+
+def test_missing_image_fails_totality_without_raising():
+    cand = canonical_class(2)
+    bad = dataclasses.replace(cand, images=(cand.images[0], None, cand.images[2]))
+    report = check_representation(bad)
+    assert report.totality == ["member 1 has no binary-function image"]
+    assert not (report.edge_bijections or report.triality or report.minor_compat)
+    assert not report.passed
 
 
 def test_not_minor_closed_raises():

@@ -2,6 +2,7 @@ import os
 import signal
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -208,10 +209,27 @@ def test_split_finishes_when_no_helper_takes_a_chunk(split):
     idle = Idle()
     split.setattr(pool, "_executor", idle)
     assert np.array_equal(bits(transform(v, OMEGA2).values), bits(expected))
-    blocks = -(-18 // T.BLOCK)
-    # One task per worker and block, each cancelled unstarted.
-    assert len(idle.futures) == blocks * (pool._CPUS - 1)
+    # m = 18 is two tiled groups of blocks: one task per worker and group,
+    # each cancelled unstarted.
+    assert len(idle.futures) == 2 * (pool._CPUS - 1)
     assert all(f.cancelled() for f in idle.futures)
+
+
+def test_split_tiles_use_scratch_made_by_the_calling_thread(split):
+    # A worker thread that allocated its own scratch would keep it resident
+    # in its malloc arena after the call.
+    v = np.random.default_rng(13).standard_normal(2**19).view(complex)
+    expected = one_cpu(split, v, OMEGA)
+    callers = set()
+    empty = np.empty
+
+    def recording_empty(*args, **kwargs):
+        callers.add(threading.current_thread())
+        return empty(*args, **kwargs)
+
+    split.setattr(np, "empty", recording_empty)
+    assert np.array_equal(bits(transform(v, OMEGA).values), bits(expected))
+    assert callers == {threading.current_thread()}
 
 
 def test_split_runs_helpers_under_the_callers_errstate(split):
@@ -244,6 +262,99 @@ def test_split_in_a_forked_child(split):
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def per_block_oracle(v, m, mu):
+    """The transform as one pass over all rows per block, ping-ponging
+    between two full-size buffers, on the calling thread: the kernel before
+    blocks were grouped into cache-sized tiles, kept as the oracle that the
+    grouped one must match bit for bit."""
+    rows = v.size >> m
+    widths = [(m - 1) % T.BLOCK + 1] + [T.BLOCK] * ((m - 1) // T.BLOCK) if m else [0]
+    per_row = isinstance(mu, np.ndarray)
+    if per_row:
+        blocks = {b: T._kron_power(mu, b) for b in set(widths)}
+        pre, reps = (rows,), 1
+    else:
+        blocks = {b: T._kron_power(complex(mu), b) for b in set(widths)}
+        pre, reps = (), rows
+    buffers = [np.empty(v.shape, dtype=complex) for _ in range(min(len(widths), 2))]
+    axis = 0
+    for i, b in enumerate(widths):
+        k = blocks[b]
+        out = buffers[i % 2]
+        n, w, rest = 2**axis, 2**b, 2 ** (m - axis - b)
+        tile = T.TILE >> b
+        if rest > tile:
+            shape = pre + (reps * n, w, rest // tile, tile)
+            np.matmul(k[:, None, None] if per_row else k, v.reshape(shape).swapaxes(-3, -2),
+                      out=out.reshape(shape).swapaxes(-3, -2))
+        elif rest == 1 and n > tile:
+            shape = pre + (reps * n // tile, tile, w)
+            np.matmul(v.reshape(shape), (k[:, None] if per_row else k).swapaxes(-1, -2),
+                      out=out.reshape(shape))
+        else:
+            shape = pre + (reps * n, w, rest)
+            np.matmul(k[:, None] if per_row else k, v.reshape(shape), out=out.reshape(shape))
+        v = out
+        axis += b
+    return v
+
+
+ORACLE_MUS = (1.0, -1.0, OMEGA, OMEGA2, 0.3 + 0.7j)
+
+
+def test_per_block_oracle_covers_every_group_layout():
+    # One group up to m = 15; then a whole single-block group above tiled
+    # ones (16), tiled groups only (17..20), and three groups (21, 22).
+    layouts = {m: tuple((tiled, len(blocks)) for tiled, _, blocks in T._plan(m)[0])
+               for m in range(23)}
+    whole = {((False, 1),), ((False, 2),), ((False, 3),), ((False, 4),)}
+    assert {layouts[m] for m in range(16)} == whole
+    assert layouts[16] == ((False, 1), (True, 3))
+    assert {layouts[m] for m in range(17, 21)} == {((True, 2), (True, 3))}
+    assert layouts[21] == layouts[22] == ((False, 1), (True, 2), (True, 3))
+
+
+def test_grouped_transform_matches_the_per_block_oracle_bit_for_bit(split):
+    # Under the split fixture and on one CPU, at every m up to 22.
+    rng = np.random.default_rng(22)
+    for m in range(23):
+        v = rng.standard_normal(2 ** (m + 1)).view(complex)
+        for mu in ORACLE_MUS:
+            expected = bits(per_block_oracle(v, m, mu))
+            assert np.array_equal(bits(transform(v, mu).values), expected), (m, mu)
+            assert np.array_equal(bits(one_cpu(split, v, mu)), expected), (m, mu)
+    assert pool._executor is not None
+
+
+def test_grouped_stack_with_per_row_mus_matches_the_per_block_oracle(split):
+    # Rows join the batch of a whole group and each tile lies in one row,
+    # with its own block; 2 rows at m = 21 reach the three-group layout.
+    rng = np.random.default_rng(23)
+    for m in list(range(19)) + [21]:
+        rows = rng.standard_normal((2 + (m < 21), 2 ** (m + 1))).view(complex)
+        for mu in (np.array(ORACLE_MUS[1:len(rows) + 1]), ORACLE_MUS[4]):
+            expected = bits(per_block_oracle(rows, m, mu))
+            assert np.array_equal(bits(raw_transform(rows, mu)), expected), (m, mu)
+            with split.context() as mp:
+                mp.setattr(pool, "_CPUS", 1)
+                assert np.array_equal(bits(raw_transform(rows, mu)), expected), (m, mu)
+
+
+def test_grouped_transform_allocates_the_output_and_a_few_tiles(split):
+    # At most two jobs run at once on two CPUs, each with two tile-sized
+    # scratch arrays; one pass per block needed two vector-sized buffers.
+    split.setattr(pool, "_CPUS", 2)
+    v = np.random.default_rng(24).standard_normal(2**21).view(complex)
+    transform(v, OMEGA)
+    tracemalloc.start()
+    try:
+        out = transform(v, OMEGA).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 8 * T.GROUP_TILE * out.itemsize, peak
 
 
 def test_stacked_transform_rows_equal_one_vector_transforms_bit_for_bit():

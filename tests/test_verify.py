@@ -3,7 +3,8 @@ complement oracle matches the pair-by-pair form, and a planted fault in
 the transform still makes it fail.  The commutation check's counterparts
 are in test_minor.py.  A NaN residual anywhere among the samples fails
 each transform check.  The claim checks' parts hold on their own: the
-tensor-power lift is unique and breaks under perturbation, the funnel
+tensor-power lift is unique and breaks under perturbation, and the check
+fails when a perturbed lift at any k still matched; the funnel
 finds 4 / 1 / 1 maps on 2 / 3 / 4 edges, and the main theorem fails when
 the forced image is not self-trial, a stack element is not degenerate or
 any one stack image is corrupted.
@@ -201,6 +202,13 @@ def test_unique_tensor_lift():
 def test_tensor_lift_perturbation():
     assert verify._perturbed_lift_breaks(1, 1e-9)
     assert verify._perturbed_lift_breaks(2, 1e-9)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_tensor_lift_uniqueness_fails_when_a_perturbed_lift_still_matches(monkeypatch, k):
+    real = verify._perturbed_lift_breaks
+    monkeypatch.setattr(verify, "_perturbed_lift_breaks", lambda j, tol: j != k and real(j, tol))
+    assert not verify.check_tensor_lift_uniqueness(np.random.default_rng(0)).passed
 
 
 def test_ultraloop_funnel():
