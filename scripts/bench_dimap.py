@@ -37,10 +37,6 @@ Per checkout it measures
   * the best of five ``find_noncommuting_pair`` scans over every map of the
     k = 4 and k = 5 catalogs, on fresh copies of the maps each time.
 
-``--before``/``--after`` also alternates cold ``python -m trialab.cli
-verify --seed N`` runs of the two checkouts, ``VERIFY_PAIRS`` pairs, one
-per seed from 0 on.
-
 Compare two checkouts, alternating child runs so that both sample the
 machine over the same minutes::
 
@@ -58,7 +54,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -73,7 +68,6 @@ KERNEL_REPEATS = 7
 SMALL_M, SMALL_CALLS = 6, 2000
 STACK_MS, STACK_ROWS = (4, 8), (1, 20, 200)
 VERIFY_REPEATS = 5
-VERIFY_PAIRS = 10
 DUALITY_MAX_EDGES = (4, 5)
 COMMUTATION_MS, COMMUTATION_FUNCTIONS = (4, 6, 8, 10), 20
 NONCOMMUTATION_KS = (4, 5)
@@ -324,14 +318,6 @@ def measure_verify() -> dict:
     return out
 
 
-def _cold_verify(root: Path, seed: int) -> float:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    start = perf_counter()
-    subprocess.run([sys.executable, "-m", "trialab.cli", "verify", "--seed", str(seed)],
-                   cwd=root, env=env, check=True, stdout=subprocess.DEVNULL)
-    return perf_counter() - start
-
-
 def _child(root: Path, passes: int) -> dict:
     out = subprocess.run([sys.executable, __file__, "--measure", str(root), "--passes", str(passes)],
                          check=True, capture_output=True, text=True).stdout
@@ -386,14 +372,6 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
     out["io_large"] = {side: {key: statistics.median(r[key] for r in results)
                               for key in results[0]}
                        for side, results in large.items()}
-    walls = {"before": [], "after": []}
-    for seed in range(VERIFY_PAIRS):
-        order = ("before", "after") if seed % 2 == 0 else ("after", "before")
-        for side in order:
-            walls[side].append(_cold_verify(before if side == "before" else after, seed))
-    out["cold_verify_s"] = {
-        "before": _summary(walls["before"]), "after": _summary(walls["after"]),
-        "after_better_pairs": sum(a < b for b, a in zip(walls["before"], walls["after"]))}
     if e2e_seconds > 0:
         out["end_to_end"] = {}
         for workload in WORKLOADS:

@@ -5,7 +5,10 @@ whose entries are indexed by subsets of ``{e_0, ..., e_{m-1}}`` and whose
 empty-set entry equals 1.  Element ``e_i`` owns the index bit of weight
 ``2**(m-1-i)``, so ``e_0`` is the most significant bit.  This convention is
 fixed once here and shared by the transform kernel, the minor operations and
-the file format; every other module relies on it.
+the file format; every other module relies on it.  Integer masks are the one
+subset encoding: a subset, a GF(2) vector over the elements and a row of a
+GF(2) matrix are each the index of their subset, and :func:`slices` is the
+one primitive that splits vectors at an element.
 
 :func:`make` copies its input and rejects any NaN or infinite entry;
 kernels wrap the one fresh array they build (``tensor``, ``take_minor``)
@@ -47,6 +50,7 @@ from .errors import (
     DimensionMismatch,
     EmptySetNotOne,
     FileFormatError,
+    IndexOutOfRange,
     NonFiniteValue,
     NormalizationError,
     WrongLength,
@@ -162,12 +166,14 @@ def normalize(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
-def subset_index(bits: Iterable[int]) -> int:
-    """Index of the subset with characteristic bit sequence g_0..g_{k-1}."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | (1 if b else 0)
-    return idx
+def slices(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slices at element i of the vectors along the last axis of values:
+    (b=0 part, b=1 part), views of shape values.shape[:-1] + (2**i, 2**(m-1-i))."""
+    m = values.shape[-1].bit_length() - 1
+    if not 0 <= i < m:
+        raise IndexOutOfRange(f"element {i} outside 0..{m - 1}")
+    w = values.reshape(values.shape[:-1] + (2**i, 2, 2 ** (m - 1 - i)))
+    return w[..., 0, :], w[..., 1, :]
 
 
 def proportionality_residual(a, b) -> float:
@@ -269,9 +275,7 @@ def unit() -> BinaryFunction:
     return make(0, [1.0])
 
 
-# GF(2) span handling for indicator functions.  Row masks use the same bit
-# convention as subset indices: column j of the matrix is element e_j with
-# weight 2**(m-1-j).
+# GF(2) span handling for indicator functions, on subset masks.
 
 def gf2_basis(masks: Iterable[int]) -> list[int]:
     """Row-reduce integer bit masks; returns pivot-sorted basis."""
@@ -293,16 +297,14 @@ def gf2_span(basis: Sequence[int]) -> list[int]:
     return members
 
 
-def rowspace_indicator(matrix) -> BinaryFunction:
-    """Indicator of the GF(2) rowspace of a 0/1 matrix with m columns."""
-    n = np.asarray(matrix, dtype=int) % 2
-    if n.ndim != 2:
-        n = n.reshape(0, 0) if n.size == 0 else n.reshape(1, -1)
-    rows, m = n.shape
-    masks = [subset_index(n[r]) for r in range(rows)]
+def rowspace_indicator(m: int, masks: Iterable[int]) -> BinaryFunction:
+    """Indicator of the GF(2) span of subset masks over m elements: the
+    rowspace of the matrix whose rows they are."""
+    basis = gf2_basis(masks)
+    if basis and not (basis[0] < 2**m and basis[-1] > 0):
+        raise IndexOutOfRange(f"a mask lies outside the subsets of {m} elements")
     values = np.zeros(2**m, dtype=complex)
-    for member in gf2_span(gf2_basis(masks)):
-        values[member] = 1.0
+    values[gf2_span(basis)] = 1.0
     return make(m, values)
 
 

@@ -1,7 +1,8 @@
 """Minor operations on binary functions and the degeneracy test.
 
 A minor removes one element e_i from the ground set by combining the two
-slices of the vector along that element with weight lambda(mu):
+slices of the vector along that element, as :func:`binfun.slices` cuts
+them, with weight lambda(mu):
 
     g(G) = f(G : i <- 0) + lambda(mu) * f(G : i <- 1)
 
@@ -47,8 +48,9 @@ from .binfun import (
     normalizable,
     normalize,
     proportional,
+    slices,
 )
-from .errors import IndexOutOfRange, PoleError
+from .errors import PoleError
 from .transform import raw_transform
 
 MU_POLE = 3.0 + 2.0 * math.sqrt(2.0)
@@ -73,16 +75,6 @@ def lambda_mu(mu: complex) -> complex:
     return (1.0 + mu) / (_SQRT2_PLUS_1 - _SQRT2_MINUS_1 * mu)
 
 
-def _split_slices(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slices at element i of the vectors along the last axis of values:
-    (b=0 part, b=1 part), views of shape values.shape[:-1] + (2**i, 2**(m-1-i))."""
-    m = values.shape[-1].bit_length() - 1
-    if not 0 <= i < m:
-        raise IndexOutOfRange(f"element {i} outside 0..{m - 1}")
-    w = values.reshape(values.shape[:-1] + (2**i, 2, 2 ** (m - 1 - i)))
-    return w[..., 0, :], w[..., 1, :]
-
-
 def _values(f) -> np.ndarray:
     """The vector of a binary function or raw vector, or an array of vectors
     along its last axis as it is."""
@@ -100,7 +92,7 @@ def raw_minors(values: np.ndarray, i: int, mu) -> np.ndarray:
     holds pool.SPLIT_MIN entries or more, its chunks are shared across the
     CPUs: at m = 18 a split minor was about a tenth slower than one thread's.
     """
-    s0, s1 = _split_slices(values, i)
+    s0, s1 = slices(values, i)
     if isinstance(mu, np.ndarray):
         # One Python lambda_mu per parameter: numpy's complex division
         # rounds differently.
@@ -200,7 +192,7 @@ def is_degenerate(f, i: int, tol: float = 1e-8):
     to the largest entry magnitude; for an array of vectors along its last
     axis, one verdict per vector."""
     values = _values(f)
-    a, b = _split_slices(values, i)
+    a, b = slices(values, i)
     t = b[..., :1, :1]
     residual = b - t * a
     scale = np.max(np.abs(values), axis=-1) * np.maximum(1.0, np.abs(t[..., 0, 0]))

@@ -13,9 +13,10 @@ the transform, rank computations against the degeneracy test, and
 Burnside's closed-form counts against the catalogs.  Of the 3002
 multigraphs in the Hadamard-duality check only 210 have distinct cutset
 spaces, so the indicator, the complement oracle and the residual run once
-per distinct space, keyed by the GF(2) span of the incidence rows, and the
-transform once per size.  Every catalog a check reads comes from the one
-cache in `_catalog`.
+per distinct space, keyed by the GF(2) span of the incidence masks, and the
+transform once per size.  Subsets are integer masks throughout, as in
+`binfun`.  Every catalog a check reads comes from the one cache in
+`_catalog`.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ from .reductions import (
     trial_minor_check,
 )
 from .transform import OMEGA, OMEGA2, ULOOP_RATIO, m_matrix, raw_transform, self_trial
-
-SUITE_NAMES = ("transforms", "minors", "degeneracy", "dimaps", "claims", "main-theorem")
 
 
 @dataclass
@@ -118,7 +117,8 @@ def _worst(residuals: list[float]) -> float:
     return float(np.max(residuals))
 
 
-def check_transform_composition(rng, tol=1e-9) -> CheckResult:
+def check_transform_composition(rng) -> CheckResult:
+    tol = 1e-9
     samples = []
     for _ in range(200):
         m = int(rng.integers(1, 9))
@@ -137,7 +137,8 @@ def check_transform_composition(rng, tol=1e-9) -> CheckResult:
                        f"200 samples, worst residual {worst:.3e} (tol {tol:g})")
 
 
-def check_fast_vs_dense(rng, tol=1e-10) -> CheckResult:
+def check_fast_vs_dense(rng) -> CheckResult:
+    tol = 1e-10
     samples = []
     for _ in range(50):
         m = int(rng.integers(0, 7))
@@ -193,10 +194,11 @@ def _incidence_masks(edges) -> list[int]:
     return rows
 
 
-def check_hadamard_duality(rng, tol=1e-9) -> CheckResult:
+def check_hadamard_duality(rng) -> CheckResult:
+    tol = 1e-9
     # Oracle: the circuit space is the brute-force GF(2) orthogonal
     # complement of the cutset space.  Multigraphs are keyed by the span of
-    # their incidence rows, so each cutset space gets one indicator, one
+    # their incidence masks, so each cutset space gets one indicator, one
     # oracle and one residual, and the indicators of each size one
     # transform call.
     spaces: dict[tuple, tuple] = {}
@@ -204,11 +206,10 @@ def check_hadamard_duality(rng, tol=1e-9) -> CheckResult:
     for edges in _all_multigraphs():
         m = len(edges)
         rows = _incidence_masks(edges)
-        key = (m, tuple(sorted(binfun.gf2_span(binfun.gf2_basis(rows)))))
+        key = (m, frozenset(binfun.gf2_span(rows)))
         if key not in spaces:
-            cutset = binfun.rowspace_indicator(
-                [[(r >> (m - 1 - j)) & 1 for j in range(m)] for r in rows])
-            spaces[key] = (m, cutset.values, _gf2_complement_indicator(cutset.values, m))
+            cutset = binfun.rowspace_indicator(m, rows).values
+            spaces[key] = (m, cutset, _gf2_complement_indicator(cutset, m))
         count += 1
     residuals = []
     for _, cutsets, circuits in _stacks(spaces.values()).values():
@@ -220,7 +221,8 @@ def check_hadamard_duality(rng, tol=1e-9) -> CheckResult:
                        f"worst residual {worst:.3e} (tol {tol:g})")
 
 
-def check_eigenvector(rng, tol=1e-12) -> CheckResult:
+def check_eigenvector(rng) -> CheckResult:
+    tol = 1e-12
     v = np.array([1.0, ULOOP_RATIO], dtype=complex)
     dev = float(np.max(np.abs(m_matrix(OMEGA) @ v - v)))
     return CheckResult("transforms", "eigenvector", dev <= tol,
@@ -230,7 +232,8 @@ def check_eigenvector(rng, tol=1e-12) -> CheckResult:
 # ---------------------------------------------------------------------------
 # minors
 
-def check_transform_minor_interchange(rng, tol=1e-8) -> CheckResult:
+def check_transform_minor_interchange(rng) -> CheckResult:
+    tol = 1e-8
     samples = []
     while len(samples) < 200:
         m = int(rng.integers(1, 7))
@@ -246,7 +249,8 @@ def check_transform_minor_interchange(rng, tol=1e-8) -> CheckResult:
                        f"200 samples, {failures} failures")
 
 
-def check_minor_commutation(rng, tol=1e-9) -> CheckResult:
+def check_minor_commutation(rng) -> CheckResult:
+    tol = 1e-9
     mus = [1.0 + 0j, -1.0 + 0j, OMEGA, OMEGA2]
     samples = [(m, _random_bf(rng, m).values)
                for m in (int(rng.integers(2, 7)) for _ in range(100))]
@@ -267,34 +271,33 @@ def check_minor_commutation(rng, tol=1e-9) -> CheckResult:
 # degeneracy
 
 def _all_subspaces(columns: int, max_rank: int):
-    """Every GF(2) subspace of dimension <= max_rank via RREF matrices."""
+    """Every GF(2) subspace of dimension <= max_rank, as the row masks of its
+    RREF matrix: column j is element e_j, of weight 2**(columns-1-j)."""
     for r in range(0, min(columns, max_rank) + 1):
         for pivots in itertools.combinations(range(columns), r):
             free_cells = []
             for i, p in enumerate(pivots):
                 for j in range(p + 1, columns):
                     if j not in pivots:
-                        free_cells.append((i, j))
+                        free_cells.append((i, 1 << (columns - 1 - j)))
             for bits in itertools.product((0, 1), repeat=len(free_cells)):
-                mat = np.zeros((r, columns), dtype=int)
-                for i, p in enumerate(pivots):
-                    mat[i, p] = 1
-                for (i, j), b in zip(free_cells, bits):
-                    mat[i, j] = b
-                yield mat
+                rows = [1 << (columns - 1 - p) for p in pivots]
+                for (i, bit), b in zip(free_cells, bits):
+                    rows[i] |= b * bit
+                yield rows
 
 
-def check_degeneracy_matroid(rng, tol=1e-8) -> CheckResult:
+def check_degeneracy_matroid(rng) -> CheckResult:
+    tol = 1e-8
     # One is_degenerate call per (size, element) over all indicators of
     # that size.
     mismatches = 0
     total = 0
     for c in range(1, 6):
         indicators, expected = [], []
-        for mat in _all_subspaces(c, 4):
-            indicators.append(binfun.rowspace_indicator(mat).values)
-            masks = [binfun.subset_index(mat[r]) for r in range(mat.shape[0])]
-            basis = binfun.gf2_basis(masks)
+        for rows in _all_subspaces(c, 4):
+            basis = binfun.gf2_basis(rows)
+            indicators.append(binfun.rowspace_indicator(c, basis).values)
             rank = len(basis)
             row = []
             for i in range(c):
@@ -320,7 +323,8 @@ def _plant_degenerate_element(rng, m, i):
     return binfun.make(m, np.moveaxis(g.values.reshape((2,) * m), 0, i).reshape(-1))
 
 
-def check_degeneracy_mu_independence(rng, tol=1e-7) -> CheckResult:
+def check_degeneracy_mu_independence(rng) -> CheckResult:
+    tol = 1e-7
     mismatches = 0
     done = 0
     while done < 100:
@@ -366,7 +370,8 @@ def _burnside_counts(kmax: int) -> list[int]:
     return counts
 
 
-def check_enumeration_counts(rng, kmax=4) -> CheckResult:
+def check_enumeration_counts(rng) -> CheckResult:
+    kmax = 4
     counts = [len(_catalog(k).maps) for k in range(kmax + 1)]
     expected = _burnside_counts(kmax)
     return CheckResult("dimaps", "enumeration-counts", counts == expected,
@@ -484,24 +489,16 @@ def _tensor_lift(k: int, rng, tol: float) -> tuple[int, float, bool]:
     expected = binfun.tensor_power(base, k + 1)
     m = k + 1
 
-    rows = []
+    # Row (i, G, b) reads f(G : i <- b) - u(G) f(0 : i <- b) for each subset
+    # G != 0 of the other k elements: the slices of the identity at e_i pick
+    # the entries, and G = 0 gives the zero row.  Last, the pinned f(0) = 1.
+    eye = np.eye(2**m, dtype=complex)
+    blocks = []
     for i in range(m):
-        # Element e_i owns bit 2**low of an index over m elements; inserting
-        # it into an index g over the other k elements splits g at that bit.
-        low = k - i
-        for g in range(2**k):
-            high_rest = (g >> low << (low + 1)) | (g & ((1 << low) - 1))
-            for b in (0, 1):
-                row = np.zeros(2**m, dtype=complex)
-                row[high_rest | (b << low)] += 1.0
-                row[b << low] -= u.values[g]
-                if np.any(row != 0):
-                    rows.append(row)
-    norm_row = np.zeros(2**m, dtype=complex)
-    norm_row[0] = 1.0
-    rows.append(norm_row)
-    a = np.array(rows)
-    rhs = np.zeros(len(rows), dtype=complex)
+        picks = [s.reshape(2**m, 2**k).T for s in binfun.slices(eye, i)]
+        blocks.append(np.stack([p[1:] - u.values[1:, None] * p[0] for p in picks], axis=1))
+    a = np.vstack([*(b.reshape(-1, 2**m) for b in blocks), eye[:1]])
+    rhs = np.zeros(len(a), dtype=complex)
     rhs[-1] = 1.0
     rank = int(np.linalg.matrix_rank(a))
     solution, *_ = np.linalg.lstsq(a, rhs, rcond=None)
@@ -531,7 +528,8 @@ def _perturbed_lift_breaks(k: int, tol: float) -> bool:
                for i in range(k + 1) for mu in (1.0, OMEGA, OMEGA2))
 
 
-def check_tensor_lift_uniqueness(rng, tol=1e-9) -> CheckResult:
+def check_tensor_lift_uniqueness(rng) -> CheckResult:
+    tol = 1e-9
     # The only function whose every minor is the k-th tensor power of the
     # ultraloop image is the (k+1)-th tensor power.
     details = []
@@ -544,7 +542,8 @@ def check_tensor_lift_uniqueness(rng, tol=1e-9) -> CheckResult:
     return CheckResult("claims", "tensor-lift-uniqueness", ok, "; ".join(details))
 
 
-def check_main_theorem(rng, tol=1e-9) -> CheckResult:
+def check_main_theorem(rng) -> CheckResult:
+    tol = 1e-9
     # The ultraloop-stack classes up to 5 edges admit strict representations
     # at nu = 1, and so at every unit nu: every element of their images, the
     # tensor powers of (1, r) with r = sqrt(2) - 1, is degenerate.  The minor
@@ -588,6 +587,7 @@ SUITES = {
     "claims": (check_reduction_funnel, check_tensor_lift_uniqueness),
     "main-theorem": (check_main_theorem,),
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suites(names=None, seed: int = 0) -> list[CheckResult]:

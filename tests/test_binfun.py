@@ -9,6 +9,7 @@ from trialab.errors import (
     DimensionMismatch,
     EmptySetNotOne,
     FileFormatError,
+    IndexOutOfRange,
     NonFiniteValue,
     NormalizationError,
     WrongLength,
@@ -87,24 +88,6 @@ def test_normalize_is_in_place_exact_and_finite():
     for bad in (np.inf, np.nan, complex(1.0, -np.inf)):
         with pytest.raises(NonFiniteValue):
             binfun.normalize(np.array([bad, 2.0], dtype=complex))
-
-
-def test_subset_index_examples():
-    assert binfun.subset_index((0, 0)) == 0
-    assert binfun.subset_index((1, 0)) == 2
-    assert binfun.subset_index((0, 1)) == 1
-
-
-@given(st.lists(st.integers(0, 1), max_size=10))
-def test_subset_index_roundtrip(bits):
-    # e_0 is the most significant bit: the index is the bits read as a binary numeral.
-    assert binfun.subset_index(bits) == int("".join(map(str, bits)) or "0", 2)
-
-
-def test_subset_index_is_inverse_on_all_indices():
-    for m in range(0, 6):
-        for x in range(2**m):
-            assert binfun.subset_index((x >> (m - 1 - i)) & 1 for i in range(m)) == x
 
 
 def test_proportional_scaling():
@@ -229,29 +212,37 @@ def test_tensor_dimension_adds_and_associates():
 
 
 def test_rowspace_indicator_loop_and_coloop():
-    assert np.allclose(binfun.rowspace_indicator([[0]]).values, [1, 0])
-    assert np.allclose(binfun.rowspace_indicator([[1]]).values, [1, 1])
+    assert np.allclose(binfun.rowspace_indicator(1, [0]).values, [1, 0])
+    assert np.allclose(binfun.rowspace_indicator(1, [1]).values, [1, 1])
 
 
 def test_rowspace_indicator_digon():
-    # Incidence matrix of two parallel edges; oracle enumerates all row
+    # Incidence masks of two parallel edges; oracle enumerates all row
     # combinations by brute force.
-    n = np.array([[1, 1], [1, 1]])
+    n = [0b11, 0b11]
     expected = np.zeros(4)
     for take in itertools.product((0, 1), repeat=2):
-        combo = (take[0] * n[0] + take[1] * n[1]) % 2
-        expected[binfun.subset_index(combo)] = 1.0
+        expected[(take[0] * n[0]) ^ (take[1] * n[1])] = 1.0
     assert np.allclose(expected, [1, 0, 0, 1])
-    assert np.allclose(binfun.rowspace_indicator(n).values, expected)
+    assert np.allclose(binfun.rowspace_indicator(2, n).values, expected)
+
+
+def test_rowspace_indicator_rejects_a_mask_outside_the_ground_set():
+    # e_0 is the most significant bit: 0b100 is {e_0} on three elements and
+    # names no subset of two.
+    assert np.allclose(binfun.rowspace_indicator(3, [0b100]).values, [1, 0, 0, 0, 1, 0, 0, 0])
+    for bad in ([0b100], [0b01, 0b111], [-1]):
+        with pytest.raises(IndexOutOfRange):
+            binfun.rowspace_indicator(2, bad)
 
 
 def test_rowspace_indicator_closed_under_gf2_sum():
     rng = np.random.default_rng(17)
     for _ in range(25):
         rows = rng.integers(0, 5)
-        cols = rng.integers(1, 7)
-        n = rng.integers(0, 2, size=(rows, cols))
-        f = binfun.rowspace_indicator(n)
+        cols = int(rng.integers(1, 7))
+        n = [int(x) for x in rng.integers(0, 2**cols, size=rows)]
+        f = binfun.rowspace_indicator(cols, n)
         support = [i for i, z in enumerate(f.values) if z == 1.0]
         assert set(f.values) <= {0.0, 1.0}
         assert f.values[0] == 1.0

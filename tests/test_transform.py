@@ -469,12 +469,11 @@ def test_hadamard_duality_on_small_graph_indicators():
     ]
     for edges in graphs:
         m = len(edges)
-        nverts = max(max(e) for e in edges) + 1
-        inc = np.zeros((nverts, m), dtype=int)
+        inc = [0] * (max(max(e) for e in edges) + 1)
         for j, (a, b) in enumerate(edges):
-            inc[a, j] ^= 1
-            inc[b, j] ^= 1
-        cutset = binfun.rowspace_indicator(inc)
+            inc[a] ^= 1 << (m - 1 - j)
+            inc[b] ^= 1 << (m - 1 - j)
+        cutset = binfun.rowspace_indicator(m, inc)
         support = {i for i, z in enumerate(cutset.values) if z == 1.0}
         perp = [x for x in range(2**m)
                 if all(bin(x & y).count("1") % 2 == 0 for y in support)]

@@ -4,10 +4,10 @@ the transform still makes it fail.  The commutation check's counterparts
 are in test_minor.py.  A NaN residual anywhere among the samples fails
 each transform check.  The claim checks' parts hold on their own: the
 tensor-power lift is unique and breaks under perturbation, and the check
-fails when a perturbed lift at any k still matched; the funnel
-finds 4 / 1 / 1 maps on 2 / 3 / 4 edges, and the main theorem fails when
-the forced image is not self-trial, a stack element is not degenerate or
-any one stack image is corrupted.
+fails when a perturbed lift at any k still matched or when only the direct
+minors differ; the funnel finds 4 / 1 / 1 maps on 2 / 3 / 4 edges, and
+the main theorem fails when the forced image is not self-trial, a stack
+element is not degenerate or any one stack image is corrupted.
 The closed form that lets nu = 1 stand for every unit phase holds.  The
 mu-independence check's planted functions are degenerate at the element it
 tests."""
@@ -45,8 +45,8 @@ def _pure_python_complement(values, m):
 def test_parity_table_complement_matches_pure_python_on_every_rowspace():
     spaces = 0
     for columns in range(0, 6):
-        for mat in verify._all_subspaces(columns, columns):
-            values = binfun.rowspace_indicator(mat).values
+        for rows in verify._all_subspaces(columns, columns):
+            values = binfun.rowspace_indicator(columns, rows).values
             got = verify._gf2_complement_indicator(values, columns)
             expected = _pure_python_complement(values, columns)
             assert got.dtype == expected.dtype
@@ -73,11 +73,12 @@ def _distinct_cutset_spaces():
     """Cutset indicators of the check's multigraphs, each once, as bytes."""
     spaces = {}
     for edges in verify._all_multigraphs():
-        inc = np.zeros((4, len(edges)), dtype=int)
+        m = len(edges)
+        inc = [0, 0, 0, 0]
         for j, (a, b) in enumerate(edges):
-            inc[a, j] ^= 1
-            inc[b, j] ^= 1
-        spaces.setdefault(binfun.rowspace_indicator(inc).values.tobytes())
+            inc[a] ^= 1 << (m - 1 - j)
+            inc[b] ^= 1 << (m - 1 - j)
+        spaces.setdefault(binfun.rowspace_indicator(m, inc).values.tobytes())
     return list(spaces)
 
 
@@ -211,6 +212,28 @@ def test_tensor_lift_uniqueness_fails_when_a_perturbed_lift_still_matches(monkey
     assert not verify.check_tensor_lift_uniqueness(np.random.default_rng(0)).passed
 
 
+def test_tensor_lift_uniqueness_fails_when_only_the_direct_minors_differ(monkeypatch):
+    # Minors off by 1e-6 at every parameter outside {1, w, w2}: the
+    # perturbation route, which uses only those three, and the rank and
+    # residual of the lift system stay clean, so the direct route alone
+    # must fail the check.
+    clean = verify.check_tensor_lift_uniqueness(np.random.default_rng(0))
+    real = verify.take_minor
+
+    def off_at_sampled_mus(f, spec):
+        g = real(f, spec)
+        if spec.mu in (1.0, OMEGA, OMEGA2):
+            return g
+        values = g.values.copy()
+        values[-1] += 1e-6
+        return binfun.make(g.m, values)
+
+    monkeypatch.setattr(verify, "take_minor", off_at_sampled_mus)
+    result = verify.check_tensor_lift_uniqueness(np.random.default_rng(0))
+    assert clean.passed and not result.passed
+    assert result.details == clean.details
+
+
 def test_ultraloop_funnel():
     assert len(verify._funnel(1)) == len(verify._catalog(2).maps) == 4
     for k in (2, 3):
@@ -328,8 +351,7 @@ def _loop_hadamard_duality(rng, tol=1e-9):
         rows = verify._incidence_masks(edges)
         key = (m, tuple(sorted(binfun.gf2_span(binfun.gf2_basis(rows)))))
         if key not in residuals:
-            cutset = binfun.rowspace_indicator(
-                [[(r >> (m - 1 - j)) & 1 for j in range(m)] for r in rows])
+            cutset = binfun.rowspace_indicator(m, rows)
             circuit = verify._gf2_complement_indicator(cutset.values, m)
             residuals[key] = binfun.proportionality_residual(transform(cutset, -1.0), circuit)
         count += 1
@@ -376,10 +398,9 @@ def _loop_degeneracy_matroid(rng, tol=1e-8):
     mismatches = 0
     total = 0
     for c in range(1, 6):
-        for mat in verify._all_subspaces(c, 4):
-            f = binfun.rowspace_indicator(mat)
-            masks = [binfun.subset_index(mat[r]) for r in range(mat.shape[0])]
-            basis = binfun.gf2_basis(masks)
+        for rows in verify._all_subspaces(c, 4):
+            f = binfun.rowspace_indicator(c, rows)
+            basis = binfun.gf2_basis(rows)
             rank = len(basis)
             for i in range(c):
                 bit = 1 << (c - 1 - i)
