@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -110,52 +111,76 @@ class _View:
 
     labels lists the edge labels by position; ls and rs are the left and
     right successors (the next edge on its anticlockwise and clockwise
-    face).  The rest is filled in on first use: pos maps labels to
-    positions, nxt is the clockwise-next dart, firsts holds each vertex's
-    first dart, and the topology is comp (each edge's component, numbered by
-    first vertex) and chi (each component's V - E + F).
+    face).  The rest is computed on first use and cached: pos maps labels
+    to positions, nxt is the clockwise-next dart, firsts holds each
+    vertex's first dart, and the topology is comp (each edge's component)
+    and chi (each component's V - E + F).  A view built from darts is
+    handed its nxt and firsts.
     """
 
-    __slots__ = ("labels", "ls", "rs", "_pos", "_nxt", "_firsts", "comp", "chi")
-
-    def __init__(self, labels, ls, rs, nxt=None, firsts=None):
+    def __init__(self, labels, ls, rs):
         self.labels, self.ls, self.rs = labels, ls, rs
-        self._nxt, self._firsts = nxt, firsts
-        self._pos = self.comp = self.chi = None
 
-    @property
+    @cached_property
     def pos(self) -> dict[str, int]:
-        if self._pos is None:
-            self._pos = {lab: p for p, lab in enumerate(self.labels)}
-        return self._pos
+        return {lab: p for p, lab in enumerate(self.labels)}
 
-    @property
+    @cached_property
     def nxt(self) -> list[int]:
-        if self._nxt is None:
-            nxt = [0] * (2 * len(self.ls))
-            nxt[1::2] = [2 * q for q in self.ls]
-            for p, q in enumerate(self.rs):
-                nxt[2 * q] = 2 * p + 1
-            self._nxt = nxt
-        return self._nxt
+        nxt = [0] * (2 * len(self.ls))
+        nxt[1::2] = [2 * q for q in self.ls]
+        for p, q in enumerate(self.rs):
+            nxt[2 * q] = 2 * p + 1
+        return nxt
 
-    @property
+    @cached_property
     def firsts(self) -> list[int]:
         """Vertices in the order of their smallest head dart, each starting there."""
-        if self._firsts is None:
-            nxt = self.nxt
-            seen = [False] * len(nxt)
-            firsts = []
-            for start in range(1, len(nxt), 2):
-                if seen[start]:
-                    continue
-                firsts.append(start)
-                d = start
-                while not seen[d]:  # the heads: darts alternate, starting with one
-                    seen[d] = True
-                    d = nxt[nxt[d]]
-            self._firsts = firsts
-        return self._firsts
+        nxt = self.nxt
+        seen = [False] * len(nxt)
+        firsts = []
+        for start in range(1, len(nxt), 2):
+            if seen[start]:
+                continue
+            firsts.append(start)
+            d = start
+            while not seen[d]:  # the heads: darts alternate, starting with one
+                seen[d] = True
+                d = nxt[nxt[d]]
+        return firsts
+
+    @cached_property
+    def comp(self) -> list[int]:
+        """Components are the orbits of <ls, rs>; all edges at a vertex share
+        one, so they are numbered in the order of their first vertex."""
+        ls, rs = self.ls, self.rs
+        comp = [-1] * len(ls)
+        n = 0
+        for d in self.firsts:
+            first = d >> 1
+            if comp[first] < 0:
+                comp[first] = n
+                stack = [first]
+                while stack:
+                    p = stack.pop()
+                    for q in (ls[p], rs[p]):
+                        if comp[q] < 0:
+                            comp[q] = n
+                            stack.append(q)
+                n += 1
+        return comp
+
+    @cached_property
+    def chi(self) -> list[int]:
+        comp = self.comp
+        chi = [0] * (max(comp, default=-1) + 1)
+        for d in self.firsts:
+            chi[comp[d >> 1]] += 1
+        for c in comp:
+            chi[c] -= 1
+        for cyc in _cycles(self.ls) + _cycles(self.rs):
+            chi[comp[cyc[0]]] += 1
+        return chi
 
 
 def _view(g: AlternatingDimap) -> _View:
@@ -185,8 +210,9 @@ def _view(g: AlternatingDimap) -> _View:
     rs = [0] * len(ls)
     for p, d in enumerate(nxt[0::2]):
         rs[d >> 1] = p
-    view = _View(tuple(e.label for e in g.edges), ls, rs, nxt,
-                 [norm[rot[0]] for rot in g.rotations])
+    view = _View(tuple(e.label for e in g.edges), ls, rs)
+    view.nxt = nxt
+    view.firsts = [norm[rot[0]] for rot in g.rotations]
     object.__setattr__(g, "_view", view)
     return view
 
@@ -231,45 +257,6 @@ def _cycles(perm) -> list[list[int]]:
             p = perm[p]
         cycles.append(cyc)
     return cycles
-
-
-def _components(v: _View) -> list[int]:
-    """Each edge's component, computed once.  Components are the orbits of
-    <ls, rs>; all edges at a vertex share one, so they are numbered in the
-    order of their first vertex."""
-    if v.comp is None:
-        ls, rs = v.ls, v.rs
-        comp = [-1] * len(ls)
-        n = 0
-        for d in v.firsts:
-            first = d >> 1
-            if comp[first] < 0:
-                comp[first] = n
-                stack = [first]
-                while stack:
-                    p = stack.pop()
-                    for q in (ls[p], rs[p]):
-                        if comp[q] < 0:
-                            comp[q] = n
-                            stack.append(q)
-                n += 1
-        v.comp = comp
-    return v.comp
-
-
-def _euler(v: _View) -> list[int]:
-    """Each component's V - E + F, computed once."""
-    if v.chi is None:
-        comp = _components(v)
-        chi = [0] * (max(comp, default=-1) + 1)
-        for d in v.firsts:
-            chi[comp[d >> 1]] += 1
-        for c in comp:
-            chi[c] -= 1
-        for cyc in _cycles(v.ls) + _cycles(v.rs):
-            chi[comp[cyc[0]]] += 1
-        v.chi = chi
-    return v.chi
 
 
 def _vertex_darts(nxt: list[int], first: int) -> list[int]:
@@ -351,7 +338,7 @@ def _require_edge(g: AlternatingDimap, label: str) -> int:
 def components(g: AlternatingDimap) -> list[dict]:
     """Connected components, each as {'vertices': set, 'edges': set of positions}."""
     view = _view(g)
-    comp = _components(view)
+    comp = view.comp
     out = [{"vertices": set(), "edges": set()} for _ in range(max(comp, default=-1) + 1)]
     for v, d in enumerate(view.firsts):
         out[comp[d >> 1]]["vertices"].add(v)
@@ -364,7 +351,7 @@ def genus(g: AlternatingDimap, component: dict) -> int:
     """Genus from V - E + F = 2 - 2g for one component; a component of a
     permutation pair has V - E + F even and at most 2."""
     view = _view(g)
-    return (2 - _euler(view)[_components(view)[min(component["edges"])]]) // 2
+    return (2 - view.chi[view.comp[min(component["edges"])]]) // 2
 
 
 def trial(g: AlternatingDimap) -> tuple[AlternatingDimap, dict[str, str]]:
@@ -418,7 +405,7 @@ def classify_edge(g: AlternatingDimap, label: str) -> EdgeClassification:
     p = _require_edge(g, label)
     ls, rs = view.ls, view.rs
     loop = 2 * p in _vertex_darts(view.nxt, 2 * p + 1)
-    comp = _components(view)
+    comp = view.comp
     ultra = loop and comp.count(comp[p]) == 1
     one_loop = view.nxt[view.nxt[2 * p + 1]] == 2 * p + 1
     omega_loop = ls[p] == p

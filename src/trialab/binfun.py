@@ -10,6 +10,10 @@ subset encoding: a subset, a GF(2) vector over the elements and a row of a
 GF(2) matrix are each the index of their subset, and :func:`slices` is the
 one primitive that splits vectors at an element.
 
+A :class:`BinaryFunction` is a :class:`RawVector` whose empty-set entry is
+1.  :func:`vectors` is the one coercion of kernel inputs: either class, or
+an array of vectors along its last axis, whose length it checks.
+
 :func:`make` copies its input and rejects any NaN or infinite entry;
 kernels wrap the one fresh array they build (``tensor``, ``take_minor``)
 without that copy or scan.
@@ -67,17 +71,6 @@ WRITE_ROWS = 8192  # rows per formatting operation in write_vector
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryFunction:
-    """Immutable 2**m complex vector with empty-set entry exactly 1."""
-
-    m: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
 class RawVector:
     """Length 2**m complex vector with no empty-set constraint.
 
@@ -92,16 +85,31 @@ class RawVector:
         self.values.setflags(write=False)
 
 
-def as_values(x) -> tuple[int, np.ndarray]:
-    """Coerce a BinaryFunction, RawVector, array or sequence to (m, values)."""
-    if isinstance(x, (BinaryFunction, RawVector)):
+class BinaryFunction(RawVector):
+    """A raw vector whose empty-set entry is exactly 1."""
+
+
+def vectors(x) -> tuple[int, np.ndarray]:
+    """Coerce a RawVector (so a BinaryFunction), or an array or sequence of
+    vectors along its last axis, to (m, values): the one input coercion of
+    the vector kernels.  WrongLength unless that axis has 2**m entries."""
+    if isinstance(x, RawVector):
         return x.m, x.values
     v = np.asarray(x, dtype=complex)
+    if v.ndim == 0:
+        raise WrongLength("expected a vector, got a scalar")
+    size = v.shape[-1]
+    m = size.bit_length() - 1
+    if size != 2**m:
+        raise WrongLength(f"length {size} is not a power of two")
+    return m, v
+
+
+def as_values(x) -> tuple[int, np.ndarray]:
+    """:func:`vectors` of one flat vector."""
+    m, v = vectors(x)
     if v.ndim != 1:
         raise WrongLength(f"expected a flat vector, got shape {v.shape}")
-    m = int(v.size).bit_length() - 1
-    if 2**m != v.size:
-        raise WrongLength(f"length {v.size} is not a power of two")
     return m, v
 
 
@@ -166,10 +174,11 @@ def normalize(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
-def slices(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slices at element i of the vectors along the last axis of values:
-    (b=0 part, b=1 part), views of shape values.shape[:-1] + (2**i, 2**(m-1-i))."""
-    m = values.shape[-1].bit_length() - 1
+def slices(values, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slices at element i of the vectors along the last axis of values, as
+    :func:`vectors` takes them: (b=0 part, b=1 part), views of shape
+    values.shape[:-1] + (2**i, 2**(m-1-i))."""
+    m, values = vectors(values)
     if not 0 <= i < m:
         raise IndexOutOfRange(f"element {i} outside 0..{m - 1}")
     w = values.reshape(values.shape[:-1] + (2**i, 2, 2 ** (m - 1 - i)))

@@ -27,7 +27,7 @@ from .altmap import classify_edge, components, genus, read_dimap, trial, validat
 from .binfun import DEFAULT_TOL
 from .catalog import enumerate_dimaps, self_trial_members
 from .errors import TrialabError
-from .minor import raw_minors
+from .minor import MinorSpec, take_minor
 from .reductions import ReductionKind, reduce_edge
 from .transform import OMEGA, OMEGA2, inverse_transform, transform
 from .verify import SUITE_NAMES, run_suites
@@ -76,12 +76,10 @@ def _cmd_transform(args) -> int:
 
 def _cmd_minor(args) -> int:
     raw = binfun.read_vector(args.input)
-    mu = parse_mu(args.mu)
-    if not 0 <= args.element < raw.m:
-        raise TrialabError(f"element {args.element} outside 0..{raw.m - 1}")
+    spec = MinorSpec(args.element, parse_mu(args.mu))
     with np.errstate(over="ignore", invalid="ignore"):  # as in _cmd_transform
-        reduced = binfun.normalize(raw_minors(raw.values, args.element, mu), tolerance())
-    binfun.write_vector(args.output, raw.m - 1, reduced)
+        out = take_minor(raw, spec, tolerance())
+    binfun.write_vector(args.output, out.m, out.values)
     return 0
 
 

@@ -12,11 +12,16 @@ them at once; :func:`take_minor` is its normalized one-vector case.  It
 follows the stacking rule of :func:`transform.raw_transform`: the vectors
 lie along the last axis of an array, and mu is one parameter or an array
 broadcast against the leading axes, so an outer product over parameters is
-an explicit parameter axis.  The commutation, interchange and degeneracy checks take such stacks
-too, one verdict or count per vector.  :func:`raw_minors` and the
-normalisation in :func:`take_minor` are shared across the CPUs from
-:data:`pool.SPLIT_MIN` minor entries on (from m = 19 for one vector), with
-output bit-identical to one CPU's.  The weight
+an explicit parameter axis.  The commutation, interchange and degeneracy
+checks take such stacks too, one verdict or count per vector.  Every
+kernel coerces its input with :func:`binfun.vectors`, so a last axis
+whose length is not a power of two raises WrongLength, and an element
+outside 0..m-1 raises IndexOutOfRange in :func:`binfun.slices`.  The CLI's
+``minor`` is :func:`take_minor` on the vector it reads.
+
+:func:`raw_minors` and the normalisation in :func:`take_minor` are shared
+across the CPUs from :data:`pool.SPLIT_MIN` minor entries on (from m = 19
+for one vector), with output bit-identical to one CPU's.  The weight
 
     lambda(mu) = (1 + mu) / (sqrt(2) + 1 - (sqrt(2) - 1) * mu)
 
@@ -49,6 +54,7 @@ from .binfun import (
     normalize,
     proportional,
     slices,
+    vectors,
 )
 from .errors import PoleError
 from .transform import raw_transform
@@ -75,13 +81,7 @@ def lambda_mu(mu: complex) -> complex:
     return (1.0 + mu) / (_SQRT2_PLUS_1 - _SQRT2_MINUS_1 * mu)
 
 
-def _values(f) -> np.ndarray:
-    """The vector of a binary function or raw vector, or an array of vectors
-    along its last axis as it is."""
-    return f.values if isinstance(f, (BinaryFunction, RawVector)) else np.asarray(f, dtype=complex)
-
-
-def raw_minors(values: np.ndarray, i: int, mu) -> np.ndarray:
+def raw_minors(values, i: int, mu) -> np.ndarray:
     """Unnormalized minors at element i of the vectors along the last axis of
     values, in one fresh array: the one minor kernel.
 
@@ -112,9 +112,10 @@ def _combine(lam, s1, s0, out):
     return out
 
 
-def take_minor(f: BinaryFunction, spec: MinorSpec,
+def take_minor(f: RawVector, spec: MinorSpec,
                tol: float = DEFAULT_TOL) -> BinaryFunction:
-    """Normalized minor; NormalizationError when it exists only projectively,
+    """Normalized minor of a binary function or raw vector, as the CLI's
+    ``minor`` takes it; NormalizationError when it exists only projectively,
     NonFiniteValue when its raw empty-set entry is NaN or infinite."""
     return BinaryFunction(f.m - 1, normalize(raw_minors(f.values, spec.element, spec.mu), tol))
 
@@ -143,8 +144,7 @@ def minors_commute_check(f, mus, tol: float = DEFAULT_TOL) -> tuple[int, int]:
     j - 1 >= i and of every first[j > i] at i, so that all pairs that start
     at i are compared at once.
     """
-    values = _values(f)
-    m = values.shape[-1].bit_length() - 1
+    m, values = vectors(f)
     if m == 0:
         return 0, 0
     mus = np.asarray(mus, dtype=complex).reshape((-1,) + (1,) * (values.ndim - 1))
@@ -178,9 +178,8 @@ def transform_minor_check(f, mu, nu, i: int, tol: float = DEFAULT_TOL):
     """
     mu, nu = np.broadcast_arrays(np.asarray(mu, dtype=complex), np.asarray(nu, dtype=complex))
     munu = np.array([complex(a) * complex(b) for a, b in zip(mu.flat, nu.flat)]).reshape(mu.shape)
-    values = _values(f)
-    lhs = raw_minors(raw_transform(values, mu), i, nu)
-    rhs = raw_transform(raw_minors(values, i, munu), mu)
+    lhs = raw_minors(raw_transform(f, mu), i, nu)
+    rhs = raw_transform(raw_minors(f, i, munu), mu)
     size = lhs.shape[-1]
     verdicts = np.array([proportional(a, b, tol)
                          for a, b in zip(lhs.reshape(-1, size), rhs.reshape(-1, size))])
@@ -191,7 +190,7 @@ def is_degenerate(f, i: int, tol: float = 1e-8):
     """Product-form degeneracy test for element i, at a tolerance relative
     to the largest entry magnitude; for an array of vectors along its last
     axis, one verdict per vector."""
-    values = _values(f)
+    _, values = vectors(f)
     a, b = slices(values, i)
     t = b[..., :1, :1]
     residual = b - t * a

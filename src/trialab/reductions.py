@@ -32,8 +32,8 @@ import itertools
 
 from .altmap import (
     AlternatingDimap,
-    UnknownEdge,
     _from_pair,
+    _require_edge,
     _view,
     labeled_equal,
     trial_power,
@@ -88,10 +88,8 @@ def _skip(perm: list[int], p: int) -> list[int]:
 
 def reduce_edge(g: AlternatingDimap, label: str, kind: ReductionKind) -> AlternatingDimap:
     """Apply one reduction as an edit of the successor permutations."""
+    p = _require_edge(g, label)
     view = _view(g)
-    if label not in view.pos:
-        raise UnknownEdge(f"no edge labeled {label!r}")
-    p = view.pos[label]
     ls, rs = view.ls, view.rs
     if kind is ReductionKind.OMEGA:
         rs = _swap(rs, p, ls[p])

@@ -103,8 +103,8 @@ def _pullback(values: np.ndarray, m: int, position_map: dict[int, int]) -> np.nd
     return np.transpose(values.reshape((2,) * m), axes).flatten()
 
 
-def check_representation(candidate: RepresentationCandidate,
-                         tol: float = DEFAULT_TOL) -> CheckReport:
+def check_representation(candidate: RepresentationCandidate) -> CheckReport:
+    """The witnesses of conditions (a)-(e), each compared at DEFAULT_TOL."""
     report = CheckReport()
     members, images, edge_maps = candidate.members, candidate.images, candidate.edge_maps
 
@@ -125,7 +125,8 @@ def check_representation(candidate: RepresentationCandidate,
             report.edge_bijections.append(
                 f"member {idx}: edge map is not a bijection onto 0..{f.m - 1}")
 
-    if abs(abs(candidate.nu) - 1.0) > tol:
+    # Written so that a NaN phase fails too.
+    if not abs(abs(candidate.nu) - 1.0) <= DEFAULT_TOL:
         report.unit_phase.append(f"|nu| = {abs(candidate.nu)} differs from 1")
 
     if not report.passed:
@@ -142,7 +143,7 @@ def check_representation(candidate: RepresentationCandidate,
             report.triality.append(f"member {idx}: trial image leaves the class")
             continue
         positions = {edge_map[lab]: pos for lab, pos in emap.items()}
-        if not _aligned(candidate, target, trial_g, transform(f, OMEGA), positions, tol):
+        if not _aligned(candidate, target, trial_g, transform(f, OMEGA), positions, DEFAULT_TOL):
             report.triality.append(
                 f"member {idx}: no isomorphism matches the trinity transform")
 
@@ -158,7 +159,7 @@ def check_representation(candidate: RepresentationCandidate,
                     raise NotMinorClosed(
                         f"member {idx}: reduction {kind.token} of {lab!r} leaves the class")
                 lhs = raw_minors(f.values, pos, candidate.nu * kind.complex_value)
-                if not _aligned(candidate, target, reduced, lhs, positions, tol):
+                if not _aligned(candidate, target, reduced, lhs, positions, DEFAULT_TOL):
                     report.minor_compat.append(
                         f"member {idx}: edge {lab!r}, reduction {kind.token} has no match")
     return report

@@ -50,8 +50,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import pool
-from .binfun import BinaryFunction, RawVector, as_values, proportional, DEFAULT_TOL
-from .errors import SingularTransform, WrongLength
+from .binfun import BinaryFunction, RawVector, as_values, proportional, vectors
+from .errors import SingularTransform
 
 SQRT2 = math.sqrt(2.0)
 
@@ -143,15 +143,11 @@ def raw_transform(values, mu) -> np.ndarray:
     calling thread and a worker per further CPU, with output bit-identical
     to one CPU's.
     """
-    values = np.asarray(values, dtype=complex)
-    size = values.shape[-1]
-    m = size.bit_length() - 1
-    if size != 2**m:
-        raise WrongLength(f"length {size} is not a power of two")
+    m, values = vectors(values)
     lead = values.shape[:-1]
     if isinstance(mu, np.ndarray):
         lead = np.broadcast_shapes(lead, mu.shape)
-        values = np.broadcast_to(values, lead + (size,))
+        values = np.broadcast_to(values, lead + (2**m,))
         mu = np.broadcast_to(mu, lead).reshape(-1)
     return _apply(values, m, mu)
 
@@ -316,6 +312,7 @@ def inverse_transform(f, mu: complex) -> RawVector:
     return transform(f, 1.0 / mu)
 
 
-def self_trial(f: BinaryFunction, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the trinity transform fixes f up to a scalar."""
-    return proportional(transform(f, OMEGA), f, tol)
+def self_trial(f: BinaryFunction) -> bool:
+    """True iff the trinity transform fixes f up to a scalar, within the
+    default tolerance."""
+    return proportional(transform(f, OMEGA), f)

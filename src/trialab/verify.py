@@ -558,12 +558,12 @@ def check_main_theorem(rng) -> CheckResult:
     # condition is checked per member, and a stack's trial and reductions
     # stay within its prefix, so class 5 passes exactly when all six do.
     candidate = canonical_class(5)
-    classes = check_representation(candidate, tol).passed
+    classes = check_representation(candidate).passed
     images = candidate.images
     elements = sum(f.m for f in images)
     degenerate = sum(is_degenerate(f, i, tol) for f in images for i in range(f.m))
     obstructions = 0
-    if self_trial(binfun.tensor_power(ultraloop_image(), 2), tol):
+    if self_trial(binfun.tensor_power(ultraloop_image(), 2)):
         double = ultraloop_stack(2)
         members = self_trial_members(_catalog(2))
         obstructions = sum(not isomorphic(g, double) and all(g is not h for h in members)

@@ -6,7 +6,6 @@ from trialab.altmap import (
     AlternatingDimap,
     Edge,
     _cycles,
-    _euler,
     _view,
     canonical_form,
     classify_edge,
@@ -135,7 +134,7 @@ def test_genus_is_nonnegative_integer_everywhere():
     maps += [g for k in range(6) for g in enumerate_dimaps(k).maps]
     maps += [random_dimap(k, rng) for k in range(1, 13) for _ in range(20)]
     for g in maps:
-        assert all(chi % 2 == 0 and chi <= 2 for chi in _euler(_view(g)))
+        assert all(chi % 2 == 0 and chi <= 2 for chi in _view(g).chi)
         for comp in components(g):
             assert genus(g, comp) >= 0
 

@@ -58,6 +58,22 @@ def test_make_rejects_wrong_length():
         binfun.make(2, [1.0, 0.0])
 
 
+def test_vectors_is_the_one_coercion():
+    f = binfun.make(1, [1.0, 2.0])
+    assert isinstance(f, binfun.RawVector)
+    assert binfun.vectors(f) == (1, f.values)
+    stack = np.ones((3, 2, 8))
+    m, values = binfun.vectors(stack)
+    assert m == 3 and values.shape == (3, 2, 8) and values.dtype == complex
+    for bad in (np.ones(6), np.ones((2, 3)), np.ones((2, 0)), 1.0):
+        with pytest.raises(WrongLength):
+            binfun.vectors(bad)
+    # as_values is its flat case.
+    assert binfun.as_values([1.0, 2.0])[0] == 1
+    with pytest.raises(WrongLength, match="flat"):
+        binfun.as_values(stack)
+
+
 def make_normalized(m, values, tol=binfun.DEFAULT_TOL):
     """Divide through by the empty-set entry; error when it is tiny."""
     v = np.array(values, dtype=complex)

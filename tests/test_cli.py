@@ -101,6 +101,16 @@ def test_cli_minor(tmp_path):
     assert binfun.read_vector(out0).m == 0
 
 
+def test_cli_minor_rejects_an_element_out_of_range(tmp_path, capsys):
+    src = tmp_path / "digon.bf"
+    binfun.write_vector(src, 2, [1, 0, 0, 1])
+    out = tmp_path / "out.bf"
+    for element in ("2", "-1"):
+        assert main(["minor", str(src), "--mu", "1", "--element", element, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: element {element} outside 0..1\n"
+        assert not out.exists()
+
+
 def test_cli_minor_writes_an_exact_empty_set_entry(tmp_path):
     # For this seed, raw / raw[0] at element 0 leaves 1 + 5.6e-17j in the
     # empty-set slot; the command must write exactly 1, as take_minor holds.

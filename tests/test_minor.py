@@ -6,7 +6,13 @@ import pytest
 
 from trialab import binfun, minor, verify
 from trialab.binfun import DEFAULT_TOL, allclose, slices
-from trialab.errors import IndexOutOfRange, NonFiniteValue, NormalizationError, PoleError
+from trialab.errors import (
+    IndexOutOfRange,
+    NonFiniteValue,
+    NormalizationError,
+    PoleError,
+    WrongLength,
+)
 from trialab.minor import (
     MU_POLE,
     MinorSpec,
@@ -374,6 +380,21 @@ def test_minor_element_out_of_range():
     for i in (-1, 3):
         with pytest.raises(IndexOutOfRange, match="outside 0..2"):
             take_minor(f, MinorSpec(i, 1.0))
+
+
+@pytest.mark.parametrize("size", [3, 5, 6])
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_every_minor_kernel_rejects_a_length_that_is_not_a_power_of_two(size, lead):
+    # One vector and a stack of two, each coerced by binfun.vectors before
+    # any reshape, so numpy's own ValueError never reaches the caller.
+    values = np.ones(lead + (size,), dtype=complex)
+    calls = [lambda: raw_minors(values, 0, 1.0),
+             lambda: is_degenerate(values, 0),
+             lambda: minors_commute_check(values, [1.0]),
+             lambda: transform_minor_check(values, 1.0, OMEGA, 0)]
+    for call in calls:
+        with pytest.raises(WrongLength, match=f"length {size} is not a power of two"):
+            call()
 
 
 def test_degenerate_examples():

@@ -133,6 +133,19 @@ def test_non_unit_phase_fails():
     assert report.unit_phase and not report.passed
 
 
+@pytest.mark.parametrize("k", [0, 2])
+def test_nan_phase_fails_unit_phase_alone(k):
+    # |NaN| - 1 compares False with any tolerance: the check must fail it,
+    # not pass it or leave it to the minor-compatibility witnesses.
+    cand = canonical_class(k)
+    for nu in (complex("nan"), complex(float("nan"), 1.0)):
+        report = check_representation(dataclasses.replace(cand, nu=nu))
+        assert len(report.unit_phase) == 1 and not report.passed, nu
+        assert not (report.triality or report.minor_compat), nu
+    for nu in (1.0, -1.0):
+        assert check_representation(dataclasses.replace(cand, nu=nu)).passed, nu
+
+
 def test_broken_edge_map_fails():
     cand = canonical_class(1)
     bad = RepresentationCandidate(
@@ -162,14 +175,14 @@ def test_not_minor_closed_raises():
         check_representation(bad)
 
 
-def search_unit_phase(candidate, tol=DEFAULT_TOL, samples=720):
+def search_unit_phase(candidate, samples=720):
     """Coarse unit-circle scan for a phase that makes the candidate pass.
 
     Distinguishes "wrong nu" from "unrepresentable" after a failure.
     """
     for j in range(samples):
         nu = np.exp(2j * np.pi * j / samples)
-        if check_representation(dataclasses.replace(candidate, nu=nu), tol).passed:
+        if check_representation(dataclasses.replace(candidate, nu=nu)).passed:
             return complex(nu)
     return None
 

@@ -251,7 +251,7 @@ def test_main_theorem_report():
 
 
 def test_main_theorem_fails_when_the_forced_image_is_not_self_trial(monkeypatch):
-    monkeypatch.setattr(verify, "self_trial", lambda f, tol: False)
+    monkeypatch.setattr(verify, "self_trial", lambda f: False)
     result = verify.check_main_theorem(np.random.default_rng(0))
     assert not result.passed
     assert "0 obstruction witnesses" in result.details
