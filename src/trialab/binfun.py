@@ -27,13 +27,16 @@ with 2**m value lines, index ascending from 0.  Comments are whole lines:
 a line whose first non-blank character is ``#`` is a comment, and a line
 with a ``#`` note after its fields is malformed.  Every value must be
 finite.  The writer emits 17 significant digits so round trips are
-lossless for doubles.  The reader parses the value lines in bulk with
-numpy's C parser and checks their count and index order on the arrays; a
-file that parse cannot take (comments, a token such as ``1_0`` that only
-Python's int and float accept, or any fault) is read again line by line,
-which accepts the same files as ever and names the first bad line.  The
-container stores raw vectors: the empty-set constraint is not checked on
-load, and :func:`normalize` is the one way to restore it.
+lossless for doubles.  The reader opens the file once and parses its
+header in one place, past any blank and comment lines.  It hands the rest
+to numpy's C parser and keeps the rows when there are 2**m of them in
+index order.  Only a body that numpy refuses (a comment line, a token such
+as ``1_0`` that only Python's int and float accept, or any fault) is
+parsed again with Python's int and float, one line at a time, which checks
+the line count first and names the first bad line.  Finiteness is checked
+once, on the values either parse gives.  The container stores raw vectors
+of 2**m entries: the empty-set constraint is not checked on load, and
+:func:`normalize` is the one way to restore it.
 
 From :data:`pool.SPLIT_MIN` entries on, :func:`normalize` and both passes
 of the proportionality residual are shared across the CPUs, with results
@@ -72,7 +75,8 @@ WRITE_ROWS = 8192  # rows per formatting operation in write_vector
 
 @dataclass(frozen=True, eq=False)
 class RawVector:
-    """Length 2**m complex vector with no empty-set constraint.
+    """Length 2**m complex vector with no empty-set constraint; WrongLength
+    unless values is flat with 2**m entries.
 
     Transform and unnormalized minor outputs live here; callers renormalize
     explicitly when they want a :class:`BinaryFunction`.
@@ -82,6 +86,8 @@ class RawVector:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.m < 0 or self.values.shape != (2**self.m,):
+            raise WrongLength(f"need 2**{self.m} values, got {self.values.shape}")
         self.values.setflags(write=False)
 
 
@@ -336,74 +342,57 @@ def write_vector(path, m: int, values) -> None:
             fh.write("%d %.17g %.17g\n" * part.size % tuple(itertools.chain.from_iterable(rows)))
 
 
-def read_vector(path) -> RawVector:
-    """Read a .bf file: in bulk when it can, else line by line, which names
-    the first bad line of a malformed file."""
-    raw = _read_bulk(path)
-    return _read_lines(path) if raw is None else raw
-
-
-# The value lines as numpy's C parser reads them.
+# The value lines as numpy's C parser reads them.  Python's int and float
+# accept every token that it does, with the same value, and more besides
+# (``1_0``, non-ASCII digits), so the loop reads each file that numpy takes
+# to the same bits.
 _ROW = np.dtype([("index", np.int64), ("re", np.float64), ("im", np.float64)])
 
-# Indices checked against their expected order at a time: a slice of the
-# order costs 512 KiB, where the whole of it cost 32 MiB at m = 22.
-_ORDER_SLICE = 2**16
 
-
-def _read_bulk(path) -> RawVector | None:
-    """The vector of a well-formed .bf file without comments, parsed by
-    np.loadtxt; None for any other file.
-
-    Python's int and float accept every token that the C parser does, with
-    the same value, and more besides (``1_0``, non-ASCII digits), so None
-    leaves each file to :func:`_read_lines`, which accepts exactly the files
-    it always has.
-    """
+def read_vector(path) -> RawVector:
+    """Read a .bf file, opened once: its header, then its value lines parsed
+    by numpy's C parser, or again by Python's when numpy refuses them or
+    finds the wrong count or order, so that the first bad line is named."""
     with open(path, "r", encoding="utf-8") as fh:
-        head = _next_line(fh).split()
-        if len(head) != 2 or head[0] != "bf" or not head[1].isdecimal() or int(head[1]) >= 64:
-            return None
-        m = int(head[1])
-        # np.loadtxt warns on a body without rows; such a file is the loop's.
+        m = _header(path, _next_line(fh))
         start = fh.tell()
-        if not _next_line(fh):
-            return None
-        fh.seek(start)
-        try:
-            rows = np.loadtxt(fh, dtype=_ROW, comments=None, ndmin=1)
-        except ValueError:
-            return None
-    if rows.size != 2**m:
-        return None
-    for lo in range(0, rows.size, _ORDER_SLICE):
-        index = rows["index"][lo:lo + _ORDER_SLICE]
-        if not np.array_equal(index, np.arange(lo, lo + index.size)):
-            return None
-    values = np.empty(2**m, dtype=complex)
-    values.real = rows["re"]
-    values.imag = rows["im"]
-    if not np.isfinite(values).all():
-        return None
+        rows = None
+        # np.loadtxt warns on a body without rows; the loop counts that one.
+        if m < 64 and _next_line(fh):
+            fh.seek(start)
+            try:
+                rows = np.loadtxt(fh, dtype=_ROW, comments=None, ndmin=1)
+            except ValueError:
+                pass
+        if rows is not None and rows.size == 2**m and np.array_equal(rows["index"], np.arange(2**m)):
+            values = np.empty(2**m, dtype=complex)
+            values.real = rows["re"]
+            values.imag = rows["im"]
+        else:
+            fh.seek(start)
+            values = _parse_lines(path, m, fh)
+    # Freed first, or the scan's temporaries would add to the peak memory.
+    del rows
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise FileFormatError(f"{path}: non-finite value at index {finite.argmin()}")
     return RawVector(m, values)
 
 
 def _next_line(fh) -> str:
-    """The next line of fh that is not blank, stripped; "" at the end."""
-    for line in iter(fh.readline, ""):
-        if line.strip():
-            return line.strip()
+    """The next line of fh that is neither blank nor a comment, stripped; ""
+    at the end."""
+    for line in map(str.strip, iter(fh.readline, "")):
+        if line and not line.startswith("#"):
+            return line
     return ""
 
 
-def _read_lines(path) -> RawVector:
-    """Read a .bf file line by line, raising on its first bad line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+def _header(path, line: str) -> int:
+    """The dimension m that a header line 'bf <m>' gives."""
+    if not line:
         raise FileFormatError(f"{path}: empty file")
-    head = lines[0].split()
+    head = line.split()
     if len(head) != 2 or head[0] != "bf":
         raise FileFormatError(f"{path}: first line must be 'bf <m>'")
     try:
@@ -412,12 +401,18 @@ def _read_lines(path) -> RawVector:
         raise FileFormatError(f"{path}: bad dimension {head[1]!r}") from exc
     if m < 0:
         raise FileFormatError(f"{path}: negative dimension")
-    body = lines[1:]
+    return m
+
+
+def _parse_lines(path, m: int, fh) -> np.ndarray:
+    """The values of the lines left in fh, parsed one at a time by Python's
+    int and float; raises on the line count, else on the first bad line."""
+    lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     # No file holds 2**64 lines, and 2**m itself is costly for a huge m.
-    if m >= 64 or len(body) != 2**m:
-        raise FileFormatError(f"{path}: expected 2**{m} value lines, found {len(body)}")
+    if m >= 64 or len(lines) != 2**m:
+        raise FileFormatError(f"{path}: expected 2**{m} value lines, found {len(lines)}")
     real, imag = [], []
-    for pos, ln in enumerate(body):
+    for pos, ln in enumerate(lines):
         parts = ln.split()
         if len(parts) != 3:
             raise FileFormatError(f"{path}: bad value line {ln!r}")
@@ -432,7 +427,4 @@ def _read_lines(path) -> RawVector:
     values = np.empty(2**m, dtype=complex)
     values.real = real
     values.imag = imag
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise FileFormatError(f"{path}: non-finite value at index {bad[0]}")
-    return RawVector(m, values)
+    return values

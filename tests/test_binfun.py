@@ -14,6 +14,8 @@ from trialab.errors import (
     NormalizationError,
     WrongLength,
 )
+from trialab.minor import MinorSpec, raw_minors, take_minor
+from trialab.transform import transform
 
 U = np.sqrt(2.0) - 1.0
 
@@ -72,6 +74,21 @@ def test_vectors_is_the_one_coercion():
     assert binfun.as_values([1.0, 2.0])[0] == 1
     with pytest.raises(WrongLength, match="flat"):
         binfun.as_values(stack)
+
+
+def test_raw_vectors_of_the_wrong_length_are_refused():
+    # A vector refuses values that are not 2**m long, so none reaches a
+    # kernel mislabelled.
+    with pytest.raises(WrongLength):
+        transform(binfun.RawVector(2, np.ones(8)), 0.5)
+    with pytest.raises(WrongLength):
+        take_minor(binfun.BinaryFunction(2, np.ones(8)), MinorSpec(0, 1.0))
+    with pytest.raises(WrongLength):
+        raw_minors(binfun.RawVector(3, np.ones(5)), 0, 1.0)
+    for m, values in ((-1, np.ones(1)), (1, np.ones((1, 2))), (0, np.ones(0))):
+        with pytest.raises(WrongLength):
+            binfun.RawVector(m, values)
+    assert binfun.RawVector(0, np.ones(1)).m == 0
 
 
 def make_normalized(m, values, tol=binfun.DEFAULT_TOL):
@@ -486,6 +503,23 @@ def test_bulk_reader_matches_the_per_line_reader_on_edited_files(tmp_path, vecto
     assert _outcome(binfun.read_vector, path) == _outcome(_per_line_read, path)
 
 
+def test_comments_before_the_header_leave_the_body_to_numpy(tmp_path, monkeypatch):
+    # Only the header is read past comment and blank lines; a plain body is
+    # numpy's to parse, so the file reads with the per-line parse broken.
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(2**6) + 1j * rng.standard_normal(2**6)
+    path = tmp_path / "v.bf"
+    binfun.write_vector(path, 6, v)
+    path.write_text("# made by hand\n\n  \t\n  # indented\n" + path.read_text())
+    expected = _outcome(_per_line_read, path)
+
+    def refuse(*args):
+        raise AssertionError("numpy's parse should have taken this body")
+
+    monkeypatch.setattr(binfun, "_parse_lines", refuse)
+    assert _outcome(binfun.read_vector, path) == expected == (6, v.tobytes())
+
+
 def test_tokens_only_python_parses_still_load(tmp_path):
     # numpy's parser rejects these; the per-line loop reads them with
     # Python's int and float.
@@ -515,12 +549,25 @@ def test_malformed_value_lines_keep_their_messages(tmp_path, body, message):
     assert str(err.value) == f"{path}: {message}"
 
 
-@pytest.mark.parametrize("pos", [binfun._ORDER_SLICE + 5, 2**17 - 1])
+@pytest.mark.parametrize("body, found", [
+    ("1 1 0\n", 1),
+    ("0 1 0\n1 2 0 4\n2 3 0\n", 3),
+    ("# note\n0 1 0\nx\n1 2 0\n", 3),
+])
+def test_the_line_count_is_checked_before_any_value_line(tmp_path, body, found):
+    # A wrong count is named even where a value line is bad or out of order.
+    path = tmp_path / "v.bf"
+    path.write_text("bf 1\n" + body)
+    with pytest.raises(FileFormatError) as err:
+        binfun.read_vector(path)
+    assert str(err.value) == f"{path}: expected 2**1 value lines, found {found}"
+
+
+@pytest.mark.parametrize("pos", [2**16 + 5, 2**17 - 1])
 def test_an_index_out_of_order_past_the_first_order_slice_is_found(tmp_path, pos):
-    # The bulk reader checks the index order one slice at a time; a bad
-    # index in a later slice, or in the last line, still sends the file to
-    # the per-line reader and its message.
-    assert 2**17 > binfun._ORDER_SLICE
+    # A bad index deep in a long file, or in its last line, fails numpy's
+    # whole-array order check and sends the file to the per-line parse and
+    # its message.
     path = tmp_path / "v.bf"
     binfun.write_vector(path, 17, np.ones(2**17, dtype=complex))
     lines = path.read_text().splitlines(keepends=True)
