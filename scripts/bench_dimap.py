@@ -10,7 +10,10 @@ Per checkout it measures
     the benchmark's oracle checks, beside the timed calls alone; the checks
     read every output's darts, so darts a change stops building inside the
     timed calls but the checks then render still show in the wall time;
-  * the best of three ``enumerate_dimaps(k, cap=k)`` calls at k = 4, 5, 6;
+  * the best of three ``enumerate_dimaps(k, cap=k)`` calls at k = 4, 5, 6, 7;
+  * the best of three ``check_representation(canonical_class(k))`` calls at
+    k = 5, 8, 10, each on a freshly built class, so that no member carries
+    state from an earlier call;
   * the per-call p50 of ``transform`` (at w), of ``proportional`` on a
     proportional pair (true verdict: the whole residual) and on a
     non-proportional one (false verdict, which may stop early), of
@@ -61,7 +64,8 @@ from pathlib import Path
 from time import perf_counter
 
 FUNCTIONS = ("reduce_edge", "classify_edge", "canonical_form", "trial")
-CATALOG_KS = (4, 5, 6)
+CATALOG_KS = (4, 5, 6, 7)
+REPRESENT_KS = (5, 8, 10)
 KERNEL_MS = (18, 20, 22)
 IO_MS, IO_COMPARE_MS = (16, 20), (22,)
 KERNEL_REPEATS = 7
@@ -82,6 +86,7 @@ def measure(root: Path, passes: int) -> dict:
     from trialab import altmap as A
     from trialab import catalog as C
     from trialab import reductions as R
+    from trialab import represent as P
 
     groups = {"k5-catalog": list(C.enumerate_dimaps(5, cap=5).maps)}
     rng = np.random.default_rng(20)
@@ -128,10 +133,21 @@ def measure(root: Path, passes: int) -> dict:
             C.enumerate_dimaps(k, cap=k)
             runs.append(perf_counter() - start)
         catalog_s[f"k{k}"] = min(runs)
+
+    represent_s = {}
+    for k in REPRESENT_KS:
+        runs = []
+        for _ in range(3):
+            candidate = P.canonical_class(k)
+            start = perf_counter()
+            P.check_representation(candidate)
+            runs.append(perf_counter() - start)
+        represent_s[f"k{k}"] = min(runs)
     return {"call_p50_us": p50,
             "sweep_pass_wall_s": statistics.median(walls),
             "sweep_pass_timed_s": statistics.median(timed_sums),
             "catalog_s": catalog_s,
+            "represent_s": represent_s,
             "kernels_s": measure_kernels(),
             "io": measure_io(root, IO_MS),
             "verify_s": measure_verify()}
@@ -350,8 +366,8 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
         for side in order:
             runs[side].append(_child(before if side == "before" else after, passes))
-    out = {"primitives": {}, "sweep_pass": {}, "catalog_s": {}, "kernels_s": {}, "io": {},
-           "verify_s": {}}
+    out = {"primitives": {}, "sweep_pass": {}, "catalog_s": {}, "represent_s": {},
+           "kernels_s": {}, "io": {}, "verify_s": {}}
     for side, results in runs.items():
         out["primitives"][side] = {
             group: {name: statistics.median(r["call_p50_us"][group][name] for r in results)
@@ -360,7 +376,7 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         out["sweep_pass"][side] = {
             key: statistics.median(r[key] for r in results)
             for key in ("sweep_pass_wall_s", "sweep_pass_timed_s")}
-        for section in ("catalog_s", "kernels_s", "io", "verify_s"):
+        for section in ("catalog_s", "represent_s", "kernels_s", "io", "verify_s"):
             out[section][side] = {
                 key: statistics.median(r[section][key] for r in results)
                 for key in results[0][section]}

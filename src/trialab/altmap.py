@@ -27,7 +27,11 @@ view of the edited pair: its edges and rotations are rendered the first
 time they are read (darts (2p, 2p+1), vertices in the order of their
 smallest head dart, each starting there), so a map that is only computed
 on never builds darts, and one that is written or compared gets the same
-darts every time.
+darts every time.  The view also caches the map's component runs (runs):
+each component's least canonical encoding and the relabelings that reach
+it.  canonical_form and isomorphisms both read them, so a map that is
+canonicalised and then aligned, as the representation checker does with
+its members and their reductions, walks its components once.
 
 The trial has one vertex per clockwise face.  The image of edge e runs
 from the clockwise face of its left successor to the clockwise face of e,
@@ -113,9 +117,11 @@ class _View:
     right successors (the next edge on its anticlockwise and clockwise
     face).  The rest is computed on first use and cached: pos maps labels
     to positions, nxt is the clockwise-next dart, firsts holds each
-    vertex's first dart, and the topology is comp (each edge's component)
-    and chi (each component's V - E + F).  A view built from darts is
-    handed its nxt and firsts.
+    vertex's first dart, the topology is comp (each edge's component)
+    and chi (each component's V - E + F), and runs holds each component's
+    least encoding with the relabelings that reach it, which canonical_form
+    and isomorphisms both read.  A view built from darts is handed its nxt
+    and firsts.
     """
 
     def __init__(self, labels, ls, rs):
@@ -181,6 +187,42 @@ class _View:
         for cyc in _cycles(self.ls) + _cycles(self.rs):
             chi[comp[cyc[0]]] += 1
         return chi
+
+    @cached_property
+    def runs(self) -> tuple[tuple[tuple, tuple[tuple[int, ...], ...]], ...]:
+        """Per component, its least encoding over all starting darts and every
+        relabeling achieving it, each as its darts in rank order.
+
+        Each component is walked from its least unvisited dart, and that
+        first run lists the component's darts and bounds the others.  The
+        first entry of a run is (1, 1 or 2, is-head), its middle 1 when the
+        start's partner is next-clockwise: only starts with the least first
+        entry can reach the minimum, so only those run, each until it
+        exceeds the least encoding so far.
+        """
+        nxt = self.nxt
+        seen = [False] * len(nxt)
+        out = []
+        for first in range(len(nxt)):
+            if seen[first]:
+                continue
+            best, order = _canonical_run(nxt, first)
+            orders = [tuple(order)]
+            keys = [(nxt[d] != d ^ 1, d & 1) for d in order]
+            least = min(keys)
+            for start, key in zip(order, keys):
+                seen[start] = True
+                if key != least or start == first:
+                    continue
+                enc, run = _canonical_run(nxt, start, best)
+                if enc is None:
+                    continue
+                if enc < best:
+                    best, orders = enc, [tuple(run)]
+                else:
+                    orders.append(tuple(run))
+            out.append((tuple(best), tuple(orders)))
+        return tuple(out)
 
 
 def _view(g: AlternatingDimap) -> _View:
@@ -485,44 +527,9 @@ def _canonical_run(nxt: list[int], start: int,
     return enc, queue
 
 
-def _component_runs(nxt: list[int]) -> list[tuple[tuple, list[list[int]]]]:
-    """Per component, its least encoding over all starting darts and every
-    relabeling achieving it, each as its darts in rank order.
-
-    Each component is walked from its least unvisited dart, and that first
-    run lists the component's darts and bounds the others.  The first entry
-    of a run is (1, 1 or 2, is-head), its middle 1 when the start's partner
-    is next-clockwise: only starts with the least first entry can reach the
-    minimum, so only those run, each until it exceeds the least encoding so
-    far.
-    """
-    seen = [False] * len(nxt)
-    out = []
-    for first in range(len(nxt)):
-        if seen[first]:
-            continue
-        best, order = _canonical_run(nxt, first)
-        orders = [order]
-        keys = [(nxt[d] != d ^ 1, d & 1) for d in order]
-        least = min(keys)
-        for start, key in zip(order, keys):
-            seen[start] = True
-            if key != least or start == first:
-                continue
-            enc, run = _canonical_run(nxt, start, best)
-            if enc is None:
-                continue
-            if enc < best:
-                best, orders = enc, [run]
-            else:
-                orders.append(run)
-        out.append((tuple(best), orders))
-    return out
-
-
 def canonical_form(g: AlternatingDimap) -> tuple:
     """Label-independent canonical encoding; equal iff maps are isomorphic."""
-    return tuple(sorted(enc for enc, _ in _component_runs(_view(g).nxt)))
+    return tuple(sorted(enc for enc, _ in _view(g).runs))
 
 
 def isomorphic(g: AlternatingDimap, h: AlternatingDimap) -> bool:
@@ -532,8 +539,7 @@ def isomorphic(g: AlternatingDimap, h: AlternatingDimap) -> bool:
 def isomorphisms(g: AlternatingDimap, h: AlternatingDimap) -> Iterator[dict[str, str]]:
     """All orientation-preserving isomorphisms as edge-label maps g -> h."""
     gv, hv = _view(g), _view(h)
-    g_runs = _component_runs(gv.nxt)
-    h_runs = _component_runs(hv.nxt)
+    g_runs, h_runs = gv.runs, hv.runs
     if len(g_runs) != len(h_runs):
         return
 

@@ -22,7 +22,7 @@ from trialab.catalog import (
     random_dimap,
     self_trial_members,
 )
-from trialab.errors import CapExceeded
+from trialab.errors import CapExceeded, InternalInvariantViolation
 from trialab.reductions import ALL_KINDS, reduce_edge
 
 # Derived once from the two independent generation strategies, then frozen
@@ -189,8 +189,9 @@ def test_members_are_valid_and_pairwise_nonisomorphic():
         assert all(g.n_edges() == k for g in cat.maps)
 
 
-def test_each_wiring_is_canonicalised_once(monkeypatch):
-    # k! wirings per partition of k, and no second pass over the classes.
+def test_each_class_is_canonicalised_once(monkeypatch):
+    # The orbit walk canonicalises the first wiring of each class and no
+    # other: one call per catalog map, not one per wiring.
     calls = []
 
     def counted(g):
@@ -198,10 +199,42 @@ def test_each_wiring_is_canonicalised_once(monkeypatch):
         return canonical_form(g)
 
     monkeypatch.setattr(catalog, "canonical_form", counted)
-    for k in range(0, 6):
+    for k, n in enumerate([1, 1, 4, 11, 43, 161]):
         calls.clear()
-        enumerate_dimaps(k)
-        assert len(calls) == factorial(k) * len(list(_partitions(k)))
+        assert len(enumerate_dimaps(k).maps) == n
+        assert len(calls) == n
+
+
+def _z(shape):
+    return prod(i ** shape.count(i) * factorial(shape.count(i)) for i in set(shape))
+
+
+def test_centraliser_rows_are_the_whole_centraliser():
+    # z_lambda distinct permutations that commute with sigma are all of C(sigma).
+    for k in range(0, 8):
+        for shape in _partitions(k):
+            sigma = np.array(catalog._template(shape)[0], dtype=np.intp)
+            rows = catalog._centraliser(shape)
+            assert rows.shape == (_z(shape), k), shape
+            assert (np.sort(rows, axis=1) == np.arange(k)).all(), shape
+            assert len(np.unique(rows, axis=0)) == len(rows), shape
+            assert np.array_equal(rows[:, sigma], sigma[rows]), shape
+
+
+def test_an_incomplete_centraliser_raises(monkeypatch):
+    # With the identity alone every wiring is its own orbit, so a class is
+    # reached twice: the walk must raise, not keep the first and go on.
+    monkeypatch.setattr(catalog, "_centraliser",
+                        lambda shape: np.arange(sum(shape), dtype=np.intp)[None, :])
+    with pytest.raises(InternalInvariantViolation, match="centraliser"):
+        enumerate_dimaps(3)
+
+
+def test_seven_edge_catalog_matches_the_closed_forms():
+    maps = _catalog(7).maps
+    assert len(maps) == _burnside_count(7) == 5579
+    assert sum(len(components(g)) == 1 for g in maps) == _connected_counts(7)[7]
+    assert len(self_trial_members(_catalog(7))) == _self_trial_count(7)
 
 
 def test_catalog_closed_under_trial():
@@ -249,8 +282,9 @@ def test_genus_one_appears_at_three_edges():
 
 
 def test_cap():
-    for k in (7, -1):
-        with pytest.raises(CapExceeded, match="outside 0..6"):
+    assert len(enumerate_dimaps(7).maps) == 5579
+    for k in (8, -1):
+        with pytest.raises(CapExceeded, match="outside 0..7"):
             enumerate_dimaps(k)
     assert len(enumerate_dimaps(2, cap=2).maps) == 4
 
@@ -262,3 +296,10 @@ def test_random_dimap_is_valid_and_in_catalog():
         g = random_dimap(3, rng)
         assert is_valid(g)
         assert canonical_form(g) in forms3
+
+
+def test_random_dimap_raises_when_its_map_is_invalid(monkeypatch):
+    # An explicit check, which python -O keeps.
+    monkeypatch.setattr(catalog, "is_valid", lambda g: False)
+    with pytest.raises(InternalInvariantViolation, match="invalid map"):
+        random_dimap(3, np.random.default_rng(0))

@@ -265,7 +265,7 @@ def test_cli_dimap_catalog_rejects_a_negative_edge_count(tmp_path, capsys):
     outdir = tmp_path / "atlas"
     assert main(["dimap", "catalog", "--edges", "-1", "-o", str(outdir)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and "outside 0..6" in err
+    assert out == "" and err.startswith("error:") and "outside 0..7" in err
     assert not outdir.exists()
 
 

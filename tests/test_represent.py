@@ -146,6 +146,14 @@ def test_nan_phase_fails_unit_phase_alone(k):
         assert check_representation(dataclasses.replace(cand, nu=nu)).passed, nu
 
 
+
+def test_a_phase_just_off_the_unit_circle_fails():
+    # |nu| - 1 = 1e-6 is far inside any loose bound but past DEFAULT_TOL.
+    report = check_representation(dataclasses.replace(canonical_class(2), nu=1 + 1e-6))
+    assert len(report.unit_phase) == 1 and not report.passed
+    assert "differs from 1" in report.unit_phase[0]
+
+
 def test_broken_edge_map_fails():
     cand = canonical_class(1)
     bad = RepresentationCandidate(

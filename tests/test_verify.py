@@ -10,7 +10,8 @@ the main theorem fails when the forced image is not self-trial, a stack
 element is not degenerate or any one stack image is corrupted.
 The closed form that lets nu = 1 stand for every unit phase holds.  The
 mu-independence check's planted functions are degenerate at the element it
-tests."""
+tests.  The trial-cubed check fails when trial cubed breaks on one small
+catalog map."""
 
 import dataclasses
 import itertools
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from trialab import binfun, verify
-from trialab.altmap import isomorphic, ultraloop_stack
+from trialab.altmap import isomorphic, labeled_equal, ultraloop_stack
 from trialab.minor import (
     MU_POLE,
     is_degenerate,
@@ -429,3 +430,18 @@ def test_stacked_check_matches_its_per_sample_loop(check, oracle, seed):
     rng.random(), oracle_rng.random()
     assert check(rng) == oracle(oracle_rng)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_trial_cubed_fails_when_one_small_catalog_map_breaks(monkeypatch):
+    # The exhaustive part compares every map, not only counts it.
+    real = verify.trial_power
+    target = next(g for g in verify._catalog(3).maps
+                  if not labeled_equal(real(g, 1), g))
+
+    def broken(g, times):
+        return real(g, 1) if g is target else real(g, times)
+
+    monkeypatch.setattr(verify, "trial_power", broken)
+    result = verify.check_trial_cubed(np.random.default_rng(0))
+    assert not result.passed
+    assert result.details.endswith(", 1 failures")
