@@ -33,10 +33,13 @@ to numpy's C parser and keeps the rows when there are 2**m of them in
 index order.  Only a body that numpy refuses (a comment line, a token such
 as ``1_0`` that only Python's int and float accept, or any fault) is
 parsed again with Python's int and float, one line at a time, which checks
-the line count first and names the first bad line.  Finiteness is checked
-once, on the values either parse gives.  The container stores raw vectors
-of 2**m entries: the empty-set constraint is not checked on load, and
-:func:`normalize` is the one way to restore it.
+the line count first and names the first bad line.  A body with a comment
+line is so parsed twice: numpy parses every line up to the comment before
+it refuses the body, and the per-line parse then reads the whole body
+again, so a comment near the end of a large file costs a full numpy parse.
+Finiteness is checked once, on the values either parse gives.  The
+container stores raw vectors of 2**m entries: the empty-set constraint is
+not checked on load, and :func:`normalize` is the one way to restore it.
 
 From :data:`pool.SPLIT_MIN` entries on, :func:`normalize` and both passes
 of the proportionality residual are shared across the CPUs, with results

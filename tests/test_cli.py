@@ -262,11 +262,13 @@ def test_cli_dimap_catalog_refuses_a_directory_with_other_atlas_files(tmp_path, 
 
 
 def test_cli_dimap_catalog_rejects_a_negative_edge_count(tmp_path, capsys):
+    # Also one past the top size, which the cap refuses as well.
     outdir = tmp_path / "atlas"
-    assert main(["dimap", "catalog", "--edges", "-1", "-o", str(outdir)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and "outside 0..7" in err
-    assert not outdir.exists()
+    for edges in ("-1", "8"):
+        assert main(["dimap", "catalog", "--edges", edges, "-o", str(outdir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "outside 0..7" in err
+        assert not outdir.exists()
 
 
 def test_cli_dimap_catalog_genus_profiles_sorted(tmp_path, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from trialab import binfun
-from trialab.altmap import isomorphisms, ultraloop_stack
+from trialab.altmap import isomorphisms, trial, ultraloop_stack
 from trialab.binfun import DEFAULT_TOL
+from trialab.catalog import enumerate_dimaps, self_trial_members
 from trialab.errors import NotMinorClosed
 from trialab.minor import lambda_mu
 from trialab.represent import (
@@ -16,7 +17,7 @@ from trialab.represent import (
     check_representation,
     ultraloop_image,
 )
-from trialab.transform import OMEGA, OMEGA2, SQRT2, ULOOP_RATIO, m_matrix, self_trial
+from trialab.transform import OMEGA, OMEGA2, SQRT2, ULOOP_RATIO, m_matrix, self_trial, transform
 
 U = ULOOP_RATIO
 
@@ -125,6 +126,35 @@ def test_non_self_trial_image_fails_triality():
     report = check_representation(broken)
     assert not report.passed
     assert report.triality
+
+
+def test_a_trial_orbit_imaged_by_the_trinity_transform_passes_triality():
+    # G is a two-edge map that is not self-trial, so G, trial(G) and
+    # trial^2(G) are three members; their images f, T_w f and T_w^2 f for a
+    # random f are not eigenvectors of M(w), so condition (d) holds only if
+    # it applies T_w and not T_w^2.  Trial keeps labels: one edge map serves
+    # the whole orbit.  A random f has non-degenerate minors, so only (e)
+    # fails.
+    catalog = enumerate_dimaps(2)
+    fixed = {id(g) for g in self_trial_members(catalog)}
+    g = next(g for g in catalog.maps if id(g) not in fixed)
+    orbit = [g, trial(g)[0]]
+    orbit.append(trial(orbit[1])[0])
+    v = np.random.default_rng(27).standard_normal(8).view(complex)
+    v[0] = 1.0
+    f = binfun.make(2, v)
+    images = [binfun.make(2, binfun.normalize(transform(f, mu).values.copy()))
+              for mu in (1.0, OMEGA, OMEGA2)]
+    emap = {lab: pos for pos, lab in enumerate(g.labels())}
+    one = ultraloop_stack(1)
+    cand = RepresentationCandidate(
+        (*orbit, one, ultraloop_stack(0)),
+        (*images, ultraloop_image(), binfun.unit()),
+        (emap, emap, emap, {lab: 0 for lab in one.labels()}, {}), 1.0 + 0j)
+    report = check_representation(cand)
+    assert not (report.totality or report.edge_bijections or report.unit_phase)
+    assert report.triality == []
+    assert report.minor_compat and not report.passed
 
 
 def test_non_unit_phase_fails():
