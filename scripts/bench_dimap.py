@@ -38,7 +38,12 @@ Per checkout it measures
     (mu1, mu2) from {1, -1, w, w2} on 20 seeded functions of each of
     m = 4, 6, 8, 10, as one stacked call per m;
   * the best of five ``find_noncommuting_pair`` scans over every map of the
-    k = 4 and k = 5 catalogs, on fresh copies of the maps each time.
+    k = 4 and k = 5 catalogs, on fresh copies of the maps each time;
+  * a host calibration that runs no trialab code: the best of five runs of
+    a fixed pure-Python loop and of one seeded 256 x 256 complex matmul.
+    Host speed moves between sessions with no code change, so figures in
+    different ``BENCH_*.json`` files compare only as ratios to this.  Files
+    written before it was added have none, and are not rescaled.
 
 Compare two checkouts, alternating child runs so that both sample the
 machine over the same minutes::
@@ -48,8 +53,9 @@ machine over the same minutes::
 
 ``--e2e-seconds`` adds alternated ``perfbench/run.py`` runs of every
 workload, one pair per seed from ``--e2e-first-seed`` on, and counts the
-pairs in which the after side is better.  ``--measure ROOT`` prints one
-checkout's figures as JSON.
+pairs in which the after side is better.  Each other section holds each
+side's median over the rounds, ``calibration_s`` among them.
+``--measure ROOT`` prints one checkout's figures as JSON.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ VERIFY_REPEATS = 5
 DUALITY_MAX_EDGES = (4, 5)
 COMMUTATION_MS, COMMUTATION_FUNCTIONS = (4, 6, 8, 10), 20
 NONCOMMUTATION_KS = (4, 5)
+CALIBRATION_LOOP, CALIBRATION_MATMUL = 10**6, 256
 WORKLOADS = ("bf-kernels", "dimap-sweep", "verify-e2e")
 END_TO_END = ("setup_s", "pass_s", "ops_per_s", "peak_rss_mb")
 HIGHER_IS_BETTER = ("ops_per_s",)
@@ -82,6 +89,7 @@ HIGHER_IS_BETTER = ("ops_per_s",)
 
 def measure(root: Path, passes: int) -> dict:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    calibration_s = measure_calibration()
     import numpy as np
     from trialab import altmap as A
     from trialab import catalog as C
@@ -143,7 +151,8 @@ def measure(root: Path, passes: int) -> dict:
             P.check_representation(candidate)
             runs.append(perf_counter() - start)
         represent_s[f"k{k}"] = min(runs)
-    return {"call_p50_us": p50,
+    return {"calibration_s": calibration_s,
+            "call_p50_us": p50,
             "sweep_pass_wall_s": statistics.median(walls),
             "sweep_pass_timed_s": statistics.median(timed_sums),
             "catalog_s": catalog_s,
@@ -151,6 +160,31 @@ def measure(root: Path, passes: int) -> dict:
             "kernels_s": measure_kernels(),
             "io": measure_io(root, IO_MS),
             "verify_s": measure_verify()}
+
+
+def measure_calibration() -> dict:
+    """The best of five runs of a fixed pure-Python loop and of one seeded
+    complex matmul, CALIBRATION_MATMUL square: the host's speed."""
+    import numpy as np
+
+    def best(fn):
+        runs = []
+        for _ in range(5):
+            start = perf_counter()
+            fn()
+            runs.append(perf_counter() - start)
+        return min(runs)
+
+    def loop():
+        total = 0
+        for i in range(CALIBRATION_LOOP):
+            total += i * i
+        return total
+
+    n = CALIBRATION_MATMUL
+    a, b = np.random.default_rng(n).standard_normal((2, n, 2 * n)).view(complex)
+    a @ b  # untimed: BLAS starts its threads on the first call
+    return {"python_loop": best(loop), f"matmul{n}": best(lambda: a @ b)}
 
 
 def measure_kernels() -> dict:
@@ -366,8 +400,8 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
         for side in order:
             runs[side].append(_child(before if side == "before" else after, passes))
-    out = {"primitives": {}, "sweep_pass": {}, "catalog_s": {}, "represent_s": {},
-           "kernels_s": {}, "io": {}, "verify_s": {}}
+    out = {"calibration_s": {}, "primitives": {}, "sweep_pass": {}, "catalog_s": {},
+           "represent_s": {}, "kernels_s": {}, "io": {}, "verify_s": {}}
     for side, results in runs.items():
         out["primitives"][side] = {
             group: {name: statistics.median(r["call_p50_us"][group][name] for r in results)
@@ -376,7 +410,8 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         out["sweep_pass"][side] = {
             key: statistics.median(r[key] for r in results)
             for key in ("sweep_pass_wall_s", "sweep_pass_timed_s")}
-        for section in ("catalog_s", "represent_s", "kernels_s", "io", "verify_s"):
+        for section in ("calibration_s", "catalog_s", "represent_s", "kernels_s", "io",
+                        "verify_s"):
             out[section][side] = {
                 key: statistics.median(r[section][key] for r in results)
                 for key in results[0][section]}

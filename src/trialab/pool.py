@@ -28,7 +28,9 @@ SPLIT_MIN = 2**18
 # Chunks per CPU: enough that a late or slow thread leaves little to wait for.
 CHUNKS_PER_CPU = 8
 
-_CPUS = len(os.sched_getaffinity(0))
+# The CPUs this process may run on, or all of them where the OS cannot say.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 _executor = None  # the worker threads, made on the first split
 
 
@@ -108,4 +110,5 @@ def _forget_executor():
     _executor = None
 
 
-os.register_at_fork(after_in_child=_forget_executor)
+if hasattr(os, "register_at_fork"):  # absent where there is no fork, as on Windows
+    os.register_at_fork(after_in_child=_forget_executor)

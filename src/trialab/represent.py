@@ -143,7 +143,7 @@ def check_representation(candidate: RepresentationCandidate) -> CheckReport:
             report.triality.append(f"member {idx}: trial image leaves the class")
             continue
         positions = {edge_map[lab]: pos for lab, pos in emap.items()}
-        if not _aligned(candidate, target, trial_g, transform(f, OMEGA), positions, DEFAULT_TOL):
+        if not _aligned(candidate, target, trial_g, transform(f, OMEGA), positions):
             report.triality.append(
                 f"member {idx}: no isomorphism matches the trinity transform")
 
@@ -159,20 +159,20 @@ def check_representation(candidate: RepresentationCandidate) -> CheckReport:
                     raise NotMinorClosed(
                         f"member {idx}: reduction {kind.token} of {lab!r} leaves the class")
                 lhs = raw_minors(f.values, pos, candidate.nu * kind.complex_value)
-                if not _aligned(candidate, target, reduced, lhs, positions, DEFAULT_TOL):
+                if not _aligned(candidate, target, reduced, lhs, positions):
                     report.minor_compat.append(
                         f"member {idx}: edge {lab!r}, reduction {kind.token} has no match")
     return report
 
 
 def _aligned(candidate: RepresentationCandidate, target: int, source: AlternatingDimap,
-             lhs, positions: dict[str, int], tol: float) -> bool:
+             lhs, positions: dict[str, int]) -> bool:
     """Whether some isomorphism from source onto member target pulls that
-    member's image back to a function proportional to lhs; positions maps
-    each edge label of source to its element position in lhs."""
+    member's image back to a function proportional to lhs at DEFAULT_TOL;
+    positions maps each edge label of source to its element position in lhs."""
     fh, emap_h = candidate.images[target], candidate.edge_maps[target]
     for iso in isomorphisms(source, candidate.members[target]):
         pos_map = {positions[lab]: emap_h[iso[lab]] for lab in positions}
-        if proportional(lhs, _pullback(fh.values, fh.m, pos_map), tol):
+        if proportional(lhs, _pullback(fh.values, fh.m, pos_map)):
             return True
     return False

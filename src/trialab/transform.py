@@ -29,13 +29,13 @@ blocks runs tile by tile, each tile through all of its blocks, so the
 vector is read once per group rather than once per block; from
 pool.SPLIT_MIN entries :mod:`trialab.pool` shares the tiles between the
 calling thread and one worker thread per further CPU.  The only group (at
-m <= 15) and a group of one block (the short block at m = 16, 21, 22) make
-one batched np.matmul per block over all rows, whose batch pool.chunked
-cuts into chunks from pool.SPLIT_MIN entries.  Every group writes into the
-one output array, so beyond it a large transform holds only a few tiles.
-Every product keeps the shape, operands and order of one pass per block,
-and each writes its own entries, so the output is bit-identical to that
-and to one CPU's.
+m <= 15) and a group of one block (the first block: 4 axes wide at m = 16,
+1 and 2 at m = 21, 22) make one batched np.matmul per block over all
+rows, whose batch pool.chunked cuts into chunks from pool.SPLIT_MIN
+entries.  Every group writes into the one output array, so beyond it a
+large transform holds only a few tiles.  Every product keeps the shape,
+operands and order of one pass per block, and each writes its own
+entries, so the output is bit-identical to that and to one CPU's.
 The output is deterministic for a given numpy and BLAS build, mu = 1 is the
 exact identity on finite input, and the output agrees with the dense
 Kronecker power to 1e-10, which the ``transforms.fast-vs-dense`` check
@@ -164,8 +164,9 @@ COLS, ROWS, SLABS = range(3)
 @lru_cache(maxsize=None)
 def _plan(m: int) -> tuple:
     """The blocks of an m-element transform in the order they apply, the
-    short block first, packed from the low axes up into groups whose tile
-    holds at most GROUP_TILE entries; and the set of block widths.
+    one of (m - 1) % BLOCK + 1 axes first, packed from the low axes up into
+    groups whose tile holds at most GROUP_TILE entries; and the set of block
+    widths.
 
     Each group is (tiled, shape, blocks).  A group that runs whole, in one
     batched matmul per block over all rows, is the only group or one of a

@@ -6,8 +6,6 @@ the tolerance its comment states and prints it in its details.  Randomized
 criteria use a fixed seed.
 """
 
-import warnings
-
 import numpy as np
 
 from trialab import verify
@@ -73,7 +71,7 @@ def test_c08_eigenvector():
 
 
 def test_c09_enumeration_counts():
-    # Exactly 1, 1, 4 maps on 0, 1, 2 edges.
+    # The catalogs on k = 0..4 edges hold Burnside's 1, 1, 4, 11, 43 maps.
     _report(9, verify.check_enumeration_counts(_rng()))
 
 
@@ -111,16 +109,13 @@ def test_c15_tensor_lift_uniqueness():
 
 
 def test_c16_main_theorem():
-    # Canonical classes up to k = 5 pass with random unit phases; each
-    # non-stack two-edge map yields a self-triality obstruction witness.
+    # Canonical classes up to k = 5 pass at nu = 1, and so at every unit nu,
+    # since every element of their images is degenerate; each non-stack
+    # two-edge map yields a self-triality obstruction witness.
     _report(16, verify.check_main_theorem(_rng()))
 
 
 def test_c17_noncommutation_witness():
-    # Existence-with-escalation: a witness in catalogs up to 4 edges, or a
-    # loud NOT-FOUND-AT-CAP warning (never a silent pass).
-    result = verify.check_noncommutation_witness(_rng())
-    if result.warning:
-        warnings.warn(f"noncommutation search: {result.warning}")
-    _report(17, result)
-    assert "witness" in result.details or result.warning
+    # A non-commuting pair of reductions in the catalogs up to 4 edges; a
+    # search that finds none fails.
+    _report(17, verify.check_noncommutation_witness(_rng()))

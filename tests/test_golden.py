@@ -82,8 +82,8 @@ def test_verify_output_is_byte_identical_at_more_seeds(rendered, seed):
 
 
 def test_verify_in_a_fresh_process_matches_its_golden_copy():
-    # A WARNING line fails on its own: the only one verify prints,
-    # NOT-FOUND-AT-CAP, depends on the catalogs alone, so it is a fault.
+    # verify prints no WARNING line: a check passes or fails.  One here
+    # fails on its own, before the byte comparison.
     src = str(Path(trialab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-m", "trialab.cli", "verify", "--seed", "1"],

@@ -4,7 +4,8 @@ the minor kernel, normalisation and the proportionality residual.
 Each is compared bit for bit with the pool forced to one CPU, and with the
 one-CPU code it replaced, kept here as an oracle.  The pool's own contract
 is checked too: chunk errors reach the caller, forked children make their
-own workers, and verify neither splits a pass nor imports the executor."""
+own workers, verify neither splits a pass nor imports the executor, and
+trialab imports and verifies where os lacks its Linux-only calls."""
 
 import os
 import signal
@@ -286,6 +287,22 @@ print(sorted(name for name in ("concurrent.futures", "queue") if name in sys.mod
     out = subprocess.run([sys.executable, "-c", child], check=True, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_trialab_runs_without_the_linux_only_os_calls():
+    # macOS has no os.sched_getaffinity, and Windows no os.register_at_fork
+    # either: the pool then counts every CPU and registers no fork hook.
+    child = """
+import os
+del os.sched_getaffinity, os.register_at_fork
+from trialab import cli, pool
+assert pool._CPUS == (os.cpu_count() or 1), pool._CPUS
+assert cli.main(["verify", "transforms", "--seed", "0"]) == 0
+"""
+    src = os.path.dirname(os.path.dirname(pool.__file__))
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_a_chunk_error_is_raised_after_every_other_chunk_ran(split):

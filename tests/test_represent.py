@@ -5,7 +5,6 @@ import pytest
 
 from trialab import binfun
 from trialab.altmap import isomorphisms, trial, ultraloop_stack
-from trialab.binfun import DEFAULT_TOL
 from trialab.catalog import enumerate_dimaps, self_trial_members
 from trialab.errors import NotMinorClosed
 from trialab.minor import lambda_mu
@@ -56,9 +55,9 @@ def test_aligned_tries_every_isomorphism():
     assert all(first[lab] == lab for lab in emap) and all(swap[lab] != lab for lab in emap)
     lhs = 2.0 * _pullback(f.values, 2, {emap[lab]: emap[swap[lab]] for lab in emap})
     assert not binfun.proportional(lhs, f.values)
-    assert _aligned(candidate, 0, g, lhs, emap, DEFAULT_TOL)
-    assert _aligned(candidate, 0, g, f.values, emap, DEFAULT_TOL)
-    assert not _aligned(candidate, 0, g, lhs + np.array([0, 0, 0, 0.1]), emap, DEFAULT_TOL)
+    assert _aligned(candidate, 0, g, lhs, emap)
+    assert _aligned(candidate, 0, g, f.values, emap)
+    assert not _aligned(candidate, 0, g, lhs + np.array([0, 0, 0, 0.1]), emap)
 
 
 def test_ultraloop_image_is_the_fixed_vector():

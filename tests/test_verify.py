@@ -11,7 +11,8 @@ element is not degenerate or any one stack image is corrupted.
 The closed form that lets nu = 1 stand for every unit phase holds.  The
 mu-independence check's planted functions are degenerate at the element it
 tests.  The trial-cubed check fails when trial cubed breaks on one small
-catalog map."""
+catalog map.  The noncommutation check, and with it its suite and the
+run's exit code, fails when its search finds no witness."""
 
 import dataclasses
 import itertools
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from trialab import binfun, verify
+from trialab.cli import main
 from trialab.altmap import isomorphic, labeled_equal, ultraloop_stack
 from trialab.minor import (
     MU_POLE,
@@ -445,3 +447,17 @@ def test_trial_cubed_fails_when_one_small_catalog_map_breaks(monkeypatch):
     result = verify.check_trial_cubed(np.random.default_rng(0))
     assert not result.passed
     assert result.details.endswith(", 1 failures")
+
+
+def test_noncommutation_witness_fails_when_the_search_finds_none(monkeypatch, capsys):
+    # The first non-commuting pair is on 4 edges, so a search capped at 3
+    # finds none: the check, its suite and the run fail, with no WARNING line.
+    monkeypatch.setattr(verify, "NONCOMMUTATION_CAP", 3)
+    result = verify.check_noncommutation_witness(np.random.default_rng(0))
+    assert not result.passed
+    assert result.details == "no witness in catalogs up to 3 edges"
+    assert main(["verify", "dimaps"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "CHECK dimaps.noncommutation-witness FAIL no witness in catalogs up to 3 edges" in lines
+    assert "SUITE dimaps FAIL 5/6 checks" in lines
+    assert not [ln for ln in lines if ln.startswith("WARNING")]
