@@ -14,6 +14,12 @@ Per checkout it measures
   * the best of three ``check_representation(canonical_class(k))`` calls at
     k = 5, 8, 10, each on a freshly built class, so that no member carries
     state from an earlier call;
+  * the best of three ``check_representation`` calls on two kinds of
+    candidate, each freshly built: every catalog map of at most 4 edges
+    imaged by the tensor powers of the ultraloop image (60 members, most of
+    whose edges have three distinct reductions), and ``canonical_class(k)``
+    at k = 5, 6, 7 with one entry of its top image corrupted, which fails
+    and so walks every isomorphism of each reduction of the top member;
   * the per-call p50 of ``transform`` (at w), of ``proportional`` on a
     proportional pair (true verdict: the whole residual) and on a
     non-proportional one (false verdict, which may stop early), of
@@ -40,10 +46,14 @@ Per checkout it measures
   * the best of five ``find_noncommuting_pair`` scans over every map of the
     k = 4 and k = 5 catalogs, on fresh copies of the maps each time;
   * a host calibration that runs no trialab code: the best of five runs of
-    a fixed pure-Python loop and of one seeded 256 x 256 complex matmul.
+    a fixed pure-Python loop and of CALIBRATION_PRODUCTS seeded complex
+    products of shape (16, 16) @ (16, 128), each below the size at which
+    OpenBLAS splits a product across its threads (see ``transform.TILE``),
+    so that the figure does not depend on a second thread being scheduled.
     Host speed moves between sessions with no code change, so figures in
     different ``BENCH_*.json`` files compare only as ratios to this.  Files
-    written before it was added have none, and are not rescaled.
+    written before it was added have none, and are not rescaled; files
+    before ``BENCH_30.json`` hold one threaded 256 x 256 product instead.
 
 Compare two checkouts, alternating child runs so that both sample the
 machine over the same minutes::
@@ -61,6 +71,7 @@ side's median over the rounds, ``calibration_s`` among them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import statistics
@@ -72,6 +83,8 @@ from time import perf_counter
 FUNCTIONS = ("reduce_edge", "classify_edge", "canonical_form", "trial")
 CATALOG_KS = (4, 5, 6, 7)
 REPRESENT_KS = (5, 8, 10)
+CATALOG_CANDIDATE_EDGES = 4
+CORRUPTED_KS = (5, 6, 7)
 KERNEL_MS = (18, 20, 22)
 IO_MS, IO_COMPARE_MS = (16, 20), (22,)
 KERNEL_REPEATS = 7
@@ -81,7 +94,7 @@ VERIFY_REPEATS = 5
 DUALITY_MAX_EDGES = (4, 5)
 COMMUTATION_MS, COMMUTATION_FUNCTIONS = (4, 6, 8, 10), 20
 NONCOMMUTATION_KS = (4, 5)
-CALIBRATION_LOOP, CALIBRATION_MATMUL = 10**6, 256
+CALIBRATION_LOOP, CALIBRATION_PRODUCTS = 10**6, 4000
 WORKLOADS = ("bf-kernels", "dimap-sweep", "verify-e2e")
 END_TO_END = ("setup_s", "pass_s", "ops_per_s", "peak_rss_mb")
 HIGHER_IS_BETTER = ("ops_per_s",)
@@ -157,14 +170,56 @@ def measure(root: Path, passes: int) -> dict:
             "sweep_pass_timed_s": statistics.median(timed_sums),
             "catalog_s": catalog_s,
             "represent_s": represent_s,
+            "candidates_s": measure_candidates(),
             "kernels_s": measure_kernels(),
             "io": measure_io(root, IO_MS),
             "verify_s": measure_verify()}
 
 
+def measure_candidates() -> dict:
+    """The best of three check_representation calls on the catalog
+    candidate and on the corrupted stack classes, each built afresh."""
+    from trialab import altmap as A
+    from trialab import binfun as B
+    from trialab import catalog as C
+    from trialab import represent as P
+
+    catalog = [g for k in range(CATALOG_CANDIDATE_EDGES + 1)
+               for g in C.enumerate_dimaps(k, cap=k).maps]
+
+    def catalog_candidate():
+        members = tuple(A.AlternatingDimap(g.edges, g.rotations) for g in catalog)
+        return P.RepresentationCandidate(
+            members, tuple(B.tensor_power(P.ultraloop_image(), g.n_edges()) for g in members),
+            tuple({lab: pos for pos, lab in enumerate(g.labels())} for g in members), 1.0 + 0j)
+
+    def corrupted(k):
+        candidate = P.canonical_class(k)
+        values = candidate.images[k].values.copy()
+        values[-1] += 0.1
+        return dataclasses.replace(candidate,
+                                   images=candidate.images[:k] + (B.make(k, values),))
+
+    def best(build, passes: bool):
+        runs = []
+        for _ in range(3):
+            candidate = build()
+            start = perf_counter()
+            report = P.check_representation(candidate)
+            runs.append(perf_counter() - start)
+            if report.passed != passes:
+                raise AssertionError(f"check_representation passed={report.passed}")
+        return min(runs)
+
+    out = {f"catalog_le{CATALOG_CANDIDATE_EDGES}": best(catalog_candidate, True)}
+    for k in CORRUPTED_KS:
+        out[f"corrupted_k{k}"] = best(lambda: corrupted(k), False)
+    return out
+
+
 def measure_calibration() -> dict:
-    """The best of five runs of a fixed pure-Python loop and of one seeded
-    complex matmul, CALIBRATION_MATMUL square: the host's speed."""
+    """The best of five runs of a fixed pure-Python loop and of
+    CALIBRATION_PRODUCTS small seeded complex products: the host's speed."""
     import numpy as np
 
     def best(fn):
@@ -181,10 +236,16 @@ def measure_calibration() -> dict:
             total += i * i
         return total
 
-    n = CALIBRATION_MATMUL
-    a, b = np.random.default_rng(n).standard_normal((2, n, 2 * n)).view(complex)
-    a @ b  # untimed: BLAS starts its threads on the first call
-    return {"python_loop": best(loop), f"matmul{n}": best(lambda: a @ b)}
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((16, 32)).view(complex)
+    b = rng.standard_normal((16, 256)).view(complex)
+
+    def products():
+        for _ in range(CALIBRATION_PRODUCTS):
+            a @ b
+
+    a @ b  # untimed: the first product pays numpy's one-time set-up
+    return {"python_loop": best(loop), f"matmul16x128_x{CALIBRATION_PRODUCTS}": best(products)}
 
 
 def measure_kernels() -> dict:
@@ -401,7 +462,7 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         for side in order:
             runs[side].append(_child(before if side == "before" else after, passes))
     out = {"calibration_s": {}, "primitives": {}, "sweep_pass": {}, "catalog_s": {},
-           "represent_s": {}, "kernels_s": {}, "io": {}, "verify_s": {}}
+           "represent_s": {}, "candidates_s": {}, "kernels_s": {}, "io": {}, "verify_s": {}}
     for side, results in runs.items():
         out["primitives"][side] = {
             group: {name: statistics.median(r["call_p50_us"][group][name] for r in results)
@@ -410,8 +471,8 @@ def compare(before: Path, after: Path, rounds: int, passes: int,
         out["sweep_pass"][side] = {
             key: statistics.median(r[key] for r in results)
             for key in ("sweep_pass_wall_s", "sweep_pass_timed_s")}
-        for section in ("calibration_s", "catalog_s", "represent_s", "kernels_s", "io",
-                        "verify_s"):
+        for section in ("calibration_s", "catalog_s", "represent_s", "candidates_s",
+                        "kernels_s", "io", "verify_s"):
             out[section][side] = {
                 key: statistics.median(r[section][key] for r in results)
                 for key in results[0][section]}

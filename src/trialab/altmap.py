@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -208,11 +208,14 @@ class _View:
                 continue
             best, order = _canonical_run(nxt, first)
             orders = [tuple(order)]
-            keys = [(nxt[d] != d ^ 1, d & 1) for d in order]
-            least = min(keys)
-            for start, key in zip(order, keys):
-                seen[start] = True
-                if key != least or start == first:
+            for d in order:
+                seen[d] = True
+            # The least first entry: a partner next-clockwise if any dart has
+            # one, and a tail if any of those is one.
+            starts = [d for d in order if nxt[d] == d ^ 1] or order
+            starts = [d for d in starts if not d & 1] or starts
+            for start in starts:
+                if start == first:
                     continue
                 enc, run = _canonical_run(nxt, start, best)
                 if enc is None:
@@ -235,28 +238,45 @@ def _view(g: AlternatingDimap) -> _View:
         return g._view
     except AttributeError:
         pass
-    problems = _dart_problems(g)
-    if problems:
-        raise InvalidMap("; ".join(problems))
+    labels = tuple(e.label for e in g.edges)
     norm = {}
     for p, e in enumerate(g.edges):
         norm[e.tail] = 2 * p
         norm[e.head] = 2 * p + 1
-    nxt = [0] * len(norm)
-    for rot in g.rotations:
+    n = 2 * len(labels)
+    try:
+        rotations = [[norm[d] for d in rot] for rot in g.rotations]
+    except KeyError:  # a rotation dart that no edge owns
+        raise _invalid(g) from None
+    nxt = [-1] * n
+    for rot in rotations:
         for a, b in zip(rot, rot[1:] + rot[:1]):
-            nxt[norm[a]] = norm[b]
+            nxt[a] = b
+    # The darts are valid when the labels and the edge darts are distinct,
+    # every rotation holds some darts and all hold n, with each dart at
+    # least once and so exactly once, and every dart's clockwise-next is of
+    # the other end: a tail is even, a head odd.
+    if not (len(set(labels)) == len(labels) and len(norm) == n and all(rotations)
+            and sum(map(len, rotations)) == n and -1 not in nxt
+            and [d & 1 for d in nxt] == [1, 0] * len(labels)):
+        raise _invalid(g)
     # By alternation the dart clockwise after e's head is the tail of ls(e),
     # and the dart clockwise after e's tail is the head of rs^-1(e).
     ls = [d >> 1 for d in nxt[1::2]]
     rs = [0] * len(ls)
     for p, d in enumerate(nxt[0::2]):
         rs[d >> 1] = p
-    view = _View(tuple(e.label for e in g.edges), ls, rs)
+    view = _View(labels, ls, rs)
     view.nxt = nxt
-    view.firsts = [norm[rot[0]] for rot in g.rotations]
+    view.firsts = [rot[0] for rot in rotations]
     object.__setattr__(g, "_view", view)
     return view
+
+
+def _invalid(g: AlternatingDimap) -> InvalidMap:
+    """The error for a map whose darts fail the view's check, naming the
+    problems that _dart_problems finds."""
+    return InvalidMap("; ".join(_dart_problems(g)))
 
 
 def _from_pair(labels: tuple[str, ...], ls: list[int], rs: list[int]) -> AlternatingDimap:
@@ -266,13 +286,19 @@ def _from_pair(labels: tuple[str, ...], ls: list[int], rs: list[int]) -> Alterna
     both are permutations.  The map holds only its view; its darts are
     rendered by _render when first read.
     """
-    positions = list(range(len(labels)))
+    positions = _positions(len(labels))
     if sorted(ls) != positions or sorted(rs) != positions:
         raise InternalInvariantViolation(
             f"successor lists {ls} and {rs} are not permutations of range({len(labels)})")
     g = object.__new__(AlternatingDimap)
     object.__setattr__(g, "_view", _View(labels, ls, rs))
     return g
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int) -> list[int]:
+    """list(range(n)), built once per size; callers only compare with it."""
+    return list(range(n))
 
 
 def _render(v: _View) -> tuple[tuple[Edge, ...], tuple[tuple[int, ...], ...]]:
@@ -370,11 +396,12 @@ def is_valid(g: AlternatingDimap) -> bool:
     return not validate(g)
 
 
-def _require_edge(g: AlternatingDimap, label: str) -> int:
-    pos = _view(g).pos
-    if label not in pos:
-        raise UnknownEdge(f"no edge labeled {label!r}")
-    return pos[label]
+def _require_edge(view: _View, label: str) -> int:
+    """The position of the edge labeled label in the map with this view."""
+    try:
+        return view.pos[label]
+    except KeyError:
+        raise UnknownEdge(f"no edge labeled {label!r}") from None
 
 
 def components(g: AlternatingDimap) -> list[dict]:
@@ -407,9 +434,8 @@ def trial(g: AlternatingDimap) -> tuple[AlternatingDimap, dict[str, str]]:
     ls_inv = [0] * len(view.ls)
     for p, q in enumerate(view.ls):
         ls_inv[q] = p
-    labels = g.labels()
-    out = _from_pair(labels, [ls_inv[q] for q in view.rs], ls_inv)
-    return out, {lab: lab for lab in labels}
+    labels = view.labels
+    return _from_pair(labels, [ls_inv[q] for q in view.rs], ls_inv), dict(zip(labels, labels))
 
 
 def trial_power(g: AlternatingDimap, times: int) -> AlternatingDimap:
@@ -444,15 +470,24 @@ def _same_cycle(perm: list[int], a: int, b: int) -> bool:
 
 def classify_edge(g: AlternatingDimap, label: str) -> EdgeClassification:
     view = _view(g)
-    p = _require_edge(g, label)
-    ls, rs = view.ls, view.rs
-    loop = 2 * p in _vertex_darts(view.nxt, 2 * p + 1)
-    comp = view.comp
-    ultra = loop and comp.count(comp[p]) == 1
-    one_loop = view.nxt[view.nxt[2 * p + 1]] == 2 * p + 1
-    omega_loop = ls[p] == p
-    omega2_loop = rs[p] == p
-    triloop = one_loop or omega_loop or omega2_loop
+    p = _require_edge(view, label)
+    ls, rs, nxt = view.ls, view.rs, view.nxt
+    left, right = ls[p], rs[p]
+    # e is a loop when its tail is at its head's vertex: walk that vertex
+    # from the head until the tail or the head comes round.
+    tail = 2 * p
+    d = nxt[tail + 1]
+    while d != tail and d != tail + 1:
+        d = nxt[d]
+    loop = d == tail
+    omega_loop = left == p
+    omega2_loop = right == p
+    # The dart after e's head is the tail of ls(e), and the dart after that
+    # is the head of rs^-1(ls(e)): e is a 1-loop when ls(e) = rs(e).  An
+    # ultraloop is alone in its component, the orbit of e under <ls, rs>:
+    # an omega-loop and an omega^2-loop at once.
+    one_loop = left == right
+    ultra = omega_loop and omega2_loop
     # An omega-semiloop is an omega^2-loop or an edge whose omega^2-reduction
     # disconnects its component or lowers the genus.  By the triality-minor
     # identity that reduction is the 1-reduction of the second trial, which
@@ -460,9 +495,16 @@ def classify_edge(g: AlternatingDimap, label: str) -> EdgeClassification:
     # it contracts a loop with darts on both of its sides.  On (ls, rs) that
     # loop is: rs(e) on e's anticlockwise face, and ls(e) != rs(e).  The
     # omega^2 kind mirrors this through the first trial.
-    semi_1 = loop
-    semi_w = omega2_loop or (ls[p] != rs[p] and _same_cycle(ls, p, rs[p]))
-    semi_w2 = omega_loop or (ls[p] != rs[p] and _same_cycle(rs, p, ls[p]))
+    semi_w = omega2_loop or (not one_loop and _same_cycle(ls, p, right))
+    semi_w2 = omega_loop or (not one_loop and _same_cycle(rs, p, left))
+    return _classification(ultra, one_loop, omega_loop, omega2_loop, loop, semi_w, semi_w2)
+
+
+@lru_cache(maxsize=None)
+def _classification(ultra: bool, one_loop: bool, omega_loop: bool, omega2_loop: bool,
+                    semi_1: bool, semi_w: bool, semi_w2: bool) -> EdgeClassification:
+    """The one frozen EdgeClassification shared by every edge with these flags."""
+    triloop = one_loop or omega_loop or omega2_loop
     return EdgeClassification(
         is_ultraloop=ultra,
         is_1loop=one_loop,
@@ -483,9 +525,11 @@ def classify_edge(g: AlternatingDimap, label: str) -> EdgeClassification:
 def labeled_equal(g: AlternatingDimap, h: AlternatingDimap) -> bool:
     """Dart-renaming equality that must preserve edge labels: the label
     bijection carries g's successor permutations onto h's."""
-    if sorted(g.labels()) != sorted(h.labels()):
-        return False
     gv, hv = _view(g), _view(h)
+    if gv.labels == hv.labels:  # as for two reductions of one map at one edge
+        return gv.ls == hv.ls and gv.rs == hv.rs
+    if sorted(gv.labels) != sorted(hv.labels):
+        return False
     to_h = [hv.pos[lab] for lab in gv.labels]
     return all(hv.ls[to_h[p]] == to_h[q] for p, q in enumerate(gv.ls)) \
         and all(hv.rs[to_h[p]] == to_h[q] for p, q in enumerate(gv.rs))

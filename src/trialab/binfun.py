@@ -43,7 +43,9 @@ not checked on load, and :func:`normalize` is the one way to restore it.
 
 From :data:`pool.SPLIT_MIN` entries on, :func:`normalize` and both passes
 of the proportionality residual are shared across the CPUs, with results
-bit-identical to one CPU's.
+bit-identical to one CPU's.  A residual over one :data:`DOT_CHUNK` slice
+(m <= 13) makes the same numpy calls on the calling thread, without the
+pool or the folds over slices.
 """
 
 from __future__ import annotations
@@ -222,6 +224,8 @@ def _residual(a, b, tol) -> float:
     # Each slice's norms and dot products are stored, then folded in slice
     # order, so that the sums are the same whichever thread took which slice.
     # np.maximum rather than max() so that a NaN propagates as np.max does.
+    # The folds start from the first slice's terms.  One slice (m <= 13) is
+    # one call on this thread, not through pool.run, and folds nothing.
     parts = [None] * slices
 
     def fit(lo, hi):
@@ -229,10 +233,12 @@ def _residual(a, b, tol) -> float:
             sa, sb = va[s * DOT_CHUNK:(s + 1) * DOT_CHUNK], vb[s * DOT_CHUNK:(s + 1) * DOT_CHUNK]
             parts[s] = np.abs(sa).max(), np.abs(sb).max(), np.vdot(sb, sa), np.vdot(sb, sb)
 
-    pool.run(fit, slices, va.size)
-    na = nb = 0.0
-    ba = bb = 0
-    for xa, xb, da, db in parts:
+    if slices == 1:
+        fit(0, 1)
+    else:
+        pool.run(fit, slices, va.size)
+    na, nb, ba, bb = parts[0]
+    for xa, xb, da, db in parts[1:]:
         na = np.maximum(na, xa)
         nb = np.maximum(nb, xb)
         ba += da
@@ -258,11 +264,14 @@ def _residual(a, b, tol) -> float:
             if tol is not None and x / na > tol:
                 over.append(s)
 
-    pool.run(deviate, slices, va.size)
+    if slices == 1:
+        deviate(0, 1)
+    else:
+        pool.run(deviate, slices, va.size)
     if over:
         return float("inf")
-    worst = 0.0
-    for x in deviations:
+    worst = deviations[0]
+    for x in deviations[1:]:
         worst = np.maximum(worst, x)
     return float(worst / na)
 

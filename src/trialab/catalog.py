@@ -149,8 +149,8 @@ def random_dimap(k: int, rng) -> AlternatingDimap:
     if k == 0:
         return AlternatingDimap((), ())
     edges = []
-    tails = list(rng.permutation(range(k)))
-    heads = list(rng.permutation(range(k)))
+    tails = rng.permutation(range(k)).tolist()  # ints, not numpy scalars
+    heads = rng.permutation(range(k)).tolist()
     for i in range(k):
         edges.append(Edge(f"e{i}", 2 * i, 2 * i + 1))
     # Random composition of k into vertex out-degrees.

@@ -68,6 +68,8 @@ class ReductionKind(enum.Enum):
 
 
 ALL_KINDS = (ReductionKind.ONE, ReductionKind.OMEGA, ReductionKind.OMEGA2)
+# reduce_edge compares kinds with these globals: cheaper than an enum attribute read.
+_OMEGA, _OMEGA2 = ReductionKind.OMEGA, ReductionKind.OMEGA2
 
 
 def _swap(perm: list[int], a: int, b: int) -> list[int]:
@@ -80,22 +82,22 @@ def _swap(perm: list[int], a: int, b: int) -> list[int]:
 
 def _skip(perm: list[int], p: int) -> list[int]:
     """perm with p cut out of its cycle, on positions renumbered past p."""
-    after = perm[p] - (perm[p] > p)
-    out = [y - (y > p) if y != p else after for y in perm]
+    out = [y - 1 if y > p else y for y in perm]
+    out[perm.index(p)] = out[p]  # p's predecessor now points past p
     del out[p]
     return out
 
 
 def reduce_edge(g: AlternatingDimap, label: str, kind: ReductionKind) -> AlternatingDimap:
     """Apply one reduction as an edit of the successor permutations."""
-    p = _require_edge(g, label)
     view = _view(g)
+    p = _require_edge(view, label)
     ls, rs = view.ls, view.rs
-    if kind is ReductionKind.OMEGA:
+    if kind is _OMEGA:
         rs = _swap(rs, p, ls[p])
-    elif kind is ReductionKind.OMEGA2:
+    elif kind is _OMEGA2:
         ls = _swap(ls, p, rs[p])
-    labels = g.labels()
+    labels = view.labels
     return _from_pair(labels[:p] + labels[p + 1:], _skip(ls, p), _skip(rs, p))
 
 

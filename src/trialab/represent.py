@@ -16,6 +16,16 @@ Members are matched up to isomorphism via canonical forms, and a condition
 passes when any isomorphism aligns the two sides; the class is treated as
 abstract, so the choice of representative carries no meaning.
 
+Condition (e) is decided once per member and edge.  The three kinds'
+minors come from one stacked `raw_minors` call.  The reductions are
+grouped by labeled equality with the 1-reduction, at most two comparisons,
+so a degenerate edge, whose three reductions coincide, gives one group.
+Each group is canonicalised once and its isomorphisms onto the matching
+member are walked once, each pulling the member's image back once and
+testing every kind of the group not yet matched.  Labeled-equal reductions
+have the same isomorphisms and element positions, so the witnesses are
+those of one walk per kind, in the same order.
+
 The canonical family assigns to the i-fold ultraloop stack the i-th tensor
 power of (1, sqrt(2)-1), the fixed vector of the trinity generator, which
 `ultraloop_image` returns in closed form.  Condition (d) asks only for
@@ -36,6 +46,7 @@ from .altmap import (
     AlternatingDimap,
     canonical_form,
     isomorphisms,
+    labeled_equal,
     trial,
     ultraloop_stack,
 )
@@ -143,36 +154,60 @@ def check_representation(candidate: RepresentationCandidate) -> CheckReport:
             report.triality.append(f"member {idx}: trial image leaves the class")
             continue
         positions = {edge_map[lab]: pos for lab, pos in emap.items()}
-        if not _aligned(candidate, target, trial_g, transform(f, OMEGA), positions):
+        if not _aligned(candidate, target, trial_g, [transform(f, OMEGA)], positions)[0]:
             report.triality.append(
                 f"member {idx}: no isomorphism matches the trinity transform")
 
+    mus = np.array([candidate.nu * kind.complex_value for kind in ALL_KINDS])
     for idx, (g, f, emap) in enumerate(zip(members, images, edge_maps)):
         for lab in g.labels():
             pos = emap[lab]
             # The reduction keeps the other labels; their positions close the gap.
             positions = {other: p - (p > pos) for other, p in emap.items() if other != lab}
-            for kind in ALL_KINDS:
-                reduced = reduce_edge(g, lab, kind)
-                target = member_of.get(canonical_form(reduced))
+            lhs = raw_minors(f.values, pos, mus)  # one row per kind
+            reduced = [reduce_edge(g, lab, kind) for kind in ALL_KINDS]
+            # Labeled-equal reductions share their isomorphisms and positions,
+            # so one alignment serves each kind whose reduction equals the
+            # 1-reduction; any other kind has its own.
+            groups = [[0]]
+            for i in range(1, len(ALL_KINDS)):
+                if labeled_equal(reduced[0], reduced[i]):
+                    groups[0].append(i)
+                else:
+                    groups.append([i])
+            matched = [False] * len(ALL_KINDS)
+            for group in groups:
+                source = reduced[group[0]]
+                target = member_of.get(canonical_form(source))
                 if target is None:
-                    raise NotMinorClosed(
-                        f"member {idx}: reduction {kind.token} of {lab!r} leaves the class")
-                lhs = raw_minors(f.values, pos, candidate.nu * kind.complex_value)
-                if not _aligned(candidate, target, reduced, lhs, positions):
+                    raise NotMinorClosed(f"member {idx}: reduction "
+                                         f"{ALL_KINDS[group[0]].token} of {lab!r} leaves the class")
+                found = _aligned(candidate, target, source, [lhs[i] for i in group], positions)
+                for i, ok in zip(group, found):
+                    matched[i] = ok
+            for kind, ok in zip(ALL_KINDS, matched):
+                if not ok:
                     report.minor_compat.append(
                         f"member {idx}: edge {lab!r}, reduction {kind.token} has no match")
     return report
 
 
 def _aligned(candidate: RepresentationCandidate, target: int, source: AlternatingDimap,
-             lhs, positions: dict[str, int]) -> bool:
-    """Whether some isomorphism from source onto member target pulls that
-    member's image back to a function proportional to lhs at DEFAULT_TOL;
-    positions maps each edge label of source to its element position in lhs."""
+             lhss: list, positions: dict[str, int]) -> list[bool]:
+    """For each function in lhss, whether some isomorphism from source onto
+    member target pulls that member's image back to a function proportional
+    to it at DEFAULT_TOL; positions maps each edge label of source to its
+    element position in every lhs.  Each isomorphism's pullback is built
+    once and tested against every lhs not yet matched, and the walk stops
+    when all are."""
     fh, emap_h = candidate.images[target], candidate.edge_maps[target]
+    found = [False] * len(lhss)
     for iso in isomorphisms(source, candidate.members[target]):
         pos_map = {positions[lab]: emap_h[iso[lab]] for lab in positions}
-        if proportional(lhs, _pullback(fh.values, fh.m, pos_map)):
-            return True
-    return False
+        pulled = _pullback(fh.values, fh.m, pos_map)
+        for i, lhs in enumerate(lhss):
+            if not found[i] and proportional(lhs, pulled):
+                found[i] = True
+        if all(found):
+            break
+    return found

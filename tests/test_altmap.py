@@ -6,6 +6,7 @@ from trialab.altmap import (
     AlternatingDimap,
     Edge,
     _cycles,
+    _dart_problems,
     _view,
     canonical_form,
     classify_edge,
@@ -410,6 +411,48 @@ def test_dimap_file_fuzz_raises_only_trialab_errors(tmp_path, k, seed, edits):
     except TrialabError:
         return
     assert validate(g) == []
+
+
+def _edited(g, rng, edits):
+    """g after the given dart edits, each picked at random positions: most
+    leave an invalid map, some a valid one."""
+    edges = list(g.edges)
+    rotations = [list(rot) for rot in g.rotations]
+    for edit in edits:
+        rot = rotations[int(rng.integers(len(rotations)))] if rotations else None
+        at = int(rng.integers(len(rot))) if rot else 0
+        if edit == 0 and rot:  # swap two darts of one rotation
+            other = int(rng.integers(len(rot)))
+            rot[at], rot[other] = rot[other], rot[at]
+        elif edit == 1 and rot:  # a dart that no edge owns
+            rot[at] = 10**6
+        elif edit == 2 and rot:  # a dart twice
+            rot.insert(at, rot[-1])
+        elif edit == 3 and rot:  # a dart dropped
+            del rot[at]
+        elif edit == 4:  # an isolated vertex
+            rotations.append([])
+        elif edit == 5 and edges:  # a label twice
+            edges[-1] = edges[-1]._replace(label=edges[0].label)
+        elif edit == 6 and edges:  # a tail reused as the head
+            edges[0] = edges[0]._replace(head=edges[0].tail)
+        elif edit == 7 and rot and len(rotations) > 1:  # a dart moved to another vertex
+            rotations[0].append(rot.pop(at))
+    return AlternatingDimap(tuple(edges), tuple(tuple(rot) for rot in rotations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.lists(st.integers(0, 7), max_size=3))
+def test_view_accepts_exactly_the_maps_without_dart_problems(k, seed, edits):
+    rng = np.random.default_rng(seed)
+    g = _edited(_shuffled_darts(random_dimap(k, rng), rng), rng, edits)
+    problems = _dart_problems(g)
+    try:
+        _view(g)
+    except InvalidMap as exc:
+        assert problems and str(exc) == "; ".join(problems)
+    else:
+        assert problems == []
 
 
 def test_validate_passes_on_trial_outputs():

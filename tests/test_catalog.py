@@ -298,6 +298,16 @@ def test_random_dimap_is_valid_and_in_catalog():
         assert canonical_form(g) in forms3
 
 
+def test_random_dimap_darts_are_python_ints():
+    # numpy scalars would be hashed in every dict keyed by darts.
+    rng = np.random.default_rng(0)
+    for k in range(1, 9):
+        g = random_dimap(k, rng)
+        darts = [d for e in g.edges for d in (e.tail, e.head)]
+        darts += [d for rot in g.rotations for d in rot]
+        assert all(type(d) is int for d in darts), k
+
+
 def test_random_dimap_raises_when_its_map_is_invalid(monkeypatch):
     # An explicit check, which python -O keeps.
     monkeypatch.setattr(catalog, "is_valid", lambda g: False)

@@ -1,14 +1,18 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
 from trialab import binfun
-from trialab.altmap import isomorphisms, trial, ultraloop_stack
+from trialab.altmap import canonical_form, isomorphisms, trial, ultraloop_stack
+from trialab.binfun import proportional
 from trialab.catalog import enumerate_dimaps, self_trial_members
 from trialab.errors import NotMinorClosed
-from trialab.minor import lambda_mu
+from trialab.minor import lambda_mu, raw_minors
+from trialab.reductions import ALL_KINDS, reduce_edge
 from trialab.represent import (
+    CheckReport,
     RepresentationCandidate,
     _aligned,
     _pullback,
@@ -55,9 +59,11 @@ def test_aligned_tries_every_isomorphism():
     assert all(first[lab] == lab for lab in emap) and all(swap[lab] != lab for lab in emap)
     lhs = 2.0 * _pullback(f.values, 2, {emap[lab]: emap[swap[lab]] for lab in emap})
     assert not binfun.proportional(lhs, f.values)
-    assert _aligned(candidate, 0, g, lhs, emap)
-    assert _aligned(candidate, 0, g, f.values, emap)
-    assert not _aligned(candidate, 0, g, lhs + np.array([0, 0, 0, 0.1]), emap)
+    assert _aligned(candidate, 0, g, [lhs], emap) == [True]
+    assert _aligned(candidate, 0, g, [f.values], emap) == [True]
+    assert _aligned(candidate, 0, g, [lhs + np.array([0, 0, 0, 0.1])], emap) == [False]
+    assert _aligned(candidate, 0, g, [lhs + np.array([0, 0, 0, 0.1]), lhs, f.values],
+                    emap) == [False, True, True]
 
 
 def test_ultraloop_image_is_the_fixed_vector():
@@ -114,6 +120,84 @@ def test_minor_compatibility_follows_the_phase():
                      if f"member 2: edge 'e0', reduction {kind} has no match"
                      in report.minor_compat}
         assert unmatched == {"1", "w", "w2"} - {token}, (nu, report.minor_compat)
+
+
+def _per_kind_report(candidate):
+    """Conditions (d) and (e) with one canonicalisation and one isomorphism
+    walk per trial and per reduction kind, as the checker once decided them:
+    the witness lists an alignment shared by labeled-equal reductions must
+    reproduce, in order."""
+    report = CheckReport()
+    member_of = {}
+    for idx, g in enumerate(candidate.members):
+        member_of.setdefault(canonical_form(g), idx)
+
+    def aligned(target, source, lhs, positions):
+        fh, emap_h = candidate.images[target], candidate.edge_maps[target]
+        return any(proportional(lhs, _pullback(fh.values, fh.m,
+                                               {positions[lab]: emap_h[iso[lab]] for lab in positions}))
+                   for iso in isomorphisms(source, candidate.members[target]))
+
+    triples = list(zip(candidate.members, candidate.images, candidate.edge_maps))
+    for idx, (g, f, emap) in enumerate(triples):
+        trial_g, edge_map = trial(g)
+        target = member_of.get(canonical_form(trial_g))
+        if target is None:
+            report.triality.append(f"member {idx}: trial image leaves the class")
+        elif not aligned(target, trial_g, transform(f, OMEGA),
+                         {edge_map[lab]: pos for lab, pos in emap.items()}):
+            report.triality.append(f"member {idx}: no isomorphism matches the trinity transform")
+    for idx, (g, f, emap) in enumerate(triples):
+        for lab in g.labels():
+            pos = emap[lab]
+            positions = {other: p - (p > pos) for other, p in emap.items() if other != lab}
+            for kind in ALL_KINDS:
+                reduced = reduce_edge(g, lab, kind)
+                target = member_of[canonical_form(reduced)]
+                lhs = raw_minors(f.values, pos, candidate.nu * kind.complex_value)
+                if not aligned(target, reduced, lhs, positions):
+                    report.minor_compat.append(
+                        f"member {idx}: edge {lab!r}, reduction {kind.token} has no match")
+    return report
+
+
+def _small_catalog_candidate():
+    """Every map of at most 4 edges, imaged by the tensor powers of the
+    ultraloop image: most of its edges have three distinct reductions."""
+    members = [g for k in range(5) for g in enumerate_dimaps(k).maps]
+    return RepresentationCandidate(
+        tuple(members),
+        tuple(binfun.tensor_power(ultraloop_image(), g.n_edges()) for g in members),
+        tuple({lab: pos for pos, lab in enumerate(g.labels())} for g in members), 1.0 + 0j)
+
+
+def _corrupted(candidate, idx):
+    values = candidate.images[idx].values.copy()
+    values[-1] += 0.1
+    images = list(candidate.images)
+    images[idx] = binfun.make(candidate.images[idx].m, values)
+    return dataclasses.replace(candidate, images=tuple(images))
+
+
+def test_grouped_minor_compatibility_keeps_the_per_kind_witnesses():
+    small = _small_catalog_candidate()
+    # A corrupted 3-edge image fails some kinds of the 4-edge members'
+    # reductions and not others, so a checker that aligned every kind
+    # against one reduction's target would report different kinds.
+    three = next(i for i, g in enumerate(small.members) if g.n_edges() == 3)
+    candidates = {
+        "catalog": small,
+        "corrupted catalog": _corrupted(small, three),
+        "corrupted stack": _corrupted(canonical_class(6), 6),
+        "stack at w": dataclasses.replace(canonical_class(5), nu=OMEGA),
+    }
+    for name, cand in candidates.items():
+        report = check_representation(cand)
+        assert report == _per_kind_report(cand), name
+    witnesses = check_representation(candidates["corrupted catalog"]).minor_compat
+    per_edge = collections.Counter(w.rsplit(",", 1)[0] for w in witnesses)
+    assert min(per_edge.values()) < 3
+    assert check_representation(candidates["corrupted stack"]).minor_compat
 
 
 def test_non_self_trial_image_fails_triality():
