@@ -83,7 +83,8 @@ class CheckReport:
 
 def ultraloop_image() -> BinaryFunction:
     """The ultraloop's image (1, sqrt(2)-1): the fixed vector of every
-    M(mu), which ``transforms.eigenvector`` checks at w.
+    M(mu), the first column of the eigenbasis that
+    ``transforms.eigenvector`` checks at five parameters.
 
     It is forced only up to the choice of an eigenline of M(w).  Triality
     asks for proportionality alone, so (1, -(sqrt(2)+1)), the eigenvector

@@ -11,8 +11,11 @@ Python complexes, and then make one stacked kernel call per size, so each
 result matches the one-call-per-sample loop bit for bit.  Oracles here are
 deliberately independent of the code paths they judge: dense Kronecker
 products against the fast kernel, brute-force GF(2) complements against
-the transform, rank computations against the degeneracy test, and
-Burnside's closed-form counts against the catalogs.  Of the 3002
+the transform, rank computations against the degeneracy test, Burnside's
+closed-form counts against the catalogs, the closed-form eigenbasis
+against the generators and minor weights, in which the tensor-lift claim
+is forced by an enumerated cover of the subsets, and the complete catalogs
+up to four edges against trial cubed.  Of the 3002
 multigraphs in the Hadamard-duality check only 210 have distinct cutset
 spaces, so the indicator, the complement oracle and the residual run once
 per distinct space, keyed by the GF(2) span of the incidence masks, and the
@@ -31,19 +34,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import binfun
-from .altmap import (
-    classify_edge,
-    isomorphic,
-    labeled_equal,
-    trial_power,
-    ultraloop_stack,
-)
-from .catalog import enumerate_dimaps, random_dimap, self_trial_members
+from .altmap import classify_edge, isomorphic, labeled_equal, trial, ultraloop_stack
+from .catalog import enumerate_dimaps, self_trial_members
 from .errors import NormalizationError
 from .minor import (
     MU_POLE,
     MinorSpec,
     is_degenerate,
+    lambda_mu,
     minors_commute_check,
     take_minor,
     transform_minor_check,
@@ -56,7 +54,7 @@ from .reductions import (
     reduce_edge,
     trial_minor_check,
 )
-from .transform import OMEGA, OMEGA2, ULOOP_RATIO, m_matrix, raw_transform, self_trial
+from .transform import OMEGA, OMEGA2, SQRT2, m_matrix, raw_transform, self_trial
 
 
 @dataclass
@@ -222,12 +220,29 @@ def check_hadamard_duality(rng) -> CheckResult:
                        f"worst residual {worst:.3e} (tol {tol:g})")
 
 
+# The one basis in which every generator and minor weight is diagonal: the
+# columns are (1, sqrt(2)-1), for the eigenvalue 1, and (1, -(sqrt(2)+1)).
+_EIGENBASIS = np.array([[1.0, 1.0], [SQRT2 - 1.0, -(SQRT2 + 1.0)]])
+
+
+def _eigenbasis_deviation(mu) -> float:
+    """The largest entry of M(mu) P - P diag(1, mu), and of the defect of
+    (1, lambda(mu)) P from a multiple of (1, -mu); NaN if either is NaN."""
+    p = _EIGENBASIS
+    generator = np.max(np.abs(m_matrix(mu) @ p - p * [1.0, mu]))
+    weight = np.array([1.0, lambda_mu(mu)]) @ p
+    return _worst([generator, abs(weight[1] + mu * weight[0])])
+
+
 def check_eigenvector(rng) -> CheckResult:
     tol = 1e-12
-    v = np.array([1.0, ULOOP_RATIO], dtype=complex)
-    dev = float(np.max(np.abs(m_matrix(OMEGA) @ v - v)))
+    # The whole eigenbasis, not only the fixed vector: its second column
+    # pins the parameter, so a generator at the wrong mu fails.
+    mus = (1.0, OMEGA, OMEGA2, -1.0, 0.3 - 1.7j)
+    dev = _worst([_eigenbasis_deviation(mu) for mu in mus])
     return CheckResult("transforms", "eigenvector", dev <= tol,
-                       f"fixed-vector deviation {dev:.3e} (tol {tol:g})")
+                       f"eigenbasis at {len(mus)} parameters, "
+                       f"worst deviation {dev:.3e} (tol {tol:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +343,7 @@ def check_degeneracy_mu_independence(rng) -> CheckResult:
     tol = 1e-7
     mismatches = 0
     done = 0
+    skipped = 0
     while done < 100:
         m = int(rng.integers(1, 6))
         i = int(rng.integers(0, m))
@@ -345,12 +361,14 @@ def check_degeneracy_mu_independence(rng) -> CheckResult:
                 g2 = take_minor(f, MinorSpec(i, mu2))
                 verdicts.append(binfun.allclose(g1, g2, tol))
         except NormalizationError:
+            skipped += 1
             continue
         done += 1
         if not (verdicts[0] == verdicts[1] == is_degenerate(f, i)):
             mismatches += 1
     return CheckResult("degeneracy", "mu-independence", mismatches == 0,
-                       f"100 samples, {mismatches} verdict mismatches")
+                       f"100 samples, {skipped} redrawn at a minor that does not normalize, "
+                       f"{mismatches} verdict mismatches")
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +405,10 @@ def check_self_trial_two_edges(rng) -> CheckResult:
 
 
 def check_trial_cubed(rng) -> CheckResult:
-    bad = 0
-    total = 0
-    for k in range(0, 4):
-        for g in _catalog(k).maps:
-            total += 1
-            if not labeled_equal(trial_power(g, 3), g):
-                bad += 1
-    for _ in range(100):
-        g = random_dimap(4, rng)
-        total += 1
-        if not labeled_equal(trial_power(g, 3), g):
-            bad += 1
+    maps = [g for k in range(5) for g in _catalog(k).maps]
+    bad = sum(not labeled_equal(trial(trial(trial(g)[0])[0])[0], g) for g in maps)
     return CheckResult("dimaps", "trial-cubed", bad == 0,
-                       f"{total} maps (exhaustive <=3 edges plus 100 random), {bad} failures")
+                       f"{len(maps)} maps exhaustive at <=4 edges, {bad} failures")
 
 
 def check_triality_minor_identity(rng) -> CheckResult:
@@ -471,39 +479,30 @@ def check_reduction_funnel(rng) -> CheckResult:
                        f"three edges: {len(three)} qualifying map(s)")
 
 
-def _tensor_lift(k: int, rng, tol: float) -> tuple[int, float, bool]:
-    """Rank and residual of the lift system, and whether the direct minors match.
+def _tensor_lift(k: int, rng, tol: float) -> tuple[int, bool]:
+    """How many nonempty sets the forcing argument reaches on m = k+1
+    elements, and whether the direct minors match.
 
-    Oracle route: a function on m = k+1 elements whose every minor is the
-    k-th tensor power u of the ultraloop image factors along each element's
-    slices, which is a linear system in its 2**m entries; with the pinned
-    empty-set entry, full rank forces a unique solution, whose largest
-    deviation from the (k+1)-th power is the residual.  The system encodes
-    equality at just two distinct parameters, so full rank also records
-    that two values suffice.  Direct route: the minors of the (k+1)-th
-    power at {1, omega, omega^2} and two random parameters per element all
-    equal u.
+    Forcing: in eigen-coordinates c = P^{-(x)m} f, the minor at mu on
+    element i is c(Y) - mu c(Y + i) over the Y without i, up to a common
+    factor.  If every minor at mu = 1 and at w is proportional to the k-th
+    tensor power u of the ultraloop image, whose c is supported on the empty
+    set, both differences vanish at each nonempty Y, so c(Y) = c(Y + i) = 0.
+    A set is reached when it is such a Y or Y + i for some i; when all
+    2**m - 1 are, c is supported on the empty set, and with f(0) = 1, f is
+    the (k+1)-th power.  Direct route: the minors of the (k+1)-th power at
+    {1, omega, omega^2} and two random parameters per element all equal u.
     """
+    m = k + 1
+    reached = set()
+    for i in range(m):
+        bit = 1 << i
+        for y in range(1, 2**m):
+            if not y & bit:
+                reached |= {y, y | bit}
     base = ultraloop_image()
     u = binfun.tensor_power(base, k)
-    expected = binfun.tensor_power(base, k + 1)
-    m = k + 1
-
-    # Row (i, G, b) reads f(G : i <- b) - u(G) f(0 : i <- b) for each subset
-    # G != 0 of the other k elements: the slices of the identity at e_i pick
-    # the entries, and G = 0 gives the zero row.  Last, the pinned f(0) = 1.
-    eye = np.eye(2**m, dtype=complex)
-    blocks = []
-    for i in range(m):
-        picks = [s.reshape(2**m, 2**k).T for s in binfun.slices(eye, i)]
-        blocks.append(np.stack([p[1:] - u.values[1:, None] * p[0] for p in picks], axis=1))
-    a = np.vstack([*(b.reshape(-1, 2**m) for b in blocks), eye[:1]])
-    rhs = np.zeros(len(a), dtype=complex)
-    rhs[-1] = 1.0
-    # lstsq's rank uses matrix_rank's default cut-off: one SVD serves both.
-    solution, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
-    residual = float(np.max(np.abs(solution - expected.values)))
-
+    expected = binfun.tensor_power(base, m)
     direct = True
     for i in range(m):
         sampled = []
@@ -514,7 +513,7 @@ def _tensor_lift(k: int, rng, tol: float) -> tuple[int, float, bool]:
         for mu in (1.0, OMEGA, OMEGA2, *sampled):
             if not binfun.allclose(take_minor(expected, MinorSpec(i, mu)), u, tol):
                 direct = False
-    return int(rank), residual, direct
+    return len(reached), direct
 
 
 def _perturbed_lift_breaks(k: int, tol: float) -> bool:
@@ -531,14 +530,16 @@ def _perturbed_lift_breaks(k: int, tol: float) -> bool:
 def check_tensor_lift_uniqueness(rng) -> CheckResult:
     tol = 1e-9
     # The only function whose every minor is the k-th tensor power of the
-    # ultraloop image is the (k+1)-th tensor power.
+    # ultraloop image is the (k+1)-th tensor power: forced by the minors at
+    # the two parameters 1 and w, on the eigenbasis checked there.
+    deviation = _worst([_eigenbasis_deviation(mu) for mu in (1.0, OMEGA)])
+    ok = deviation <= tol
     details = []
-    ok = True
     for k in (1, 2, 3):
-        rank, residual, direct = _tensor_lift(k, rng, tol)
-        ok = (ok and rank == 2 ** (k + 1) and residual <= tol and direct
-              and _perturbed_lift_breaks(k, tol))
-        details.append(f"k={k}: rank {rank}/{2 ** (k + 1)}, residual {residual:.1e}")
+        reached, direct = _tensor_lift(k, rng, tol)
+        ok = ok and reached == 2 ** (k + 1) - 1 and direct and _perturbed_lift_breaks(k, tol)
+        details.append(f"k={k}: {reached}/{2 ** (k + 1) - 1} sets forced")
+    details.append(f"eigenbasis deviation at 1, w {deviation:.1e} (tol {tol:g})")
     return CheckResult("claims", "tensor-lift-uniqueness", ok, "; ".join(details))
 
 
@@ -548,8 +549,10 @@ def check_main_theorem(rng) -> CheckResult:
     # at nu = 1, and so at every unit nu: every element of their images, the
     # tensor powers of (1, r) with r = sqrt(2) - 1, is degenerate.  The minor
     # of a degenerate element at mu is (1 + lambda(mu) r) times the next-lower
-    # power, and 1 + lambda(mu) r = 2 sqrt(2) / (sqrt(2) + 1 - r mu) never
-    # vanishes (its modulus is at least 1 on the unit circle), so condition
+    # power.  That factor is the first entry of (1, lambda(mu)) P, the
+    # eigenbasis's common factor that ``transforms.eigenvector`` checks, and
+    # it equals 2 sqrt(2) / (sqrt(2) + 1 - r mu), which never vanishes (its
+    # modulus is at least 1 on the unit circle), so condition
     # (e) holds at nu * mu exactly when it holds at mu.  Conversely every
     # two-edge map other than the double stack is obstructed: its image is
     # forced, for the chosen eigenline of M(w), to the self-trial tensor

@@ -1,3 +1,4 @@
+import itertools
 import os
 import signal
 import sys
@@ -457,6 +458,33 @@ def test_self_trial():
     assert self_trial(f)
     assert self_trial(binfun.tensor(f, f))
     assert not self_trial(binfun.make(1, [1.0, 1.0]))
+
+
+def test_self_trial_agrees_with_the_eigen_coordinate_support_criterion():
+    # With P = [[1, 1], [sqrt(2)-1, -(sqrt(2)+1)]] and c = P^{-(x)m} f, the
+    # trinity transform scales c(X) by w^|X|, so f is self-trial exactly
+    # when c is supported on one class of |X| mod 3.  P^{-(x)m} is built
+    # densely here; the planted functions have c on one class or on two.
+    p = np.array([[1.0, 1.0], [T.SQRT2 - 1.0, -(T.SQRT2 + 1.0)]])
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for m in range(1, 7):
+        forward = dense_kronecker_power(p, m)
+        inverse = dense_kronecker_power(np.linalg.inv(p), m)
+        classes = np.array([bin(x).count("1") % 3 for x in range(2**m)])
+        present = sorted(set(classes))
+        functions = [random_bf(rng, m) for _ in range(5)]
+        for planted in [*([r] for r in present), *itertools.combinations(present, 2)]:
+            c = rng.standard_normal(2**m) + 1j * rng.standard_normal(2**m)
+            v = forward @ np.where(np.isin(classes, planted), c, 0.0)
+            functions.append(binfun.make(m, v / v[0]))
+        for f in functions:
+            c = np.abs(inverse @ f.values)
+            support = set(classes[c > 1e-9 * np.max(c)])
+            assert self_trial(f) == (len(support) == 1), (m, support)
+            verdicts.append(len(support) == 1)
+    assert verdicts.count(True) == 2 + 3 * 5
+    assert verdicts.count(False) == 6 * 5 + 1 + 3 * 5
 
 
 def test_hadamard_duality_on_small_graph_indicators():

@@ -2,16 +2,21 @@
 complement oracle matches the pair-by-pair form, and a planted fault in
 the transform still makes it fail.  The commutation check's counterparts
 are in test_minor.py.  A NaN residual anywhere among the samples fails
-each transform check.  The claim checks' parts hold on their own: the
-tensor-power lift is unique and breaks under perturbation, and the check
-fails when a perturbed lift at any k still matched or when only the direct
-minors differ; the funnel finds 4 / 1 / 1 maps on 2 / 3 / 4 edges, and
+each transform check.  The eigenvector check fails at a generator with the
+right fixed vector but the wrong parameter, and at a minor weight with
+sqrt(2)+1 and sqrt(2)-1 swapped.  The claim checks' parts hold on their
+own: a minor is c(Y) - mu c(Y + i) in eigen-coordinates, the forcing
+argument reaches every nonempty set from two elements on and none on one,
+the tensor-power lift breaks under perturbation, and the check fails when
+a perturbed lift at any k still matched or when only the direct minors
+differ; the funnel finds 4 / 1 / 1 maps on 2 / 3 / 4 edges, and
 the main theorem fails when the forced image is not self-trial, a stack
 element is not degenerate or any one stack image is corrupted.
 The closed form that lets nu = 1 stand for every unit phase holds.  The
 mu-independence check's planted functions are degenerate at the element it
-tests.  The trial-cubed check fails when trial cubed breaks on one small
-catalog map.  The noncommutation check, and with it its suite and the
+tests, and a sample it redraws is counted.  The trial-cubed check fails
+when trial cubed breaks on one small catalog map, and when trial has order
+two.  The noncommutation check, and with it its suite and the
 run's exit code, fails when its search finds no witness."""
 
 import dataclasses
@@ -22,7 +27,8 @@ import pytest
 
 from trialab import binfun, verify
 from trialab.cli import main
-from trialab.altmap import isomorphic, labeled_equal, ultraloop_stack
+from trialab.altmap import _from_pair, _view, isomorphic, labeled_equal, ultraloop_stack
+from trialab.errors import NormalizationError
 from trialab.minor import (
     MU_POLE,
     is_degenerate,
@@ -32,7 +38,7 @@ from trialab.minor import (
     transform_minor_check,
 )
 from trialab.represent import ultraloop_image
-from trialab.transform import OMEGA, OMEGA2, ULOOP_RATIO, m_matrix, transform
+from trialab.transform import OMEGA, OMEGA2, SQRT2, ULOOP_RATIO, m_matrix, transform
 
 
 def _pure_python_complement(values, m):
@@ -194,13 +200,61 @@ def test_planted_element_is_degenerate_at_its_position():
 def test_unique_tensor_lift():
     rng = np.random.default_rng(22)
     for k in (1, 2, 3):
-        rank, residual, direct = verify._tensor_lift(k, rng, 1e-9)
-        # Rank equal to the 2**(k+1) unknowns: the system, which compares
-        # minors at two parameters only, has one solution, so two values
-        # suffice.
-        assert rank == 2 ** (k + 1)
-        assert residual <= 1e-9
+        reached, direct = verify._tensor_lift(k, rng, 1e-9)
+        # Every nonempty subset of the k+1 elements is forced to zero by the
+        # minors at two parameters, so two values suffice.
+        assert reached == 2 ** (k + 1) - 1
         assert direct
+    # On one element no nonempty Y avoids it, so nothing is reached: the
+    # argument needs a second element.
+    assert verify._tensor_lift(0, rng, 1e-9)[0] == 0
+
+
+def test_a_minor_is_a_difference_of_slices_in_eigen_coordinates():
+    # The step the forcing argument rests on, against dense Kronecker
+    # powers: with c = P^{-(x)m} f, the minor at mu on element i is
+    # (1 + lambda(mu) (sqrt(2)-1)) (c(Y) - mu c(Y + i)) over the Y without i,
+    # for P = [[1, 1], [sqrt(2)-1, -(sqrt(2)+1)]].
+    p_inv = np.linalg.inv(np.array([[1.0, 1.0], [SQRT2 - 1.0, -(SQRT2 + 1.0)]]))
+    rng = np.random.default_rng(31)
+    for m in (2, 3, 5):
+        inverse, lower = verify._dense_power(p_inv, m), verify._dense_power(p_inv, m - 1)
+        f = verify._random_bf(rng, m).values
+        for i in range(m):
+            c0, c1 = binfun.slices(inverse @ f, i)
+            for mu in (1.0, -1.0, OMEGA, OMEGA2, 0.3 - 1.7j):
+                factor = 1 + lambda_mu(mu) * ULOOP_RATIO
+                got = lower @ raw_minors(f, i, mu)
+                assert np.max(np.abs(got - factor * (c0 - mu * c1).reshape(-1))) <= 1e-13
+
+
+@pytest.mark.parametrize("wrong", [lambda mu: mu * OMEGA, lambda mu: mu * mu],
+                         ids=["mu-times-w", "mu-squared"])
+def test_eigenvector_check_fails_at_a_generator_with_the_right_fixed_vector(monkeypatch, wrong):
+    # M(mu w) and M(mu^2) fix (1, sqrt(2)-1) as M(mu) does, so a check of
+    # the fixed vector alone passes them; the second column of the basis
+    # sees the wrong eigenvalue.
+    real = verify.m_matrix
+    v = np.array([1.0, ULOOP_RATIO])
+    monkeypatch.setattr(verify, "m_matrix", lambda mu: real(wrong(mu)))
+    assert np.max(np.abs(verify.m_matrix(OMEGA) @ v - v)) <= 1e-12
+    result = verify.check_eigenvector(np.random.default_rng(0))
+    assert not result.passed
+    assert result.details.startswith("eigenbasis at 5 parameters, worst deviation ")
+
+
+def test_eigenvector_check_fails_when_lambda_swaps_its_roots(monkeypatch):
+    # lambda(mu) with sqrt(2)+1 and sqrt(2)-1 swapped: (1, lambda(mu)) P is
+    # off a multiple of (1, -mu) by 4 at mu = 1 and about 0.76 at w.  The
+    # tensor-lift check reads the same basis at 1 and w, and fails too.
+    def swapped(mu):
+        return (1.0 + mu) / (SQRT2 - 1.0 - (SQRT2 + 1.0) * mu)
+
+    monkeypatch.setattr(verify, "lambda_mu", swapped)
+    assert verify._eigenbasis_deviation(1.0) == pytest.approx(4.0)
+    assert verify._eigenbasis_deviation(OMEGA) == pytest.approx(0.756, abs=1e-3)
+    assert not verify.check_eigenvector(np.random.default_rng(0)).passed
+    assert not verify.check_tensor_lift_uniqueness(np.random.default_rng(0)).passed
 
 
 def test_tensor_lift_perturbation():
@@ -435,18 +489,51 @@ def test_stacked_check_matches_its_per_sample_loop(check, oracle, seed):
 
 
 def test_trial_cubed_fails_when_one_small_catalog_map_breaks(monkeypatch):
-    # The exhaustive part compares every map, not only counts it.
-    real = verify.trial_power
+    # The check compares every map, not only counts it: trial applied twice
+    # at one three-edge map makes its cube trial itself, not the identity.
+    real = verify.trial
     target = next(g for g in verify._catalog(3).maps
-                  if not labeled_equal(real(g, 1), g))
+                  if not labeled_equal(real(g)[0], g))
 
-    def broken(g, times):
-        return real(g, 1) if g is target else real(g, times)
+    def broken(g):
+        return real(real(g)[0]) if g is target else real(g)
 
-    monkeypatch.setattr(verify, "trial_power", broken)
+    monkeypatch.setattr(verify, "trial", broken)
     result = verify.check_trial_cubed(np.random.default_rng(0))
     assert not result.passed
     assert result.details.endswith(", 1 failures")
+
+
+def test_trial_cubed_fails_when_trial_has_order_two(monkeypatch):
+    # Swapping ls and rs gives a valid map and is an involution, so its cube
+    # is itself and not the identity: the check must apply it three times.
+    def swap(g):
+        view = _view(g)
+        return _from_pair(view.labels, list(view.rs), list(view.ls)), {}
+
+    monkeypatch.setattr(verify, "trial", swap)
+    result = verify.check_trial_cubed(np.random.default_rng(0))
+    assert not result.passed
+    assert result.details.startswith("60 maps exhaustive at <=4 edges, ")
+
+
+def test_mu_independence_counts_a_redrawn_sample(monkeypatch):
+    # A minor that does not normalize redraws its sample; the count says so,
+    # and 100 samples still complete, four minors each.
+    real = verify.take_minor
+    calls = itertools.count()
+
+    def raise_once(f, spec):
+        if next(calls) == 0:
+            raise NormalizationError("planted")
+        return real(f, spec)
+
+    monkeypatch.setattr(verify, "take_minor", raise_once)
+    result = verify.check_degeneracy_mu_independence(np.random.default_rng(0))
+    assert result.passed
+    assert result.details == ("100 samples, 1 redrawn at a minor that does not normalize, "
+                              "0 verdict mismatches")
+    assert next(calls) == 1 + 4 * 100
 
 
 def test_noncommutation_witness_fails_when_the_search_finds_none(monkeypatch, capsys):
